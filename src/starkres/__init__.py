@@ -9,15 +9,10 @@ references.
 __version__ = "0.1.0"
 
 from .formfactor import (
-    DilationParameter,
-    EvalOverflow,
     FormFactor,
     Term,
     conj_reflect,
     dilate,
-    eval_momentum,
-    eval_momentum_log,
-    fourier_transform,
     translate_modulate,
 )
 from .resolvent import (
@@ -41,11 +36,9 @@ from .floquet import (
     FloquetProblem,
     eigen_near,
     hermite_functions,
-    load_matrix,
     momentum_squared_matrix,
-    save_matrix,
 )
-from .sweep import SlopeFit, SweepResult, ac_sweep, dc_sweep, fit_slope
+from .sweep import SweepResult, ac_sweep, dc_sweep
 from .oracle import (
     PoleTestResult,
     TaylorPathError,
@@ -60,17 +53,14 @@ from .oracle import (
 
 __all__ = [
     "__version__",
-    "DilationParameter", "EvalOverflow", "FormFactor", "Term",
-    "conj_reflect", "dilate", "eval_momentum", "eval_momentum_log",
-    "fourier_transform", "translate_modulate",
+    "FormFactor", "Term", "conj_reflect", "dilate", "translate_modulate",
     "CutProximityError", "QuadratureError", "QuadratureSettings",
     "ResolventEvaluator", "RoucheCertificate", "SectorLimitError",
     "BoundaryZeroError", "Resonance", "Window", "find_zeros",
     "multiplicity_estimate", "winding_number",
     "FloquetEigenpair", "FloquetProblem", "eigen_near",
-    "hermite_functions", "load_matrix", "momentum_squared_matrix",
-    "save_matrix",
-    "SlopeFit", "SweepResult", "ac_sweep", "dc_sweep", "fit_slope",
+    "hermite_functions", "momentum_squared_matrix",
+    "SweepResult", "ac_sweep", "dc_sweep",
     "PoleTestResult", "TaylorPathError", "erfc_closed_form",
     "erfc_free_element", "full_resolvent_pole_test", "grid_scan",
     "ode_resolvent_oracle", "taylor_continuation_oracle", "verify_report",

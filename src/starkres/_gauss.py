@@ -1,4 +1,4 @@
-"""Shared Gaussian-integral and panel-quadrature helpers.
+"""Shared Gaussian-integral, panel-quadrature and Cauchy-ring helpers.
 
 Everything here is exact closed-form algebra or fixed composite
 Gauss-Legendre machinery; no adaptive state, safe for concurrent use.
@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "gaussian_poly_integral",
+    "cauchy_derivative",
     "panel_nodes",
     "cumulative_matrix",
 ]
@@ -21,41 +22,42 @@ __all__ = [
 def gaussian_poly_integral(coeffs, a, b):
     """Closed form of ``int P(x) exp(-a x^2 + b x) dx`` over the real line.
 
-    ``coeffs`` are ascending polynomial coefficients of P.  Requires
-    Re(a) > 0.  Uses the centered-moment expansion around the saddle
+    ``coeffs`` are ascending polynomial coefficients of P.  ``a``, ``b``
+    and each coefficient may be arrays; they broadcast together, so one
+    call evaluates a batch of integrals.  Requires Re(a) > 0 at every
+    element.  Uses the centered-moment expansion around the saddle
     mu = b/(2a); exact for polynomials, stable for the low degrees the
     Hermite-Gaussian family produces.
     """
-    a = complex(a)
-    b = complex(b)
-    if a.real <= 0.0:
-        raise ValueError(f"gaussian integral needs Re(a) > 0, got a={a}")
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if np.any(a.real <= 0.0):
+        bad = a[a.real <= 0.0].ravel()[0]
+        raise ValueError(f"gaussian integral needs Re(a) > 0, got a={bad}")
     mu = b / (2.0 * a)
     inv2a = 1.0 / (2.0 * a)
-    total = 0.0 + 0.0j
+    total = np.zeros(np.broadcast(a, b).shape, dtype=complex)
     for m, cm in enumerate(coeffs):
-        if cm == 0:
+        if np.all(np.equal(cm, 0)):
             continue
         # E[(t+mu)^m] for centered Gaussian with <t^2> = 1/(2a)
         acc = 0.0 + 0.0j
+        df = 1.0                            # (2r-1)!!
         for r in range(0, m // 2 + 1):
-            acc += (
-                math.comb(m, 2 * r)
-                * _double_factorial(2 * r - 1)
-                * mu ** (m - 2 * r)
-                * inv2a**r
-            )
-        total += cm * acc
+            if r > 0:
+                df *= 2 * r - 1
+            acc = acc + math.comb(m, 2 * r) * df * mu ** (m - 2 * r) * inv2a**r
+        total = total + cm * acc
     return np.sqrt(np.pi / a) * np.exp(b * b / (4.0 * a)) * total
 
 
-def _double_factorial(n: int) -> int:
-    if n <= 0:
-        return 1
-    out = 1
-    for k in range(n, 0, -2):
-        out *= k
-    return out
+def cauchy_derivative(F, z: complex, rho: float, n: int = 32) -> complex:
+    """F'(z) as the mean of F over n equispaced points of the circle
+    |w - z| = rho, weighted by exp(-i angle)/rho (spectrally accurate)."""
+    angles = 2.0 * np.pi * np.arange(n) / n
+    ring = z + rho * np.exp(1j * angles)
+    vals = np.asarray(F(ring), dtype=complex).ravel()
+    return complex(np.mean(vals * np.exp(-1j * angles)) / rho)
 
 
 @lru_cache(maxsize=64)

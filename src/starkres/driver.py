@@ -55,7 +55,6 @@ class RunConfig:
     target: complex | None = None
     out: str = "."
     csv_source: str | None = None
-    deterministic: bool = True            # rng-free execution, always on
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -64,8 +63,6 @@ class RunConfig:
             raise ValueError("require f >= 0, omega > 0, tol > 0")
         if self.width <= 0 or self.length_scale <= 0:
             raise ValueError("width and length scale must be positive")
-        if not self.deterministic:
-            raise ValueError("deterministic execution cannot be disabled")
 
     @property
     def window(self) -> Window:
@@ -338,8 +335,6 @@ def _run_sweep(config: RunConfig, out: Path) -> None:
         "reference_resonance": [result.reference.real, result.reference.imag],
         "c0_envelope": result.c0_envelope,
         "c0_largest_f": result.c0_largest_f,
-        "loglog_slope": result.fit.slope,
-        "loglog_residual": result.fit.residual,
         "max_im_per_f": list(result.max_im),
         "min_dist_reference_per_f": list(result.min_dist_reference),
         "mean_re_per_f": list(result.mean_re),

@@ -9,7 +9,6 @@ continuum strings and uncovers the resonance eigenvalues near the target.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +16,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from ._gauss import panel_nodes
-from .formfactor import DilationParameter, FormFactor, dilate, translate_modulate
+from .formfactor import FormFactor, dilate, translate_modulate
 
 __all__ = [
     "FloquetProblem",
@@ -25,11 +24,10 @@ __all__ = [
     "hermite_functions",
     "momentum_squared_matrix",
     "eigen_near",
-    "save_matrix",
-    "load_matrix",
 ]
 
-MATRIX_MAGIC = b"STRKFLQ1"
+# Krylov dimension of the shift-inverted Arnoldi candidate search
+_KRYLOV_DIM = 36
 
 
 def hermite_functions(n_max: int, x: np.ndarray, length_scale: float = 1.0
@@ -79,8 +77,7 @@ class FloquetProblem:
             raise ValueError("omega must be positive")
         if self.f < 0:
             raise ValueError("f must be nonnegative")
-        th = self.theta.theta if isinstance(self.theta, DilationParameter) \
-            else complex(self.theta)
+        th = complex(self.theta)
         object.__setattr__(self, "theta", th)
         if th.imag <= 0:
             raise ValueError("resonance uncovering requires Im theta > 0")
@@ -226,7 +223,7 @@ def _arnoldi_candidates(lu, dim: int, target: complex, m: int) -> np.ndarray:
 
 
 def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
-               radius: float = 0.1, krylov: int = 36,
+               radius: float = 0.1,
                with_sensitivity: bool = True) -> list[FloquetEigenpair]:
     """Eigenvalues of the truncated K(f, theta) within ``radius`` of target.
 
@@ -239,7 +236,7 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
     """
     K = problem.matrix
     dim = K.shape[0]
-    lam_list = _solve_near(K, dim, target, tol, radius, krylov)
+    lam_list = _solve_near(K, dim, target, tol, radius)
     sens = {}
     if with_sensitivity and lam_list:
         bigger = FloquetProblem(
@@ -247,8 +244,7 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
             problem.n_fourier + 4, problem.n_hermite + 16,
             problem.length_scale, problem.t_samples)
         Kb = bigger.matrix
-        lam_big = _solve_near(Kb, Kb.shape[0], target, tol,
-                              1.5 * radius, krylov)
+        lam_big = _solve_near(Kb, Kb.shape[0], target, tol, 1.5 * radius)
         for lam, _vec in lam_list:
             if lam_big:
                 sens[lam] = min(abs(lam - lb) for lb, _ in lam_big)
@@ -272,17 +268,10 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
 
 
 def _solve_near(K: np.ndarray, dim: int, target: complex, tol: float,
-                radius: float, krylov: int):
-    shift = complex(target)
-    for attempt in range(3):
-        try:
-            lu = lu_factor(K - shift * np.eye(dim))
-            break
-        except Exception:
-            shift += 1e-8 * (1.0 + 1.0j)
-    else:
-        raise RuntimeError("LU factorization failed at the shifted target")
-    cands = _arnoldi_candidates(lu, dim, shift, min(krylov, dim - 2))
+                radius: float):
+    target = complex(target)
+    lu = lu_factor(K - target * np.eye(dim))
+    cands = _arnoldi_candidates(lu, dim, target, min(_KRYLOV_DIM, dim - 2))
     cands = cands[np.abs(cands - target) <= radius]
     # deterministic ordering, dedup clustered Ritz values
     cands = sorted(cands, key=lambda z: (abs(z - target), z.real, z.imag))
@@ -304,13 +293,8 @@ def _inverse_iterate(K: np.ndarray, dim: int, lam0: complex, tol: float,
                      max_iter: int = 8):
     lam = complex(lam0)
     v = np.ones(dim, dtype=complex) / math.sqrt(dim)
-    lu = None
     for it in range(max_iter):
-        try:
-            lu = lu_factor(K - lam * np.eye(dim))
-        except Exception:
-            lam += 1e-8 * (1.0 + 1.0j)
-            lu = lu_factor(K - lam * np.eye(dim))
+        lu = lu_factor(K - lam * np.eye(dim))
         for _ in range(2):
             v = lu_solve(lu, v)
             v /= np.linalg.norm(v)
@@ -321,25 +305,3 @@ def _inverse_iterate(K: np.ndarray, dim: int, lam0: complex, tol: float,
         if res < tol:
             return lam, v
     return (lam, v) if res < 100 * tol else (None, None)
-
-
-# ----------------------------------------------------------------------
-# binary matrix dump: magic, rows, cols, row-major complex128 pairs
-
-
-def save_matrix(path, M: np.ndarray) -> None:
-    M = np.ascontiguousarray(M, dtype=complex)
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<QQ", M.shape[0], M.shape[1]))
-        fh.write(M.tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MATRIX_MAGIC))
-        if magic != MATRIX_MAGIC:
-            raise ValueError("not a matrix dump (bad magic)")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype=complex)
-    return data.reshape(rows, cols).copy()

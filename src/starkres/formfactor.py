@@ -21,18 +21,10 @@ from ._gauss import gaussian_poly_integral
 __all__ = [
     "Term",
     "FormFactor",
-    "DilationParameter",
-    "EvalOverflow",
-    "fourier_transform",
-    "eval_momentum",
-    "eval_momentum_log",
     "conj_reflect",
     "translate_modulate",
     "dilate",
 ]
-
-# largest |Re exponent| that is still evaluated directly as a complex double
-EXP_GUARD = 700.0
 
 
 class Term(NamedTuple):
@@ -40,21 +32,6 @@ class Term(NamedTuple):
     degree: int
     width: complex
     drift: complex
-
-
-class EvalOverflow(Exception):
-    """Raised when a momentum evaluation would overflow double precision.
-
-    Carries the value in log scale: ``exp(log_magnitude + 1j*phase)``.
-    """
-
-    def __init__(self, log_magnitude: float, phase: float):
-        self.log_magnitude = log_magnitude
-        self.phase = phase
-        super().__init__(
-            f"momentum evaluation overflows: log|value|={log_magnitude:.3f}, "
-            f"phase={phase:.6f}"
-        )
 
 
 def _canonical(terms: Iterable[Term]) -> tuple[Term, ...]:
@@ -115,30 +92,6 @@ class FormFactor:
         for c, d, w, b in self.terms:
             out = out + c * x**d * np.exp(-0.5 * w * x * x + b * x)
         return out if out.shape else complex(out)
-
-    def eval_log(self, k: complex) -> tuple[float, float]:
-        """Value at a single point in log scale: (log magnitude, phase).
-
-        Never overflows; combines terms relative to the dominant exponent.
-        """
-        k = complex(k)
-        if not self.terms:
-            return (-math.inf, 0.0)
-        parts = []
-        for c, d, w, b in self.terms:
-            expo = -0.5 * w * k * k + b * k
-            amp = c * (k**d if d else 1.0)
-            if amp == 0:
-                continue
-            parts.append((expo.real + math.log(abs(amp)),
-                          expo.imag + cmath.phase(amp)))
-        if not parts:
-            return (-math.inf, 0.0)
-        top = max(p[0] for p in parts)
-        acc = sum(cmath.exp(complex(lm - top, ph)) for lm, ph in parts)
-        if acc == 0:
-            return (-math.inf, 0.0)
-        return (top + math.log(abs(acc)), cmath.phase(acc))
 
     # -- exact integrals ----------------------------------------------
 
@@ -247,50 +200,7 @@ def _derivative(terms: Iterable[Term]) -> list[Term]:
     return out
 
 
-@dataclass(frozen=True)
-class DilationParameter:
-    """Complex scaling parameter for the dilation group action.
-
-    The Hermite-Gaussian family stays integrable for |Im theta| < pi/4;
-    the cap may be configured tighter per run.
-    """
-
-    theta: complex
-    cap: float = math.pi / 4.0
-
-    def __post_init__(self):
-        if abs(complex(self.theta).imag) >= self.cap:
-            raise ValueError(
-                f"|Im theta| = {abs(complex(self.theta).imag):.4f} exceeds "
-                f"the configured cap {self.cap:.4f}"
-            )
-
-
 # -- module-level operations ------------------------------------------------
-
-
-def fourier_transform(phi: FormFactor) -> FormFactor:
-    """Exact transform; applying it twice gives the parity reflection."""
-    return phi.transform()
-
-
-def eval_momentum(phi: FormFactor, k: complex) -> complex:
-    """Entire extension of the momentum-space coupling at complex k.
-
-    Raises :class:`EvalOverflow` (carrying log magnitude and phase) when
-    the value cannot be represented as a double.
-    """
-    log_mag, phase = eval_momentum_log(phi, k)
-    if abs(log_mag) > EXP_GUARD:
-        if log_mag == -math.inf:
-            return 0.0 + 0.0j
-        raise EvalOverflow(log_mag, phase)
-    return cmath.exp(complex(log_mag, phase))
-
-
-def eval_momentum_log(phi: FormFactor, k: complex) -> tuple[float, float]:
-    """Always-safe log-scale momentum evaluation: (log magnitude, phase)."""
-    return phi.transform().eval_log(k)
 
 
 def conj_reflect(phi: FormFactor) -> FormFactor:
@@ -325,8 +235,6 @@ def dilate(phi: FormFactor, theta) -> FormFactor:
     at coefficient level.  Rejects rotations that make a width leave the
     right half-plane.
     """
-    if isinstance(theta, DilationParameter):
-        theta = theta.theta
     theta = complex(theta)
     scale = cmath.exp(theta)
     out = []

@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from ._gauss import cumulative_matrix, panel_nodes
+from ._gauss import (cauchy_derivative, cumulative_matrix,
+                     gaussian_poly_integral, panel_nodes)
 from .formfactor import FormFactor, conj_reflect
 
 __all__ = [
@@ -232,15 +233,10 @@ class ResolventEvaluator:
                 poly = np.zeros((m_i + n_j + 1,) + sv.shape, dtype=complex)
                 for t in range(n_j + 1):
                     poly[m_i + t] += math.comb(n_j, t) * (f * sv) ** (n_j - t)
-                out = out + b_i * c_j * const * _gauss_poly_vec(poly, a, b)
+                out = out + b_i * c_j * const * gaussian_poly_integral(
+                    poly, a, b)
         out = out * cubic
         return _restore_shape(out, s_in)
-
-    def stark_time_integrand(self, s: complex, z: complex):
-        """exp(i z s) * m(s); integrating i * this over the admissible ray
-        from 0 to complex infinity gives the continued matrix element."""
-        s = np.asarray(s, dtype=complex)
-        return np.exp(1j * np.asarray(z, dtype=complex) * s) * self.propagator_element(s)
 
     def stark_time_ray(self, z: complex, gamma: float | None = None) -> complex:
         """Rotated-ray propagator integral r(z) = i int_ray e^{izs} m(s) ds.
@@ -398,11 +394,8 @@ class ResolventEvaluator:
             # keep the circle away from the branch cut
             dist = abs(z) if z.real >= 0.0 else abs(z.imag)
             rho = min(rho, 0.45 * dist)
-        n = self.settings.derivative_nodes
-        angles = 2.0 * np.pi * np.arange(n) / n
-        ring = z + rho * np.exp(1j * angles)
-        vals = np.atleast_1d(self.F_value(ring))
-        return complex(np.mean(vals * np.exp(-1j * angles)) / rho)
+        return cauchy_derivative(self.F_value, z, rho,
+                                 self.settings.derivative_nodes)
 
     # ------------------------------------------------------------------
     # Rouche dominance certificate
@@ -442,31 +435,6 @@ class ResolventEvaluator:
             return RoucheCertificate(False, False, max_c, min_linear, n)
         return RoucheCertificate(False, True, max_c, min_linear, n)
 
-    # ------------------------------------------------------------------
-    # diagnostics
-
-    def dump_integrand(self, z: complex, path) -> None:
-        """Write integrand samples at z to CSV for offline inspection."""
-        z = complex(z)
-        rows = []
-        if self.f == 0.0:
-            x, w, _ = panel_nodes(-self._k_cutoff, self._k_cutoff, 64,
-                                  self.settings.panel_nodes)
-            vals = self._G(x) / (x * x - z)
-            header = "k,re_integrand,im_integrand"
-            rows = [(float(k), v.real, v.imag) for k, v in zip(x, vals)]
-        else:
-            x, w, halves, M, gauss_w, phi_r, phi_l, n_pan, nn = self._airy_grid
-            zeta = self.f ** (1.0 / 3.0) * x - z * self.f ** (-2.0 / 3.0)
-            ai, _, bi, _ = special.airy(zeta)
-            vals = phi_r * (bi + 1j * ai)
-            header = "x,re_integrand,im_integrand"
-            rows = [(float(k), v.real, v.imag) for k, v in zip(x, vals)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for r in rows:
-                fh.write(f"{r[0]:.17g},{r[1]:.17g},{r[2]:.17g}\n")
-
 
 # ----------------------------------------------------------------------
 
@@ -487,25 +455,6 @@ def _cumulative_left(vals: np.ndarray, halves: np.ndarray, M: np.ndarray,
     panel_totals = (v @ gauss_w) * halves[None, :]
     offsets = np.cumsum(panel_totals, axis=1) - panel_totals
     return (within + offsets[:, :, None]).reshape(nz, n_pan * nn)
-
-
-def _gauss_poly_vec(poly: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized int P(k) exp(-a k^2 + b k) dk; poly has shape (deg+1, ...)."""
-    mu = b / (2.0 * a)
-    inv2a = 1.0 / (2.0 * a)
-    total = np.zeros_like(a)
-    for m in range(poly.shape[0]):
-        cm = poly[m]
-        if np.all(cm == 0):
-            continue
-        acc = np.zeros_like(a)
-        df = 1.0
-        for r in range(0, m // 2 + 1):
-            if r > 0:
-                df *= 2 * r - 1
-            acc = acc + math.comb(m, 2 * r) * df * mu ** (m - 2 * r) * inv2a**r
-        total = total + cm * acc
-    return np.sqrt(np.pi / a) * np.exp(b * b / (4.0 * a)) * total
 
 
 def _adaptive_gl(fun, lo: float, hi: float, tol: float,

@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._gauss import cauchy_derivative
+
 __all__ = [
     "Window",
     "Resonance",
@@ -26,6 +28,8 @@ __all__ = [
 # deterministic outward jitter factors for boundary-zero retries
 _JITTER = (2.3e-4, 7.9e-4, 2.7e-3)
 _PHASE_STEP_MAX = 0.45 * math.pi
+# initial contour samples of a phase-tracked winding
+_N_INIT = 64
 
 
 class BoundaryZeroError(Exception):
@@ -119,10 +123,10 @@ def _circle_param(center: complex, radius: float):
     return to_point
 
 
-def _phase_winding(F, to_point, n_init: int, max_rounds: int = 28,
+def _phase_winding(F, to_point, max_rounds: int = 28,
                    zero_floor_rel: float = 1e-10) -> int:
     """Winding of F along the closed path t in [0, 1) -> to_point(t)."""
-    t = np.linspace(0.0, 1.0, n_init, endpoint=False)
+    t = np.linspace(0.0, 1.0, _N_INIT, endpoint=False)
     v = np.asarray(F(to_point(t)), dtype=complex).ravel()
     for _ in range(max_rounds):
         scale = float(np.median(np.abs(v)))
@@ -150,7 +154,7 @@ def _phase_winding(F, to_point, n_init: int, max_rounds: int = 28,
     raise BoundaryZeroError("phase refinement exceeded its depth limit")
 
 
-def winding_number(F, window: Window, n_init: int = 64) -> int:
+def winding_number(F, window: Window) -> int:
     """Exact zero count (with multiplicity) of F inside the window.
 
     Boundary-zero suspicion triggers up to three deterministic outward
@@ -160,20 +164,19 @@ def winding_number(F, window: Window, n_init: int = 64) -> int:
     for attempt, factor in enumerate((0.0,) + _JITTER):
         w = window if factor == 0.0 else window.expanded(factor)
         try:
-            return _phase_winding(F, _rect_param(w), n_init)
+            return _phase_winding(F, _rect_param(w))
         except BoundaryZeroError as exc:
             last = exc
     raise BoundaryZeroError(
         f"winding failed after jitter retries: {last}")
 
 
-def multiplicity_estimate(F, z0: complex, rho: float, n_init: int = 64) -> int:
+def multiplicity_estimate(F, z0: complex, rho: float) -> int:
     """Winding of F on the circle |z - z0| = rho."""
     last: Exception | None = None
     for attempt, factor in enumerate((0.0,) + _JITTER):
         try:
-            return _phase_winding(F, _circle_param(z0, rho * (1.0 + factor)),
-                                  n_init)
+            return _phase_winding(F, _circle_param(z0, rho * (1.0 + factor)))
         except BoundaryZeroError as exc:
             last = exc
     raise BoundaryZeroError(
@@ -182,13 +185,6 @@ def multiplicity_estimate(F, z0: complex, rho: float, n_init: int = 64) -> int:
 
 # ----------------------------------------------------------------------
 # Newton polishing and certified subdivision
-
-
-def _cauchy_derivative(F, z: complex, rho: float, n: int = 32) -> complex:
-    angles = 2.0 * np.pi * np.arange(n) / n
-    ring = z + rho * np.exp(1j * angles)
-    vals = np.asarray(F(ring), dtype=complex).ravel()
-    return complex(np.mean(vals * np.exp(-1j * angles)) / rho)
 
 
 def _newton(F, fprime, z0: complex, box: Window, tol: float,
@@ -201,7 +197,7 @@ def _newton(F, fprime, z0: complex, box: Window, tol: float,
         if fprime is not None:
             dfz = complex(fprime(z))
         else:
-            dfz = _cauchy_derivative(F, z, rho)
+            dfz = cauchy_derivative(F, z, rho)
         if dfz == 0 or not np.isfinite(dfz) or not np.isfinite(fz):
             return None
         step = fz / dfz
@@ -228,21 +224,18 @@ def _split(window: Window, fraction: float = 0.5):
 
 
 def find_zeros(F, window: Window, tol: float = 1e-10, fprime=None,
-               f: float = 0.0, coarse_diameter: float | None = None,
-               min_box_diameter: float | None = None,
-               merge_radius: float = 1e-9) -> list[Resonance]:
+               f: float = 0.0) -> list[Resonance]:
     """All zeros of F in the window, each carried by a winding certificate.
 
     Sub-boxes are bisected until they isolate single zeros; Newton polishes
     from the box center, falling back to further bisection when it escapes
     its certified box.  The certificates of the returned zeros add up to
     the winding number of the full window.  Zero clusters that cannot be
-    separated above ``min_box_diameter`` are reported as a single record
-    with winding > 1 and a nonzero cluster radius (their residual may
-    exceed ``tol``).
+    separated above ``max(50 tol, 1e-12 window.diameter)`` are reported as
+    a single record with winding > 1 and a nonzero cluster radius (their
+    residual may exceed ``tol``).
     """
-    if min_box_diameter is None:
-        min_box_diameter = max(50.0 * tol, 1e-12 * window.diameter)
+    min_box = max(50.0 * tol, 1e-12 * window.diameter)
     total = winding_number(F, window)
     found: list[Resonance] = []
     stack: list[tuple[Window, int]] = [(window, total)]
@@ -250,7 +243,7 @@ def find_zeros(F, window: Window, tol: float = 1e-10, fprime=None,
         box, wind = stack.pop()
         if wind == 0:
             continue
-        if box.diameter <= min_box_diameter:
+        if box.diameter <= min_box:
             # unresolved cluster: report its center with the cluster radius
             center = box.center
             res = abs(complex(np.asarray(F(np.array([center])),
@@ -258,8 +251,7 @@ def find_zeros(F, window: Window, tol: float = 1e-10, fprime=None,
             found.append(Resonance(center, f, res, wind, 0,
                                    cluster_radius=0.5 * box.diameter))
             continue
-        if wind == 1 and (coarse_diameter is None
-                          or box.diameter <= coarse_diameter):
+        if wind == 1:
             polished = _newton(F, fprime, box.center, box, tol)
             if polished is not None:
                 z, res, it = polished
@@ -273,7 +265,7 @@ def find_zeros(F, window: Window, tol: float = 1e-10, fprime=None,
         for fraction in (0.5, 0.5 + 37.0 * _JITTER[0], 0.5 - 59.0 * _JITTER[1]):
             cand = _split(box, fraction)
             try:
-                w1 = _phase_winding(F, _rect_param(cand[0]), 64)
+                w1 = _phase_winding(F, _rect_param(cand[0]))
                 halves = cand
                 break
             except BoundaryZeroError:
@@ -283,7 +275,7 @@ def find_zeros(F, window: Window, tol: float = 1e-10, fprime=None,
                 f"could not place a zero-free split line in {box}")
         w2 = wind - w1
         if w2 < 0:
-            w2 = _phase_winding(F, _rect_param(halves[1]), 64)
+            w2 = _phase_winding(F, _rect_param(halves[1]))
             w1 = wind - w2
         if w1 < 0 or w2 < 0:
             raise RuntimeError(
@@ -291,7 +283,7 @@ def find_zeros(F, window: Window, tol: float = 1e-10, fprime=None,
         stack.append((halves[0], w1))
         stack.append((halves[1], w2))
 
-    found = _merge_duplicates(found, merge_radius)
+    found = _merge_duplicates(found, radius=1e-9)
     if sum(r.winding for r in found) != total:
         raise RuntimeError(
             f"certificate mismatch: window winding {total}, "

@@ -1,7 +1,7 @@
 """Field-strength sweeps: DC zero clouds and AC eigenvalue trajectories.
 
 The DC sweep locates all window zeros per field value, links them into
-trajectories by nearest-neighbor gating, and fits the instability
+trajectories by nearest-neighbor gating, and measures the instability
 envelope; the AC sweep follows the dilated Floquet eigenvalue toward its
 field-free limit.  The stability/instability flags are fixed numeric
 predicates over those outputs, reproducible bit for bit.
@@ -17,26 +17,23 @@ import numpy as np
 
 from .floquet import FloquetProblem, eigen_near
 from .formfactor import FormFactor
-from .resolvent import QuadratureSettings, ResolventEvaluator
-from .rootfind import Resonance, Window, find_zeros
+from .resolvent import (QuadratureError, QuadratureSettings,
+                        ResolventEvaluator, SectorLimitError)
+from .rootfind import BoundaryZeroError, Resonance, Window, find_zeros
 
 __all__ = [
-    "SlopeFit",
     "TrajectoryPoint",
     "SweepResult",
     "dc_sweep",
     "ac_sweep",
-    "fit_slope",
     "link_trajectories",
 ]
 
-
-@dataclass(frozen=True)
-class SlopeFit:
-    c0: float              # envelope constant max |Im z| / f
-    slope: float           # least-squares log-log slope of |Im z| vs f
-    residual: float        # rms residual of the log-log fit
-    axis_ambiguous: bool   # all Im z at the noise floor
+# failures a field value may end in without stopping the sweep; the
+# RuntimeError is the root finder's certificate mismatch.  Anything else
+# is a bug and propagates.
+_NUMERIC_ERRORS = (QuadratureError, BoundaryZeroError, SectorLimitError,
+                   np.linalg.LinAlgError, RuntimeError)
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,6 @@ class SweepResult:
     scatter_re: tuple[float, ...]
     c0_envelope: float
     c0_largest_f: float
-    fit: SlopeFit
     flags: dict[str, bool] = field(default_factory=dict)
     errors: tuple[str, ...] = ()
     sensitivities: tuple[float, ...] = ()
@@ -78,25 +74,6 @@ def _validate_grid(f_grid) -> tuple[float, ...]:
     if any(a <= b for a, b in zip(grid, grid[1:])):
         raise ValueError("f grid must be strictly descending")
     return grid
-
-
-def fit_slope(points: list[tuple[float, complex]]) -> SlopeFit:
-    """Envelope constant and log-log width-vs-field slope of a trajectory."""
-    if len(points) < 3:
-        raise ValueError("slope fitting needs at least 3 points")
-    fs = np.array([p[0] for p in points], dtype=float)
-    ims = np.array([abs(complex(p[1]).imag) for p in points], dtype=float)
-    floor = 1e-14
-    if np.all(ims <= floor):
-        return SlopeFit(0.0, 0.0, 0.0, True)
-    c0 = float(np.max(ims / fs))
-    keep = ims > floor
-    lf = np.log(fs[keep])
-    li = np.log(ims[keep])
-    A = np.vstack([lf, np.ones_like(lf)]).T
-    coef, *_ = np.linalg.lstsq(A, li, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ coef - li) ** 2)))
-    return SlopeFit(c0, float(coef[0]), resid, False)
 
 
 def link_trajectories(f_grid, groups) -> tuple[tuple[TrajectoryPoint, ...], ...]:
@@ -179,7 +156,7 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window, tol: float = 1e-9,
         try:
             return find_zeros(ev.F_value, window, tol=tol,
                               fprime=ev.F_derivative, f=f), None
-        except Exception as exc:  # recorded, sweep continues
+        except _NUMERIC_ERRORS as exc:  # recorded, sweep continues
             return [], f"f={f:.17g}: {type(exc).__name__}: {exc}"
 
     if workers > 1:
@@ -205,12 +182,9 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window, tol: float = 1e-9,
             scat_re.append(0.0)
 
     trajectories = link_trajectories(grid, groups)
-    pts = [(f, r.z) for f, group in zip(grid, groups) for r in group]
     c0_env = max((abs(r.z.imag) / f for f, g in zip(grid, groups)
                   for r in g), default=0.0)
     c0_top = max((abs(r.z.imag) / grid[0] for r in groups[0]), default=0.0)
-    fit = fit_slope(pts) if len(pts) >= 3 else SlopeFit(c0_env, 0.0, 0.0,
-                                                        False)
 
     im_ref = abs(reference.imag)
     has_data = groups[0] and groups[-1]
@@ -226,7 +200,7 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window, tol: float = 1e-9,
         trajectories=trajectories, max_im=tuple(max_im),
         min_dist_reference=tuple(min_dist), mean_re=tuple(mean_re),
         scatter_re=tuple(scat_re), c0_envelope=c0_env, c0_largest_f=c0_top,
-        fit=fit, flags=flags, errors=errors)
+        flags=flags, errors=errors)
 
 
 def ac_sweep(phi: FormFactor, f_grid, omega: float = 1.0, theta: complex = 0.3j,
@@ -259,7 +233,7 @@ def ac_sweep(phi: FormFactor, f_grid, omega: float = 1.0, theta: complex = 0.3j,
             if not pairs:
                 return None, f"f={f:.17g}: no eigenvalue in the target disk"
             return pairs[0], None
-        except Exception as exc:
+        except _NUMERIC_ERRORS as exc:
             return None, f"f={f:.17g}: {type(exc).__name__}: {exc}"
 
     if workers > 1:
@@ -303,5 +277,5 @@ def ac_sweep(phi: FormFactor, f_grid, omega: float = 1.0, theta: complex = 0.3j,
         mean_re=tuple(g[0].z.real if g else math.nan for g in groups),
         scatter_re=tuple(0.0 for _ in groups),
         c0_envelope=0.0, c0_largest_f=0.0,
-        fit=SlopeFit(0.0, 0.0, 0.0, False), flags=flags, errors=errors,
+        flags=flags, errors=errors,
         sensitivities=tuple(sens))

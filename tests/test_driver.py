@@ -23,8 +23,6 @@ def test_config_validation():
         RunConfig(mode="dc", f=-1.0)
     with pytest.raises(ValueError):
         RunConfig(mode="dc", omega=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(mode="dc", deterministic=False)
 
 
 def test_config_file_parsing(tmp_path):

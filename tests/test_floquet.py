@@ -8,9 +8,7 @@ from starkres import (
     FloquetProblem,
     eigen_near,
     hermite_functions,
-    load_matrix,
     momentum_squared_matrix,
-    save_matrix,
 )
 
 
@@ -162,18 +160,6 @@ def test_t_sampling_doubling(coupling):
     b = FloquetProblem(coupling, 0.1, 1.0, 0.3j, n_fourier=3, n_hermite=24,
                        t_samples=48)
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
-
-
-def test_matrix_dump_roundtrip(tmp_path, small_problem):
-    K = small_problem.matrix
-    p = tmp_path / "floquet.bin"
-    save_matrix(p, K)
-    back = load_matrix(p)
-    assert np.array_equal(back, K)
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"NOTAMAT0" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        load_matrix(bad)
 
 
 def test_coupling_blocks_match_direct_fourier_integrals(coupling):

@@ -5,17 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from starkres import (
-    DilationParameter,
-    EvalOverflow,
     FormFactor,
     Term,
     conj_reflect,
     dilate,
-    eval_momentum,
-    eval_momentum_log,
-    fourier_transform,
     translate_modulate,
 )
+from starkres._gauss import gaussian_poly_integral
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -39,20 +35,20 @@ def test_norm_exact_and_quadrature(coupling):
 
 
 def test_gaussian_self_dual(coupling):
-    hat = fourier_transform(coupling)
+    hat = coupling.transform()
     k = np.linspace(-3, 3, 13)
     assert np.allclose(hat(k), 0.1 * np.exp(-k * k / 2.0), atol=1e-15)
 
 
 def test_zero_transform():
-    assert fourier_transform(FormFactor.zero()).terms == ()
+    assert FormFactor.zero().transform().terms == ()
 
 
 def test_monomial_transform_against_quadrature():
     # x e^{-x^2/2} and x^2 e^{-0.7 x^2/2}: compare with direct integrals
     for phi in (FormFactor.monomial_gaussian(1.0, 1, 1.0),
                 FormFactor.monomial_gaussian(0.5 - 0.25j, 2, 0.7)):
-        hat = fourier_transform(phi)
+        hat = phi.transform()
         for k in np.linspace(-2.2, 2.2, 10):
             direct = quad(
                 lambda x, kk=k: (complex(phi(x))
@@ -66,7 +62,7 @@ def test_monomial_transform_against_quadrature():
 
 
 def test_x_gaussian_transform_phase():
-    hat = fourier_transform(FormFactor.monomial_gaussian(1.0, 1, 1.0))
+    hat = FormFactor.monomial_gaussian(1.0, 1, 1.0).transform()
     k = 1.3
     assert complex(hat(k)) == pytest.approx(-1j * k * math.exp(-k * k / 2),
                                             abs=1e-15)
@@ -74,31 +70,19 @@ def test_x_gaussian_transform_phase():
 
 def test_double_transform_is_parity(rng):
     phi = random_factor(rng)
-    twice = fourier_transform(fourier_transform(phi))
+    twice = phi.transform().transform()
     x = rng.randn(20) + 0.2j * rng.randn(20)
     assert np.allclose(twice(x), phi.reflect()(x), atol=1e-12)
 
 
 def test_eval_momentum_values(coupling):
-    assert eval_momentum(coupling, 0.0) == pytest.approx(0.1, abs=1e-15)
-    assert eval_momentum(coupling, 1j) == pytest.approx(
-        0.1 * math.exp(0.5), abs=1e-14)
+    hat = coupling.transform()
+    assert hat(0.0) == pytest.approx(0.1, abs=1e-15)
+    assert hat(1j) == pytest.approx(0.1 * math.exp(0.5), abs=1e-14)
     # agreement with term-by-term direct evaluation at a complex point
     k = 1 + 1j
     direct = 0.1 * np.exp(-k * k / 2.0)
-    assert abs(eval_momentum(coupling, k) - direct) < 1e-15
-
-
-def test_eval_momentum_overflow_guard(coupling):
-    with pytest.raises(EvalOverflow) as exc:
-        eval_momentum(coupling, 45j)   # exponent 45^2/2 > 700
-    log_mag, phase = exc.value.log_magnitude, exc.value.phase
-    assert log_mag == pytest.approx(45**2 / 2.0 + math.log(0.1), rel=1e-12)
-    assert eval_momentum_log(coupling, 45j)[0] == pytest.approx(log_mag)
-    # in-range values match the log representation
-    lm, ph = eval_momentum_log(coupling, 2.0 + 1j)
-    assert abs(np.exp(lm + 1j * ph) - eval_momentum(coupling, 2.0 + 1j)) \
-        < 1e-16
+    assert abs(hat(k) - direct) < 1e-15
 
 
 def test_conj_reflect_identity_on_real_even(coupling):
@@ -117,8 +101,8 @@ def test_conj_reflect_involution_and_momentum_identity(rng):
     assert again.terms == phi.terms
     for _ in range(100):
         k = complex(2 * rng.randn(), 0.8 * rng.randn())
-        lhs = eval_momentum(conj_reflect(phi), k)
-        rhs = np.conj(eval_momentum(phi, np.conj(k)))
+        lhs = conj_reflect(phi).transform()(k)
+        rhs = np.conj(phi.transform()(np.conj(k)))
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
 
@@ -185,15 +169,31 @@ def test_dilate_rejects_nonintegrable_rotation(coupling):
         dilate(coupling, 0.9j)   # width would rotate past the half-plane
 
 
-def test_dilation_parameter_cap():
-    DilationParameter(0.3j)
-    with pytest.raises(ValueError):
-        DilationParameter(0.3j, cap=0.2)
+def test_gaussian_poly_integral_batch_matches_scalar_calls(rng):
+    a = 0.5 + rng.rand(7) + 1j * rng.randn(7)
+    b = rng.randn(7) + 1j * rng.randn(7)
+    coeffs = rng.randn(5, 7) + 1j * rng.randn(5, 7)
+    coeffs[2] = 0.0
+    batch = gaussian_poly_integral(coeffs, a, b)
+    assert batch.shape == (7,)
+    for i in range(7):
+        one = gaussian_poly_integral(list(coeffs[:, i]), a[i], b[i])
+        assert abs(batch[i] - one) <= 1e-15 * abs(one)
+    # a closed form: int x^2 exp(-x^2) dx = sqrt(pi)/2
+    assert gaussian_poly_integral([0, 0, 1], 1.0, 0.0) == pytest.approx(
+        SQRT_PI / 2.0, rel=1e-15)
+    for bad in (0.0 + 1j, -0.2 + 0.1j):
+        a_bad = a.copy()
+        a_bad[4] = bad
+        with pytest.raises(ValueError):
+            gaussian_poly_integral(coeffs, a_bad, b)
+        with pytest.raises(ValueError):
+            gaussian_poly_integral([1.0], bad, 0.0)
 
 
 def test_plancherel(rng, coupling):
     for phi in (coupling, random_factor(rng), random_factor(rng)):
-        hat = fourier_transform(phi)
+        hat = phi.transform()
         assert abs(phi.norm_sq() - hat.norm_sq()) \
             < 1e-12 * max(1.0, phi.norm_sq())
 

@@ -162,13 +162,6 @@ def test_propagator_free_limit(coupling):
         assert abs(complex(ev.propagator_element(s)) - direct) < 1e-9
 
 
-def test_time_integrand_composition(coupling):
-    ev = ResolventEvaluator(coupling, 0.05)
-    s, z = 1.3 - 0.4j, 1.1 + 0.2j
-    expect = np.exp(1j * z * s) * complex(ev.propagator_element(s))
-    assert abs(complex(ev.stark_time_integrand(s, z)) - expect) < 1e-15
-
-
 # ----------------------------------------------------------------------
 # Stark line (f > 0)
 
@@ -262,15 +255,3 @@ def test_certify_rejects_stark():
     ev = ResolventEvaluator(FormFactor.gaussian(0.1), 0.05)
     with pytest.raises(ValueError):
         ev.certify_unique(1.0, 0.1)
-
-
-def test_dump_integrand(tmp_path, ev0, coupling):
-    p = tmp_path / "free.csv"
-    ev0.dump_integrand(2j, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "k,re_integrand,im_integrand"
-    assert len(lines) > 100
-    ev = ResolventEvaluator(coupling, 0.05)
-    p2 = tmp_path / "stark.csv"
-    ev.dump_integrand(1 - 0.01j, p2)
-    assert p2.read_text().startswith("x,")

@@ -2,37 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import R0
-from starkres import FormFactor, Window, ac_sweep, dc_sweep, fit_slope
+from starkres import FormFactor, QuadratureError, Window, ac_sweep, dc_sweep
+from starkres import sweep
 from starkres.rootfind import Resonance
 from starkres.sweep import link_trajectories
-
-
-def test_fit_slope_linear():
-    pts = [(f, 1.0 - 0.3j * f) for f in (0.05, 0.02, 0.01, 0.005)]
-    fit = fit_slope(pts)
-    assert fit.c0 == pytest.approx(0.3, rel=1e-12)
-    assert fit.slope == pytest.approx(1.0, abs=1e-9)
-    assert not fit.axis_ambiguous
-
-
-def test_fit_slope_quadratic():
-    pts = [(f, 1.0 - 0.3j * f * f) for f in (0.05, 0.02, 0.01, 0.005)]
-    fit = fit_slope(pts)
-    assert fit.slope == pytest.approx(2.0, abs=1e-9)
-    assert np.isfinite(fit.c0)
-
-
-def test_fit_slope_degenerate_axis():
-    pts = [(f, 1.0 + 0.0j) for f in (0.05, 0.02, 0.01)]
-    assert fit_slope(pts).axis_ambiguous
-
-
-def test_fit_slope_scale_consistency(rng):
-    pts = [(f, 1.0 - 1j * 0.21 * f ** 1.1) for f in (0.08, 0.03, 0.01)]
-    s1 = fit_slope(pts).slope
-    scaled = [(7.0 * f, z.real - 7.0j * abs(z.imag)) for f, z in pts]
-    s2 = fit_slope(scaled).slope
-    assert s1 == pytest.approx(s2, abs=1e-9)
 
 
 def _groups(per_f):
@@ -95,6 +68,38 @@ def test_dc_sweep_grid_validation(coupling):
         dc_sweep(coupling, (), Window(0.9, 1.1, -0.05, -1e-6))
     with pytest.raises(ValueError):
         dc_sweep(FormFactor.zero(), (0.05,), Window(0.9, 1.1, -0.05, -1e-6))
+
+
+def _fail_above_zero_field(monkeypatch, exc):
+    """Make the per-field searches raise ``exc``; the f = 0 reference
+    search still runs."""
+    real = sweep.find_zeros
+
+    def find_zeros(F, window, tol=1e-10, fprime=None, f=0.0):
+        if f > 0:
+            raise exc
+        return real(F, window, tol=tol, fprime=fprime, f=f)
+
+    monkeypatch.setattr(sweep, "find_zeros", find_zeros)
+
+
+def test_dc_sweep_records_numeric_failures(coupling, monkeypatch):
+    _fail_above_zero_field(monkeypatch, QuadratureError("no convergence",
+                                                        1e-3))
+    res = dc_sweep(coupling, (0.05, 0.02), Window(0.9, 1.1, -0.05, -1e-6))
+    assert abs(res.reference - R0) < 1e-8
+    assert res.resonances == ((), ())
+    assert res.errors == tuple(
+        f"f={f:.17g}: QuadratureError: no convergence "
+        "(achieved error ~1.000e-03)"
+        for f in (0.05, 0.02))
+
+
+def test_dc_sweep_propagates_program_errors(coupling, monkeypatch):
+    _fail_above_zero_field(monkeypatch, TypeError("a bug, not a numeric "
+                                                  "failure"))
+    with pytest.raises(TypeError):
+        dc_sweep(coupling, (0.05, 0.02), Window(0.9, 1.1, -0.05, -1e-6))
 
 
 def test_ac_sweep_small(coupling):
