@@ -313,7 +313,7 @@ def _run_dc(config: RunConfig, out: Path) -> None:
     write_manifest(out / "manifest.json", manifest)
 
 
-def _run_sweep(config: RunConfig, out: Path) -> None:
+def _run_sweep(config: RunConfig, out: Path) -> tuple[str, ...]:
     phi = config.coupling()
     result = dc_sweep(phi, config.f_grid, config.window, tol=config.tol,
                       workers=config.workers())
@@ -344,9 +344,10 @@ def _run_sweep(config: RunConfig, out: Path) -> None:
         "errors": list(result.errors),
     }
     write_manifest(out / "manifest.json", manifest)
+    return result.errors
 
 
-def _run_ac(config: RunConfig, out: Path) -> None:
+def _run_ac(config: RunConfig, out: Path) -> tuple[str, ...]:
     phi = config.coupling()
     result = ac_sweep(phi, config.f_grid, omega=config.omega,
                       theta=1j * config.im_theta, target=config.target,
@@ -376,6 +377,7 @@ def _run_ac(config: RunConfig, out: Path) -> None:
         "errors": list(result.errors),
     }
     write_manifest(out / "manifest.json", manifest)
+    return result.errors
 
 
 def _run_plot(config: RunConfig, out: Path) -> None:
@@ -415,26 +417,35 @@ def run(config: RunConfig) -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 2
     try:
+        errors: tuple[str, ...] = ()
         if config.mode == "dc":
             _run_dc(config, out)
         elif config.mode == "sweep":
-            _run_sweep(config, out)
+            errors = _run_sweep(config, out)
         elif config.mode == "ac":
-            _run_ac(config, out)
+            errors = _run_ac(config, out)
         elif config.mode == "plot":
             _run_plot(config, out)
         elif config.mode == "verify":
             return 0 if _run_verify(config, out) else 3
-        return 0
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        (out / "failure.log").write_text(
-            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
-            encoding="utf-8")
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
+        return _numeric_failure(
+            out, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
+            str(exc))
+    if errors:
+        # the partial artifacts are written; the run still failed
+        return _numeric_failure(out, "".join(e + "\n" for e in errors),
+                                f"{len(errors)} field(s) failed")
+    return 0
+
+
+def _numeric_failure(out: Path, log: str, message: str) -> int:
+    (out / "failure.log").write_text(log, encoding="utf-8")
+    print(f"numeric failure: {message}", file=sys.stderr)
+    return 3
 
 
 # ----------------------------------------------------------------------

@@ -267,10 +267,20 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
     return out
 
 
+def _lu_nonsingular(A: np.ndarray):
+    """lu_factor that raises on an exact zero pivot (scipy only warns)."""
+    lu = lu_factor(A)
+    zero = np.flatnonzero(np.diagonal(lu[0]) == 0)
+    if zero.size:
+        raise np.linalg.LinAlgError(
+            f"singular shifted matrix: exact zero pivot at row {zero[0]}")
+    return lu
+
+
 def _solve_near(K: np.ndarray, dim: int, target: complex, tol: float,
                 radius: float):
     target = complex(target)
-    lu = lu_factor(K - target * np.eye(dim))
+    lu = _lu_nonsingular(K - target * np.eye(dim))
     cands = _arnoldi_candidates(lu, dim, target, min(_KRYLOV_DIM, dim - 2))
     cands = cands[np.abs(cands - target) <= radius]
     # deterministic ordering, dedup clustered Ritz values
@@ -294,7 +304,7 @@ def _inverse_iterate(K: np.ndarray, dim: int, lam0: complex, tol: float,
     lam = complex(lam0)
     v = np.ones(dim, dtype=complex) / math.sqrt(dim)
     for it in range(max_iter):
-        lu = lu_factor(K - lam * np.eye(dim))
+        lu = _lu_nonsingular(K - lam * np.eye(dim))
         for _ in range(2):
             v = lu_solve(lu, v)
             v /= np.linalg.norm(v)

@@ -22,7 +22,7 @@ from scipy import special
 
 from ._gauss import (cauchy_derivative, cumulative_matrix,
                      gaussian_poly_integral, panel_nodes)
-from .formfactor import FormFactor, conj_reflect
+from .formfactor import FormFactor, _derivative, conj_reflect
 
 __all__ = [
     "QuadratureSettings",
@@ -300,17 +300,41 @@ class ResolventEvaluator:
         phi_l = self.phi.conj_position()(x)
         return x, w, halves, M, gauss_w, phi_r, phi_l, n_pan, nn
 
-    def _airy_growth_exponent(self, zf: np.ndarray) -> np.ndarray:
-        """Upper bound on log|Ai|, log|Ci| over the x grid, per z."""
+    @cached_property
+    def _airy_grid_derivative(self):
+        """phi' on the Airy grid (right side) and its conjugate (left)."""
+        x = self._airy_grid[0]
+        dphi = FormFactor(_derivative(self.phi.terms))
+        return dphi(x), dphi.conj_position()(x)
+
+    def _airy_safe(self, zf: np.ndarray) -> np.ndarray:
+        """Per z, whether the Airy route keeps its accuracy.
+
+        The growth exponent bounds log|Ai|, log|Ci| over the x grid.  Below
+        the axis the continued element itself grows with the kernel, so
+        relative accuracy survives up to the overflow guard; above the
+        axis the element stays small while the kernel factors grow, so
+        those points go to the decaying-envelope ray integral early.
+        """
         x = self._airy_grid[0][::6]
         zeta = self.f ** (1.0 / 3.0) * x[None, :] - zf[:, None] * self.f ** (
             -2.0 / 3.0)
         osc = (2.0 / 3.0) * np.abs(np.imag((-zeta) ** 1.5))
         right = np.where(zeta.real > 0,
                          (2.0 / 3.0) * np.real(zeta**1.5), 0.0)
-        return np.max(np.maximum(osc, right), axis=1)
+        growth = np.max(np.maximum(osc, right), axis=1)
+        return np.where(zf.imag > 0.0, growth < 12.0, growth < 660.0)
 
-    def _stark_airy_batch(self, zf: np.ndarray) -> np.ndarray:
+    def _stark_airy_batch(self, zf: np.ndarray,
+                          derivative: bool = False) -> np.ndarray:
+        """r(z), or r'(z) when ``derivative``, on the Airy route.
+
+        r(z) = pi f^{-1/3} int conj(phi)(x) [Ai(x) P(x) + Ci(x) Q(x)] dx
+        with P, Q the running integrals of phi Ci from the left and of
+        phi Ai from the right.  Translation covariance of p^2 + f x gives
+        f r'(z) = (phi', R phi) + (phi, R phi'), so the derivative reuses
+        the same Airy values and P, Q, plus the running integrals of phi'.
+        """
         x, w, halves, M, gauss_w, phi_r, phi_l, n_pan, nn = self._airy_grid
         f = self.f
         cbrt = f ** (1.0 / 3.0)
@@ -322,15 +346,24 @@ class ResolventEvaluator:
                 math.inf,
             )
         ci = bi + 1j * ai
-        w_ai_r = phi_r[None, :] * ai          # phi(y) Ai(zeta(y))
-        w_ci_r = phi_r[None, :] * ci          # phi(y) Ci(zeta(y))
-        w_ai_l = phi_l[None, :] * ai          # conj(phi)(x) Ai(zeta(x))
-        w_ci_l = phi_l[None, :] * ci
-        P = _cumulative_left(w_ci_r, halves, M, gauss_w, n_pan, nn)
-        cum_ai = _cumulative_left(w_ai_r, halves, M, gauss_w, n_pan, nn)
-        Q = cum_ai[:, -1:] - cum_ai
-        inner = (w_ai_l * P + w_ci_l * Q) @ w
-        return np.pi * f ** (-1.0 / 3.0) * inner
+
+        def running(right):
+            P = _cumulative_left(right[None, :] * ci, halves, M, gauss_w,
+                                 n_pan, nn)
+            cum_ai = _cumulative_left(right[None, :] * ai, halves, M,
+                                      gauss_w, n_pan, nn)
+            return P, cum_ai[:, -1:] - cum_ai
+
+        def pair(left, P, Q):
+            return (left[None, :] * ai * P + left[None, :] * ci * Q) @ w
+
+        P, Q = running(phi_r)
+        if not derivative:
+            return np.pi * f ** (-1.0 / 3.0) * pair(phi_l, P, Q)
+        dphi_r, dphi_l = self._airy_grid_derivative
+        dP, dQ = running(dphi_r)
+        inner = pair(dphi_l, P, Q) + pair(phi_l, dP, dQ)
+        return np.pi * f ** (-4.0 / 3.0) * inner
 
     def stark_matrix_element(self, z):
         """Entire continuation of (phi, (p^2 + f x - z)^{-1} phi) for f > 0.
@@ -347,13 +380,7 @@ class ResolventEvaluator:
         chunk = 128
         for i in range(0, zf.size, chunk):
             zc = zf[i:i + chunk]
-            growth = self._airy_growth_exponent(zc)
-            # Below the axis the continued element itself grows with the
-            # kernel, so relative accuracy survives up to the overflow
-            # guard; above the axis the element stays small while the
-            # kernel factors grow, so hand off to the decaying-envelope
-            # ray integral early.
-            safe = np.where(zc.imag > 0.0, growth < 12.0, growth < 660.0)
+            safe = self._airy_safe(zc)
             if np.all(safe):
                 out[i:i + chunk] = self._stark_airy_batch(zc)
                 continue
@@ -387,8 +414,19 @@ class ResolventEvaluator:
         return 1.0 - z_in - np.asarray(self.continued_value(z_in))
 
     def F_derivative(self, z: complex) -> complex:
-        """F'(z) via a spectrally accurate Cauchy circle around z."""
+        """F'(z) = -1 - r'(z).
+
+        For f > 0, analytic by translation covariance on the Airy route:
+        one batch at z gives (1/f)[(phi', R phi) + (phi, R phi')].  At
+        f = 0, and at a point the growth guard sends to the time ray, a
+        spectrally accurate Cauchy circle around z.
+        """
         z = complex(z)
+        if self.f > 0.0:
+            zf = np.array([z])
+            if self._airy_safe(zf)[0]:
+                return complex(-1.0 - self._stark_airy_batch(
+                    zf, derivative=True)[0])
         rho = self.settings.derivative_radius
         if self.f == 0.0:
             # keep the circle away from the branch cut

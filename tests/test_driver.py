@@ -162,6 +162,28 @@ def test_numeric_failure_exit_code(tmp_path):
     assert (out / "failure.log").exists()
 
 
+def test_sweep_failed_fields_exit_code(tmp_path, monkeypatch):
+    # a field whose search fails keeps its partial artifacts and exits 3
+    from starkres import QuadratureError, sweep
+    real = sweep.find_zeros
+
+    def find_zeros(F, window, tol=1e-10, fprime=None, f=0.0):
+        if f > 0:
+            raise QuadratureError("no convergence", 1e-3)
+        return real(F, window, tol=tol, fprime=fprime, f=f)
+
+    monkeypatch.setattr(sweep, "find_zeros", find_zeros)
+    out = tmp_path / "failed"
+    rc = run(RunConfig(mode="sweep", f_grid=(0.05,), out=str(out)))
+    assert rc == 3
+    errors = json.loads((out / "manifest.json").read_text())["results"][
+        "errors"]
+    assert errors and errors[0].startswith("f=0.050000000000000003: "
+                                           "QuadratureError")
+    assert (out / "sweep.csv").exists()
+    assert (out / "failure.log").read_text() == errors[0] + "\n"
+
+
 def test_sweep_window_must_be_below_axis(coupling):
     from starkres import Window, dc_sweep
     import pytest as _pytest

@@ -10,6 +10,7 @@ from starkres import (
     hermite_functions,
     momentum_squared_matrix,
 )
+from starkres.floquet import _inverse_iterate, _solve_near
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +199,15 @@ def test_coupling_blocks_match_direct_fourier_integrals(coupling):
         else:
             got = K[prob.index_field(n, j), prob.index_discrete(m)]
         assert abs(got - direct) < 1e-12
+
+
+def test_zero_pivot_raises():
+    # a diagonal K shifted at one of its own eigenvalues is exactly
+    # singular; lu_factor only warns, the solvers must raise
+    K = np.diag(np.arange(1.0, 9.0) + 0.5j)
+    with pytest.warns(Warning), pytest.raises(np.linalg.LinAlgError,
+                                              match="zero pivot"):
+        _solve_near(K, 8, K[3, 3], 1e-10, 0.1)
+    with pytest.warns(Warning), pytest.raises(np.linalg.LinAlgError,
+                                              match="zero pivot"):
+        _inverse_iterate(K, 8, K[5, 5], 1e-10)

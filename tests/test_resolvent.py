@@ -12,6 +12,8 @@ from starkres import (
     erfc_closed_form,
     erfc_free_element,
 )
+from starkres._gauss import cauchy_derivative
+from starkres.formfactor import Term
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -228,6 +230,42 @@ def test_stark_entire_no_jump_across_axis(coupling):
     up = complex(ev.stark_matrix_element(1.0 + 1e-9j))
     dn = complex(ev.stark_matrix_element(1.0 - 1e-9j))
     assert abs(up - dn) < 1e-7
+
+
+@pytest.mark.parametrize("f", (0.05, 0.005))
+@pytest.mark.parametrize("mixed", (False, True), ids=("reference", "mixed"))
+def test_stark_F_derivative_matches_cauchy_ring(coupling, f, mixed):
+    # translation-covariance F' against the ring on window points, for the
+    # reference Gaussian and a complex coupling without parity
+    phi = FormFactor((Term(0.1 + 0.03j, 0, 1.0, 0.0),
+                      Term(0.05 - 0.02j, 1, 1.3 + 0.1j, 0.0),
+                      Term(0.02j, 2, 0.9, 0.1))) if mixed else coupling
+    ev = ResolventEvaluator(phi, f)
+    for z in (1.0 - 0.01j, 0.93 - 0.04j, 1.08 - 0.002j):
+        ring = cauchy_derivative(ev.F_value, z, 1e-3)
+        assert abs(ev.F_derivative(z) - ring) <= 1e-10 * abs(ring)
+
+
+def test_stark_F_derivative_needs_no_F_values(coupling, monkeypatch):
+    calls = []
+    F_value = ResolventEvaluator.F_value
+
+    def counting(self, z):
+        calls.append(np.size(z))
+        return F_value(self, z)
+
+    monkeypatch.setattr(ResolventEvaluator, "F_value", counting)
+    ResolventEvaluator(coupling, 0.01).F_derivative(1.0 - 0.01j)
+    assert calls == []
+    # a point above the axis that the growth guard sends to the time ray
+    # still takes the ring
+    ResolventEvaluator(coupling, 0.5).F_derivative(1.0 + 0.02j)
+    assert calls == [QuadratureSettings().derivative_nodes]
+
+
+def test_stark_F_derivative_zero_coupling():
+    ev = ResolventEvaluator(FormFactor.zero(), 0.05)
+    assert ev.F_derivative(1 - 0.01j) == -1.0
 
 
 # ----------------------------------------------------------------------
