@@ -28,7 +28,6 @@ from .rootfind import (
     Resonance,
     Window,
     find_zeros,
-    multiplicity_estimate,
     winding_number,
 )
 from .floquet import (
@@ -57,7 +56,7 @@ __all__ = [
     "CutProximityError", "QuadratureError", "QuadratureSettings",
     "ResolventEvaluator", "RoucheCertificate", "SectorLimitError",
     "BoundaryZeroError", "Resonance", "Window", "find_zeros",
-    "multiplicity_estimate", "winding_number",
+    "winding_number",
     "FloquetEigenpair", "FloquetProblem", "eigen_near",
     "hermite_functions", "momentum_squared_matrix",
     "SweepResult", "ac_sweep", "dc_sweep",

@@ -16,6 +16,7 @@ import sys
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .formfactor import FormFactor
@@ -26,8 +27,6 @@ from .sweep import ac_sweep, dc_sweep
 
 __all__ = ["RunConfig", "run", "main", "write_csv", "write_manifest",
            "svg_scatter", "parse_config_file"]
-
-MODES = ("dc", "sweep", "ac", "plot", "verify")
 
 
 def _fmt(x: float) -> str:
@@ -81,26 +80,47 @@ class RunConfig:
             return 1
 
 
-_CONFIG_KEYS = {
-    "mode": ("mode", str),
-    "form.amp": ("amplitude", float),
-    "form.width": ("width", float),
-    "f": ("f", float),
-    "f_grid": ("f_grid", "grid"),
-    "window.re_min": ("re_min", float),
-    "window.re_max": ("re_max", float),
-    "window.im_min": ("im_min", float),
-    "window.im_max": ("im_max", float),
-    "tol": ("tol", float),
-    "omega": ("omega", float),
-    "im_theta": ("im_theta", float),
-    "n_fourier": ("n_fourier", int),
-    "n_hermite": ("n_hermite", int),
-    "length_scale": ("length_scale", float),
-    "target": ("target", "complex"),
-    "out": ("out", str),
-    "csv": ("csv_source", str),
-}
+class _Option(NamedTuple):
+    field: str          # RunConfig field
+    flag: str | None    # CLI flag; None: the subcommand sets it
+    key: str            # config-file key
+    parse: Callable[[str], object]
+    help: str | None = None
+
+
+def _grid(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _complex(text: str) -> complex:
+    return complex(text.replace(" ", ""))
+
+
+# every run option, in --help order
+_OPTIONS = (
+    _Option("mode", None, "mode", str),
+    _Option("amplitude", "--amp", "form.amp", float, "coupling amplitude"),
+    _Option("width", "--width", "form.width", float,
+            "coupling Gaussian width"),
+    _Option("f", "--f", "f", float, "field strength"),
+    _Option("f_grid", "--f-grid", "f_grid", _grid,
+            "comma-separated descending field grid"),
+    _Option("re_min", "--re-min", "window.re_min", float),
+    _Option("re_max", "--re-max", "window.re_max", float),
+    _Option("im_min", "--im-min", "window.im_min", float),
+    _Option("im_max", "--im-max", "window.im_max", float),
+    _Option("tol", "--tol", "tol", float),
+    _Option("omega", "--omega", "omega", float),
+    _Option("im_theta", "--im-theta", "im_theta", float),
+    _Option("n_fourier", "--n-fourier", "n_fourier", int),
+    _Option("n_hermite", "--n-hermite", "n_hermite", int),
+    _Option("length_scale", "--length-scale", "length_scale", float),
+    _Option("target", "--target", "target", _complex,
+            "complex target, e.g. 1.019-0.011j"),
+    _Option("out", "--out", "out", str),
+    _Option("csv_source", "--csv", "csv", str, "input CSV for plot mode"),
+)
+_BY_KEY = {opt.key: opt for opt in _OPTIONS}
 
 
 def parse_config_file(path) -> dict:
@@ -118,15 +138,10 @@ def parse_config_file(path) -> dict:
         if parts[0] in MODES:
             parts = parts[1:]
         key = ".".join(parts)
-        if key not in _CONFIG_KEYS:
+        if key not in _BY_KEY:
             raise ValueError(f"{path}:{ln}: unknown key {key!r}")
-        name, conv = _CONFIG_KEYS[key]
-        if conv == "grid":
-            out[name] = tuple(float(v) for v in val.split(","))
-        elif conv == "complex":
-            out[name] = complex(val.replace(" ", ""))
-        else:
-            out[name] = conv(val)
+        opt = _BY_KEY[key]
+        out[opt.field] = opt.parse(val)
     return out
 
 
@@ -292,7 +307,7 @@ def _base_manifest(config: RunConfig) -> dict:
     }
 
 
-def _run_dc(config: RunConfig, out: Path) -> None:
+def _run_dc(config: RunConfig, out: Path) -> tuple[str, ...]:
     phi = config.coupling()
     window = config.window
     ev = ResolventEvaluator(phi, config.f)
@@ -311,6 +326,7 @@ def _run_dc(config: RunConfig, out: Path) -> None:
         "windings": [r.winding for r in zeros],
     }
     write_manifest(out / "manifest.json", manifest)
+    return ()
 
 
 def _run_sweep(config: RunConfig, out: Path) -> tuple[str, ...]:
@@ -380,7 +396,7 @@ def _run_ac(config: RunConfig, out: Path) -> tuple[str, ...]:
     return result.errors
 
 
-def _run_plot(config: RunConfig, out: Path) -> None:
+def _run_plot(config: RunConfig, out: Path) -> tuple[str, ...]:
     if not config.csv_source:
         raise ValueError("plot mode needs --csv pointing at sweep output")
     rows = []
@@ -395,17 +411,27 @@ def _run_plot(config: RunConfig, out: Path) -> None:
     manifest = _base_manifest(config)
     manifest["results"] = {"figures": made, "points": len(rows)}
     write_manifest(out / "manifest.json", manifest)
+    return ()
 
 
-def _run_verify(config: RunConfig, out: Path) -> bool:
+def _run_verify(config: RunConfig, out: Path) -> tuple[str, ...]:
     report = verify_report()
     write_manifest(out / "verify.json", report)
+    errors = []
     for chk in report["checks"]:
-        status = "pass" if chk["pass"] else "FAIL"
-        print(f"  {chk['name']}: {status} "
-              f"(max deviation {chk['max_deviation']:.3e}, "
-              f"{chk['points']} points)")
-    return bool(report["all_pass"])
+        line = (f"{chk['name']}: {'pass' if chk['pass'] else 'FAIL'} "
+                f"(max deviation {chk['max_deviation']:.3e}, "
+                f"{chk['points']} points)")
+        print("  " + line)
+        if not chk["pass"]:
+            errors.append(line)
+    return tuple(errors)
+
+
+# each runner writes its artifacts and returns its error lines
+_RUNNERS = {"dc": _run_dc, "sweep": _run_sweep, "ac": _run_ac,
+            "plot": _run_plot, "verify": _run_verify}
+MODES = tuple(_RUNNERS)
 
 
 def run(config: RunConfig) -> int:
@@ -417,17 +443,7 @@ def run(config: RunConfig) -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 2
     try:
-        errors: tuple[str, ...] = ()
-        if config.mode == "dc":
-            _run_dc(config, out)
-        elif config.mode == "sweep":
-            errors = _run_sweep(config, out)
-        elif config.mode == "ac":
-            errors = _run_ac(config, out)
-        elif config.mode == "plot":
-            _run_plot(config, out)
-        elif config.mode == "verify":
-            return 0 if _run_verify(config, out) else 3
+        errors = _RUNNERS[config.mode](config, out)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -438,7 +454,7 @@ def run(config: RunConfig) -> int:
     if errors:
         # the partial artifacts are written; the run still failed
         return _numeric_failure(out, "".join(e + "\n" for e in errors),
-                                f"{len(errors)} field(s) failed")
+                                f"{len(errors)} failed, see failure.log")
     return 0
 
 
@@ -461,40 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
     for mode in MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--amp", type=float, default=None,
-                       help="coupling amplitude")
-        p.add_argument("--width", type=float, default=None,
-                       help="coupling Gaussian width")
-        p.add_argument("--f", type=float, default=None,
-                       help="field strength")
-        p.add_argument("--f-grid", type=str, default=None,
-                       help="comma-separated descending field grid")
-        p.add_argument("--re-min", type=float, default=None)
-        p.add_argument("--re-max", type=float, default=None)
-        p.add_argument("--im-min", type=float, default=None)
-        p.add_argument("--im-max", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--omega", type=float, default=None)
-        p.add_argument("--im-theta", type=float, default=None)
-        p.add_argument("--n-fourier", type=int, default=None)
-        p.add_argument("--n-hermite", type=int, default=None)
-        p.add_argument("--length-scale", type=float, default=None)
-        p.add_argument("--target", type=str, default=None,
-                       help="complex target, e.g. 1.019-0.011j")
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--csv", type=str, default=None,
-                       help="input CSV for plot mode")
+        for opt in _OPTIONS:
+            if opt.flag:
+                p.add_argument(opt.flag, dest=opt.field, type=opt.parse,
+                               default=None, help=opt.help,
+                               metavar=opt.flag[2:].replace("-", "_").upper())
     return ap
-
-
-_FLAG_TO_FIELD = {
-    "amp": "amplitude", "width": "width", "f": "f",
-    "re_min": "re_min", "re_max": "re_max", "im_min": "im_min",
-    "im_max": "im_max", "tol": "tol", "omega": "omega",
-    "im_theta": "im_theta", "n_fourier": "n_fourier",
-    "n_hermite": "n_hermite", "length_scale": "length_scale",
-    "out": "out", "csv": "csv_source",
-}
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -502,14 +490,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
         values.update(parse_config_file(args.config))
     values["mode"] = args.mode
-    for flag, name in _FLAG_TO_FIELD.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            values[name] = v
-    if getattr(args, "f_grid", None):
-        values["f_grid"] = tuple(float(s) for s in args.f_grid.split(","))
-    if getattr(args, "target", None):
-        values["target"] = complex(args.target.replace(" ", ""))
+    for opt in _OPTIONS:
+        if opt.flag and getattr(args, opt.field) is not None:
+            values[opt.field] = getattr(args, opt.field)
     return RunConfig(**values)
 
 

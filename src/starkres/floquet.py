@@ -28,6 +28,8 @@ __all__ = [
 
 # Krylov dimension of the shift-inverted Arnoldi candidate search
 _KRYLOV_DIM = 36
+# inverse-iteration steps allowed to bring a candidate below tol
+_INVERSE_ITERATIONS = 8
 
 
 def hermite_functions(n_max: int, x: np.ndarray, length_scale: float = 1.0
@@ -229,7 +231,8 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
 
     Shift-inverted Arnoldi over a dense LU factorization locates the
     candidates (this doubles as deflation for clustered eigenvalues); each
-    is polished by inverse iteration and certified by its residual.  The
+    is polished by inverse iteration and certified by its residual, and a
+    candidate that does not reach ``tol`` raises LinAlgError.  The
     sensitivity field is the eigenvalue movement when the truncation is
     enlarged to (N+4, J+16); discretized-continuum artifacts carry a large
     sensitivity while true resonances are stable.
@@ -290,7 +293,7 @@ def _solve_near(K: np.ndarray, dim: int, target: complex, tol: float,
         if any(abs(lam0 - lam) < 1e-8 for lam, _ in found):
             continue
         lam, vec = _inverse_iterate(K, dim, lam0, tol)
-        if lam is None or abs(lam - target) > radius:
+        if abs(lam - target) > radius:
             continue
         if any(abs(lam - l2) < 1e-8 for l2, _ in found):
             continue
@@ -299,11 +302,11 @@ def _solve_near(K: np.ndarray, dim: int, target: complex, tol: float,
     return found
 
 
-def _inverse_iterate(K: np.ndarray, dim: int, lam0: complex, tol: float,
-                     max_iter: int = 8):
+def _inverse_iterate(K: np.ndarray, dim: int, lam0: complex, tol: float):
+    """Polish a candidate to a residual below tol, or raise LinAlgError."""
     lam = complex(lam0)
     v = np.ones(dim, dtype=complex) / math.sqrt(dim)
-    for it in range(max_iter):
+    for _ in range(_INVERSE_ITERATIONS):
         lu = _lu_nonsingular(K - lam * np.eye(dim))
         for _ in range(2):
             v = lu_solve(lu, v)
@@ -314,4 +317,6 @@ def _inverse_iterate(K: np.ndarray, dim: int, lam0: complex, tol: float,
         lam = lam_new
         if res < tol:
             return lam, v
-    return (lam, v) if res < 100 * tol else (None, None)
+    raise np.linalg.LinAlgError(
+        f"inverse iteration from candidate {complex(lam0):.17g} ended at "
+        f"residual {res:.3e} above tol {tol:.3e}")

@@ -336,7 +336,7 @@ def full_resolvent_pole_test(phi: FormFactor, f: float, psi: FormFactor,
 # machine-readable verification report
 
 
-def verify_report(fast: bool = True) -> dict:
+def verify_report() -> dict:
     """Run the standard oracle cross-checks; returns the report dict
     (per check: name, number of points, max deviation, pass flag)."""
     from .resolvent import ResolventEvaluator
@@ -352,8 +352,7 @@ def verify_report(fast: bool = True) -> dict:
     checks.append({"name": "free_vs_erfc_closed_form", "points": len(grid),
                    "max_deviation": dev, "pass": dev < 1e-10})
 
-    pts = [1.0 + 0.8j, 0.7 + 1.1j, 1.3 + 0.6j] if fast else \
-        [complex(x, y) for x in (0.6, 0.9, 1.2, 1.5) for y in (0.5, 0.9, 1.3)]
+    pts = [1.0 + 0.8j, 0.7 + 1.1j, 1.3 + 0.6j]
     for f in (0.01, 0.05):
         evf = ResolventEvaluator(phi, f)
         dev = max(abs(complex(evf.stark_matrix_element(z))

@@ -22,14 +22,19 @@ __all__ = [
     "BoundaryZeroError",
     "winding_number",
     "find_zeros",
-    "multiplicity_estimate",
 ]
 
 # deterministic outward jitter factors for boundary-zero retries
 _JITTER = (2.3e-4, 7.9e-4, 2.7e-3)
 _PHASE_STEP_MAX = 0.45 * math.pi
-# initial contour samples of a phase-tracked winding
+# initial contour samples of a phase-tracked winding, its refinement
+# rounds, and the |F| floor (relative to the median) that flags a
+# contour zero
 _N_INIT = 64
+_PHASE_ROUNDS = 28
+_ZERO_FLOOR_REL = 1e-10
+# Newton steps before a polish gives up
+_NEWTON_MAX_ITER = 60
 
 
 class BoundaryZeroError(Exception):
@@ -117,20 +122,13 @@ def _rect_param(window: Window):
     return to_point
 
 
-def _circle_param(center: complex, radius: float):
-    def to_point(t):
-        return center + radius * np.exp(2j * np.pi * np.asarray(t, dtype=float))
-    return to_point
-
-
-def _phase_winding(F, to_point, max_rounds: int = 28,
-                   zero_floor_rel: float = 1e-10) -> int:
+def _phase_winding(F, to_point) -> int:
     """Winding of F along the closed path t in [0, 1) -> to_point(t)."""
     t = np.linspace(0.0, 1.0, _N_INIT, endpoint=False)
     v = np.asarray(F(to_point(t)), dtype=complex).ravel()
-    for _ in range(max_rounds):
+    for _ in range(_PHASE_ROUNDS):
         scale = float(np.median(np.abs(v)))
-        if scale == 0.0 or float(np.min(np.abs(v))) < zero_floor_rel * scale:
+        if scale == 0.0 or float(np.min(np.abs(v))) < _ZERO_FLOOR_REL * scale:
             raise BoundaryZeroError("|F| below threshold on the contour")
         steps = np.angle(np.roll(v, -1) / v)
         bad = np.abs(steps) > _PHASE_STEP_MAX
@@ -171,28 +169,15 @@ def winding_number(F, window: Window) -> int:
         f"winding failed after jitter retries: {last}")
 
 
-def multiplicity_estimate(F, z0: complex, rho: float) -> int:
-    """Winding of F on the circle |z - z0| = rho."""
-    last: Exception | None = None
-    for attempt, factor in enumerate((0.0,) + _JITTER):
-        try:
-            return _phase_winding(F, _circle_param(z0, rho * (1.0 + factor)))
-        except BoundaryZeroError as exc:
-            last = exc
-    raise BoundaryZeroError(
-        f"multiplicity estimate failed after jitter retries: {last}")
-
-
 # ----------------------------------------------------------------------
 # Newton polishing and certified subdivision
 
 
-def _newton(F, fprime, z0: complex, box: Window, tol: float,
-            max_iter: int = 60):
+def _newton(F, fprime, z0: complex, box: Window, tol: float):
     """Polish a zero from z0; returns (z, residual, iterations) or None."""
     z = complex(z0)
     rho = min(1e-3, 0.25 * min(box.width, box.height))
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         fz = complex(np.asarray(F(np.array([z])), dtype=complex)[0])
         if fprime is not None:
             dfz = complex(fprime(z))

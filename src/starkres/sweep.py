@@ -76,6 +76,22 @@ def _validate_grid(f_grid) -> tuple[float, ...]:
     return grid
 
 
+def _per_field(compute, grid, workers: int) -> list[tuple]:
+    """(compute(f), None) per field value in grid order, on up to
+    ``workers`` threads.  A field that ends in a numeric error gives
+    (None, error line) and the sweep goes on."""
+    def one(f: float):
+        try:
+            return compute(f), None
+        except _NUMERIC_ERRORS as exc:
+            return None, f"f={f:.17g}: {type(exc).__name__}: {exc}"
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(one, grid))
+    return [one(f) for f in grid]
+
+
 def link_trajectories(f_grid, groups) -> tuple[tuple[TrajectoryPoint, ...], ...]:
     """Greedy nearest-neighbor chains down the descending f grid.
 
@@ -151,21 +167,14 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window, tol: float = 1e-9,
         raise ValueError("no field-free resonance found in the window")
     reference = min(ref_zeros, key=lambda r: abs(r.z - 1.0)).z
 
-    def run_one(f: float):
+    def zeros_at(f: float):
         ev = ResolventEvaluator(phi, f, settings)
-        try:
-            return find_zeros(ev.F_value, window, tol=tol,
-                              fprime=ev.F_derivative, f=f), None
-        except _NUMERIC_ERRORS as exc:  # recorded, sweep continues
-            return [], f"f={f:.17g}: {type(exc).__name__}: {exc}"
+        return find_zeros(ev.F_value, window, tol=tol,
+                          fprime=ev.F_derivative, f=f)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, grid))
-    else:
-        results = [run_one(f) for f in grid]
-    groups = tuple(tuple(r) for r, _ in results)
-    errors = tuple(ederr for _, ederr in results if ederr)
+    results = _per_field(zeros_at, grid, workers)
+    groups = tuple(tuple(zs or ()) for zs, _ in results)
+    errors = tuple(err for _, err in results if err)
 
     max_im, min_dist, mean_re, scat_re = [], [], [], []
     for f, group in zip(grid, groups):
@@ -224,24 +233,17 @@ def ac_sweep(phi: FormFactor, f_grid, omega: float = 1.0, theta: complex = 0.3j,
     lam0 = min(pairs0, key=lambda p: (p.sensitivity, abs(p.eigenvalue - seed)))
     reference = complex(target) if target is not None else lam0.eigenvalue
 
-    def run_one(f: float):
+    def nearest_at(f: float):
         prob = FloquetProblem(phi, f, omega, theta, n_fourier, n_hermite,
                               length_scale)
-        try:
-            pairs = eigen_near(prob, lam0.eigenvalue, tol=tol,
-                               radius=disk_radius)
-            if not pairs:
-                return None, f"f={f:.17g}: no eigenvalue in the target disk"
-            return pairs[0], None
-        except _NUMERIC_ERRORS as exc:
-            return None, f"f={f:.17g}: {type(exc).__name__}: {exc}"
+        pairs = eigen_near(prob, lam0.eigenvalue, tol=tol,
+                           radius=disk_radius)
+        return pairs[0] if pairs else None
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, grid))
-    else:
-        results = [run_one(f) for f in grid]
-    errors = tuple(err for _, err in results if err)
+    results = _per_field(nearest_at, grid, workers)
+    # a field without a pair either failed or found no eigenvalue
+    errors = tuple(err or f"f={f:.17g}: no eigenvalue in the target disk"
+                   for f, (pair, err) in zip(grid, results) if pair is None)
 
     groups = []
     traj = [TrajectoryPoint(0.0, lam0.eigenvalue, lam0.residual)]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,8 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import R0
+from starkres import driver
 from starkres.driver import (
     RunConfig,
+    build_parser,
+    config_from_args,
     main,
     parse_config_file,
     run,
@@ -50,6 +54,82 @@ def test_config_file_rejects_unknown_key(tmp_path):
     p.write_text("dc.window.re_min=0.9\nfrobnicate=1\n")
     with pytest.raises(ValueError, match="unknown key"):
         parse_config_file(p)
+
+
+# every config key, the flag that sets the same option, its value
+ALL_OPTIONS = (
+    ("form.amp", "--amp", "0.2"),
+    ("form.width", "--width", "1.5"),
+    ("f", "--f", "0.03"),
+    ("f_grid", "--f-grid", "0.04,0.01"),
+    ("window.re_min", "--re-min", "0.93"),
+    ("window.re_max", "--re-max", "1.07"),
+    ("window.im_min", "--im-min", "-0.04"),
+    ("window.im_max", "--im-max", "-2e-6"),
+    ("tol", "--tol", "1e-8"),
+    ("omega", "--omega", "1.25"),
+    ("im_theta", "--im-theta", "0.2"),
+    ("n_fourier", "--n-fourier", "6"),
+    ("n_hermite", "--n-hermite", "30"),
+    ("length_scale", "--length-scale", "1.1"),
+    ("target", "--target", "1.019 - 0.0111j"),
+    ("out", "--out", "results"),
+    ("csv", "--csv", "in.csv"),
+)
+
+
+def test_config_file_and_flags_give_the_same_config(tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("mode = ac\n" + "".join(
+        f"ac.{key} = {val}\n" for key, _, val in ALL_OPTIONS))
+    parser = build_parser()
+    from_file = config_from_args(parser.parse_args(
+        ["ac", "--config", str(cfg)]))
+    from_flags = config_from_args(parser.parse_args(
+        ["ac"] + [f"{flag}={val}" for _, flag, val in ALL_OPTIONS]))
+    assert from_file == from_flags == RunConfig(
+        mode="ac", amplitude=0.2, width=1.5, f=0.03, f_grid=(0.04, 0.01),
+        re_min=0.93, re_max=1.07, im_min=-0.04, im_max=-2e-6, tol=1e-8,
+        omega=1.25, im_theta=0.2, n_fourier=6, n_hermite=30,
+        length_scale=1.1, target=complex(1.019, -0.0111), out="results",
+        csv_source="in.csv")
+
+
+@pytest.mark.parametrize("line", ["frobnicate = 1", "amp = 0.2",
+                                  "csv_source = x.csv", "sweep.re_min = 0.9"])
+def test_cli_rejects_unknown_config_key(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["dc", "--config", str(cfg)]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+# the flags of every subcommand, in order, with their help strings
+CLI_FLAGS = (
+    ("--config", None), ("--amp", "coupling amplitude"),
+    ("--width", "coupling Gaussian width"), ("--f", "field strength"),
+    ("--f-grid", "comma-separated descending field grid"),
+    ("--re-min", None), ("--re-max", None), ("--im-min", None),
+    ("--im-max", None), ("--tol", None), ("--omega", None),
+    ("--im-theta", None), ("--n-fourier", None), ("--n-hermite", None),
+    ("--length-scale", None),
+    ("--target", "complex target, e.g. 1.019-0.011j"), ("--out", None),
+    ("--csv", "input CSV for plot mode"),
+)
+
+
+@pytest.mark.parametrize("mode", ["dc", "sweep", "ac", "plot", "verify"])
+def test_help_text_per_mode(monkeypatch, capsys, mode):
+    # the reference parser adds each flag by hand, so argparse picks the
+    # metavars
+    monkeypatch.setenv("COLUMNS", "80")
+    ref = argparse.ArgumentParser(prog="starkres").add_subparsers(
+        dest="mode").add_parser(mode)
+    for flag, text in CLI_FLAGS:
+        ref.add_argument(flag, help=text)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([mode, "--help"])
+    assert capsys.readouterr().out == ref.format_help()
 
 
 def test_cli_flags_override_config(tmp_path):
@@ -199,6 +279,21 @@ def test_verify_subcommand(tmp_path):
     assert report["all_pass"]
     assert {c["name"] for c in report["checks"]} >= {
         "free_vs_erfc_closed_form", "pole_term_jump"}
+
+
+def test_verify_failure_exit_code(tmp_path, monkeypatch):
+    # a failing oracle check exits 3 with a failure log naming it
+    report = {"checks": [
+        {"name": "pole_term_jump", "points": 1, "max_deviation": 0.5,
+         "pass": False},
+        {"name": "free_vs_erfc_closed_form", "points": 24,
+         "max_deviation": 1e-15, "pass": True}], "all_pass": False}
+    monkeypatch.setattr(driver, "verify_report", lambda: report)
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out)]) == 3
+    assert json.loads((out / "verify.json").read_text()) == report
+    assert (out / "failure.log").read_text() == (
+        "pole_term_jump: FAIL (max deviation 5.000e-01, 1 points)\n")
 
 
 def test_ac_subcommand_small(tmp_path):

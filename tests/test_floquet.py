@@ -111,6 +111,14 @@ def test_eigen_near_reference(small_problem):
     assert best.sensitivity < 1e-3
 
 
+def test_unconverged_refinement_raises(small_problem):
+    # a candidate in the disk that inverse iteration cannot bring below
+    # tol is a failure, not a silently dropped eigenvalue
+    with pytest.raises(np.linalg.LinAlgError, match="inverse iteration"):
+        eigen_near(small_problem, R0, tol=1e-300, radius=0.05,
+                   with_sensitivity=False)
+
+
 def test_block_shift_exact_at_f_zero(small_problem):
     base = eigen_near(small_problem, R0, tol=1e-10, radius=0.05,
                       with_sensitivity=False)[0].eigenvalue

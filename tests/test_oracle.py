@@ -189,7 +189,7 @@ def test_full_pole_test_no_pole_for_zero_coupling():
 
 
 def test_verify_report_structure():
-    rep = verify_report(fast=True)
+    rep = verify_report()
     names = {c["name"] for c in rep["checks"]}
     assert "free_vs_erfc_closed_form" in names
     assert any(n.startswith("stark_vs_ode_oracle") for n in names)

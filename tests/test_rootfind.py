@@ -7,7 +7,6 @@ from starkres import (
     Window,
     find_zeros,
     grid_scan,
-    multiplicity_estimate,
     winding_number,
 )
 
@@ -111,14 +110,6 @@ def test_find_zeros_against_grid_scan(coupling):
                     and w.im_min + cell < c.imag < w.im_max - cell)
         if interior:
             assert min(abs(c - r.z) for r in zeros) < 2.0 * cell
-
-
-def test_multiplicity_estimates(coupling):
-    assert multiplicity_estimate(poly_from_roots([1.0 + 0j]), 1.0, 0.3) == 1
-    assert multiplicity_estimate(lambda z: (np.asarray(z) - 1.0) ** 2,
-                                 1.0, 0.3) == 2
-    ev = ResolventEvaluator(coupling, 0.0)
-    assert multiplicity_estimate(ev.F_value, R0, 0.005) == 1
 
 
 def test_double_zero_reported_with_multiplicity():

@@ -114,3 +114,26 @@ def test_ac_sweep_small(coupling):
     assert res.flags["converging_to_reference"]
     assert res.flags["ac_stable"]
     assert len(res.sensitivities) == 4
+
+
+def test_ac_sweep_records_failed_fields_in_grid_order(coupling, monkeypatch):
+    # f = 0.1: a candidate in the disk that inverse iteration cannot bring
+    # below tol; f = 0.05: no eigenvalue in the disk at all
+    from starkres import sweep
+    real = sweep.eigen_near
+
+    def eigen_near(problem, target, tol=1e-10, **kw):
+        if problem.f == 0.05:
+            return []
+        return real(problem, target, tol=1e-300 if problem.f else tol, **kw)
+
+    monkeypatch.setattr(sweep, "eigen_near", eigen_near)
+    res = ac_sweep(coupling, (0.1, 0.05), tol=1e-9, n_fourier=2,
+                   n_hermite=24)
+    assert res.resonances == ((), ())
+    assert len(res.errors) == 2
+    assert res.errors[0].startswith(
+        "f=0.10000000000000001: LinAlgError: inverse iteration from "
+        "candidate ")
+    assert res.errors[1] == ("f=0.050000000000000003: no eigenvalue in the "
+                             "target disk")
