@@ -18,7 +18,6 @@ from .formfactor import (
 from .resolvent import (
     CutProximityError,
     QuadratureError,
-    QuadratureSettings,
     ResolventEvaluator,
     RoucheCertificate,
     SectorLimitError,
@@ -53,7 +52,7 @@ from .oracle import (
 __all__ = [
     "__version__",
     "FormFactor", "Term", "conj_reflect", "dilate", "translate_modulate",
-    "CutProximityError", "QuadratureError", "QuadratureSettings",
+    "CutProximityError", "QuadratureError",
     "ResolventEvaluator", "RoucheCertificate", "SectorLimitError",
     "BoundaryZeroError", "Resonance", "Window", "find_zeros",
     "winding_number",

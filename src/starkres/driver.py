@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .formfactor import FormFactor
 from .oracle import verify_report
-from .resolvent import QuadratureSettings, ResolventEvaluator
+from .resolvent import QUADRATURE, ResolventEvaluator
 from .rootfind import Window, find_zeros
 from .sweep import ac_sweep, dc_sweep
 
@@ -73,11 +73,16 @@ class RunConfig:
         return FormFactor.gaussian(self.amplitude, self.width)
 
     def workers(self) -> int:
+        """Per-field worker threads: ``STARKRES_THREADS``, 1 when unset."""
         env = os.environ.get("STARKRES_THREADS", "")
         try:
-            return max(1, int(env)) if env else 1
+            n = int(env) if env else 1
         except ValueError:
-            return 1
+            n = 0
+        if n < 1:
+            raise ValueError("STARKRES_THREADS must be a positive integer, "
+                             f"got {env!r}")
+        return n
 
 
 class _Option(NamedTuple):
@@ -292,15 +297,7 @@ def _base_manifest(config: RunConfig) -> dict:
             "length_scale": config.length_scale,
             "target": None if config.target is None else
             [config.target.real, config.target.imag],
-            "quadrature": {
-                "tol": QuadratureSettings().tol,
-                "max_subdivisions": QuadratureSettings().max_subdivisions,
-                "gamma": QuadratureSettings().gamma,
-                "derivative_radius": QuadratureSettings().derivative_radius,
-                "derivative_nodes": QuadratureSettings().derivative_nodes,
-                "panel_nodes": QuadratureSettings().panel_nodes,
-                "panel_width": QuadratureSettings().panel_width,
-            },
+            "quadrature": dict(QUADRATURE),
             "deterministic": True,
             "workers": config.workers(),
         },
@@ -399,14 +396,21 @@ def _run_ac(config: RunConfig, out: Path) -> tuple[str, ...]:
 def _run_plot(config: RunConfig, out: Path) -> tuple[str, ...]:
     if not config.csv_source:
         raise ValueError("plot mode needs --csv pointing at sweep output")
+    src = config.csv_source
     rows = []
-    with open(config.csv_source, encoding="utf-8") as fh:
+    with open(src, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         idx = {name: i for i, name in enumerate(header)}
-        for line in fh:
+        missing = [c for c in ("f", "re_z", "im_z") if c not in idx]
+        if missing:
+            raise ValueError(f"{src}: no column {', '.join(missing)}")
+        cols = (idx["f"], idx["re_z"], idx["im_z"])
+        for ln, line in enumerate(fh, 2):
             cells = line.rstrip("\n").split(",")
-            rows.append((float(cells[idx["f"]]), float(cells[idx["re_z"]]),
-                         float(cells[idx["im_z"]])))
+            if len(cells) <= max(cols):
+                raise ValueError(f"{src}:{ln}: {len(cells)} cells, "
+                                 f"expected {len(header)}")
+            rows.append(tuple(float(cells[i]) for i in cols))
     made = _cloud_figures(out, rows)
     manifest = _base_manifest(config)
     manifest["results"] = {"figures": made, "points": len(rows)}
@@ -443,6 +447,7 @@ def run(config: RunConfig) -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 2
     try:
+        config.workers()        # reject a bad STARKRES_THREADS before any work
         errors = _RUNNERS[config.mode](config, out)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

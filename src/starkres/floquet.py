@@ -30,6 +30,8 @@ __all__ = [
 _KRYLOV_DIM = 36
 # inverse-iteration steps allowed to bring a candidate below tol
 _INVERSE_ITERATIONS = 8
+# samples of the drive period per Fourier mode in the coupling blocks
+_T_SAMPLES_PER_MODE = 8
 
 
 def hermite_functions(n_max: int, x: np.ndarray, length_scale: float = 1.0
@@ -72,7 +74,6 @@ class FloquetProblem:
     n_fourier: int = 16
     n_hermite: int = 80
     length_scale: float = 1.0
-    t_samples: int | None = None
 
     def __post_init__(self):
         if self.omega <= 0:
@@ -127,7 +128,7 @@ class FloquetProblem:
         x, w = self._x_grid
         H = hermite_functions(self.n_hermite, x, self.length_scale)
         Hw = H * w[None, :]
-        M = self.t_samples or 8 * self.n_fourier
+        M = _T_SAMPLES_PER_MODE * self.n_fourier
         base = self.phi.conj_position() if conjugate else self.phi
         if self.f == 0.0:
             g = dilate(base, self.theta)(x)
@@ -245,7 +246,7 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
         bigger = FloquetProblem(
             problem.phi, problem.f, problem.omega, problem.theta,
             problem.n_fourier + 4, problem.n_hermite + 16,
-            problem.length_scale, problem.t_samples)
+            problem.length_scale)
         Kb = bigger.matrix
         lam_big = _solve_near(Kb, Kb.shape[0], target, tol, 1.5 * radius)
         for lam, _vec in lam_list:

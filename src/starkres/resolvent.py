@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 from scipy import special
@@ -25,7 +26,7 @@ from ._gauss import (cauchy_derivative, cumulative_matrix,
 from .formfactor import FormFactor, _derivative, conj_reflect
 
 __all__ = [
-    "QuadratureSettings",
+    "QUADRATURE",
     "QuadratureError",
     "SectorLimitError",
     "CutProximityError",
@@ -50,22 +51,19 @@ class CutProximityError(Exception):
     """z is too close to the branch cut (-inf, 0]."""
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    tol: float = 1e-10
-    max_subdivisions: int = 12
-    gamma: float = math.pi / 8.0          # time-ray rotation angle, in (0, pi/3)
-    derivative_radius: float = 1e-3
-    derivative_nodes: int = 32
-    cut_margin: float = 1e-8
-    panel_nodes: int = 24
-    panel_width: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < math.pi / 3.0:
-            raise ValueError("gamma must lie strictly inside (0, pi/3)")
-        if self.tol <= 0 or self.derivative_radius <= 0:
-            raise ValueError("tolerances and radii must be positive")
+# the evaluator's numerical policy; run manifests record it unchanged
+QUADRATURE = MappingProxyType({
+    "tol": 1e-10,
+    "max_subdivisions": 12,
+    "gamma": math.pi / 8.0,          # time-ray rotation angle, in (0, pi/3)
+    "derivative_radius": 1e-3,       # f = 0 Cauchy ring
+    "derivative_nodes": 32,
+    "panel_nodes": 24,
+    "panel_width": 1.0,
+})
+# relative distance to the branch cut (-inf, 0] below which f = 0
+# evaluation is refused
+_CUT_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,6 @@ class ResolventEvaluator:
 
     phi: FormFactor
     f: float = 0.0
-    settings: QuadratureSettings = field(default_factory=QuadratureSettings)
 
     def __post_init__(self):
         if self.f < 0:
@@ -121,9 +118,9 @@ class ResolventEvaluator:
 
     def _check_off_cut(self, z: np.ndarray) -> None:
         zc = np.atleast_1d(z)
-        margin = self.settings.cut_margin
-        near = (zc.real <= 0.0) & (np.abs(zc.imag) < margin * np.maximum(1.0, -zc.real))
-        if np.any(near) or np.any(np.abs(zc) < margin):
+        near = (zc.real <= 0.0) & (np.abs(zc.imag)
+                                   < _CUT_MARGIN * np.maximum(1.0, -zc.real))
+        if np.any(near) or np.any(np.abs(zc) < _CUT_MARGIN):
             raise CutProximityError(
                 "evaluation rejected within the configured margin of the "
                 "branch cut (-inf, 0]"
@@ -149,8 +146,8 @@ class ResolventEvaluator:
 
         # local bisection depth is logarithmic in the distance to the
         # nearly singular points, so a deep limit stays cheap
-        return _adaptive_gl(fun, -K, K, self.settings.tol,
-                            max(48, self.settings.max_subdivisions))
+        return _adaptive_gl(fun, -K, K, QUADRATURE["tol"],
+                            max(48, QUADRATURE["max_subdivisions"]))
 
     def free_continued(self, z):
         """Analytic continuation of the free matrix element across (0, inf).
@@ -175,13 +172,13 @@ class ResolventEvaluator:
         c = 0.5 * (Gp + Gm)
         s = 0.5 * (Gp - Gm) / rz
 
-        n_base = max(8, int(math.ceil(2.0 * K / self.settings.panel_width)))
+        n_base = max(8, int(math.ceil(2.0 * K / QUADRATURE["panel_width"])))
         prev = None
         val = None
         err = math.inf
-        for level in range(self.settings.max_subdivisions + 1):
+        for level in range(QUADRATURE["max_subdivisions"] + 1):
             x, w, _ = panel_nodes(-K, K, n_base * 2**level,
-                                  self.settings.panel_nodes)
+                                  QUADRATURE["panel_nodes"])
             Gx = G(x)
             num = Gx[None, :] - c[:, None] - s[:, None] * x[None, :]
             den = x[None, :] ** 2 - zf[:, None]
@@ -189,7 +186,7 @@ class ResolventEvaluator:
             if prev is not None:
                 err = float(np.max(np.abs(val - prev)
                                    / np.maximum(1.0, np.abs(val))))
-                if err <= self.settings.tol:
+                if err <= QUADRATURE["tol"]:
                     break
             prev = val
         else:
@@ -238,8 +235,10 @@ class ResolventEvaluator:
         out = out * cubic
         return _restore_shape(out, s_in)
 
-    def stark_time_ray(self, z: complex, gamma: float | None = None) -> complex:
-        """Rotated-ray propagator integral r(z) = i int_ray e^{izs} m(s) ds.
+    def stark_time_ray(self, z: complex, gamma: float | None = None,
+                       derivative: bool = False) -> complex:
+        """Rotated-ray propagator integral r(z) = i int_ray e^{izs} m(s) ds,
+        or r'(z) = -int_ray s e^{izs} m(s) ds when ``derivative``.
 
         The ray is s = t exp(-i gamma), gamma in (0, pi/3), where the
         cubic phase factor decays.  Accurate for moderate f; for small f
@@ -248,7 +247,7 @@ class ResolventEvaluator:
         """
         if self.f <= 0:
             raise ValueError("stark_time_ray requires f > 0")
-        g = self.settings.gamma if gamma is None else float(gamma)
+        g = QUADRATURE["gamma"] if gamma is None else float(gamma)
         if not 0.0 < g < math.pi / 3.0:
             raise SectorLimitError("rotation angle must lie in (0, pi/3)")
         z = complex(z)
@@ -257,7 +256,7 @@ class ResolventEvaluator:
         t_cubic = (12.0 * 46.0 / (f * f * math.sin(3.0 * g))) ** (1.0 / 3.0)
         t_max = 4.0 * t_cubic + 200.0
         h = min(1.0, 4.0 / max(1.0, abs(z)))
-        xg, wg = np.polynomial.legendre.leggauss(self.settings.panel_nodes)
+        xg, wg = np.polynomial.legendre.leggauss(QUADRATURE["panel_nodes"])
         total = 0.0 + 0.0j
         peak = 0.0
         t0 = 0.0
@@ -266,11 +265,13 @@ class ResolventEvaluator:
             t = t0 + 0.5 * h * (xg + 1.0)
             sv = t * rot
             vals = 1j * rot * np.exp(1j * z * sv) * self.propagator_element(sv)
+            if derivative:
+                vals = vals * (1j * sv)     # d/dz e^{izs} = i s e^{izs}
             contrib = complex(np.sum(0.5 * h * wg * vals))
             total += contrib
             peak = max(peak, float(np.max(np.abs(vals))))
             scale = max(abs(total), peak * 1e-10)
-            if abs(contrib) < self.settings.tol * scale * 1e-2:
+            if abs(contrib) < QUADRATURE["tol"] * scale * 1e-2:
                 quiet += 1
                 if quiet >= 3:
                     return total
@@ -289,9 +290,9 @@ class ResolventEvaluator:
     def _airy_grid(self):
         L = self._x_cutoff
         rate = math.sqrt(2.0 + self.f * L)  # local oscillation bound
-        pw = min(2.0 * self.settings.panel_width, 6.0 / rate)
+        pw = min(2.0 * QUADRATURE["panel_width"], 6.0 / rate)
         n_pan = max(8, int(math.ceil(2.0 * L / pw)))
-        nn = self.settings.panel_nodes
+        nn = QUADRATURE["panel_nodes"]
         x, w, edges = panel_nodes(-L, L, n_pan, nn)
         halves = 0.5 * (edges[1:] - edges[:-1])
         M = cumulative_matrix(nn)
@@ -365,6 +366,30 @@ class ResolventEvaluator:
         inner = pair(dphi_l, P, Q) + pair(phi_l, dP, dQ)
         return np.pi * f ** (-4.0 / 3.0) * inner
 
+    def _stark(self, zf: np.ndarray, derivative: bool = False) -> np.ndarray:
+        """r(z), or r'(z) when ``derivative``, at each point of the flat
+        array zf, routed by the growth guard: the Airy kernel where
+        :meth:`_airy_safe` allows it, else the time ray above the axis.
+        Below the axis no route keeps double precision, so it raises."""
+        out = np.empty_like(zf)
+        chunk = 128
+        for i in range(0, zf.size, chunk):
+            zc = zf[i:i + chunk]
+            res = out[i:i + chunk]          # a view: writes land in out
+            safe = self._airy_safe(zc)
+            if np.any(safe):
+                res[safe] = self._stark_airy_batch(zc[safe], derivative)
+            for j in np.nonzero(~safe)[0]:
+                zj = complex(zc[j])
+                if zj.imag <= 0.0:
+                    raise QuadratureError(
+                        "matrix element exceeds double-precision range at "
+                        f"z={zj} for f={self.f}", math.inf)
+                g = min(QUADRATURE["gamma"],
+                        0.25 * math.atan2(zj.imag, abs(zj.real) + 1.0))
+                res[j] = self.stark_time_ray(zj, max(g, 1e-6), derivative)
+        return out
+
     def stark_matrix_element(self, z):
         """Entire continuation of (phi, (p^2 + f x - z)^{-1} phi) for f > 0.
 
@@ -375,29 +400,7 @@ class ResolventEvaluator:
         if self.f <= 0:
             raise ValueError("stark_matrix_element requires f > 0")
         z_in = np.asarray(z, dtype=complex)
-        zf = np.atleast_1d(z_in).ravel()
-        out = np.empty_like(zf)
-        chunk = 128
-        for i in range(0, zf.size, chunk):
-            zc = zf[i:i + chunk]
-            safe = self._airy_safe(zc)
-            if np.all(safe):
-                out[i:i + chunk] = self._stark_airy_batch(zc)
-                continue
-            res = np.empty_like(zc)
-            if np.any(safe):
-                res[safe] = self._stark_airy_batch(zc[safe])
-            for j in np.nonzero(~safe)[0]:
-                zj = complex(zc[j])
-                if zj.imag <= 0.0:
-                    raise QuadratureError(
-                        "matrix element exceeds double-precision range at "
-                        f"z={zj} for f={self.f}", math.inf)
-                g = min(self.settings.gamma,
-                        0.25 * math.atan2(zj.imag, abs(zj.real) + 1.0))
-                res[j] = self.stark_time_ray(zj, max(g, 1e-6))
-            out[i:i + chunk] = res
-        return _restore_shape(out, z_in)
+        return _restore_shape(self._stark(np.atleast_1d(z_in).ravel()), z_in)
 
     # ------------------------------------------------------------------
     # F and its derivative
@@ -416,24 +419,19 @@ class ResolventEvaluator:
     def F_derivative(self, z: complex) -> complex:
         """F'(z) = -1 - r'(z).
 
-        For f > 0, analytic by translation covariance on the Airy route:
-        one batch at z gives (1/f)[(phi', R phi) + (phi, R phi')].  At
-        f = 0, and at a point the growth guard sends to the time ray, a
-        spectrally accurate Cauchy circle around z.
+        For f > 0, analytic on the route that :meth:`stark_matrix_element`
+        takes at z: by translation covariance on the Airy kernel,
+        r' = (1/f)[(phi', R phi) + (phi, R phi')], and on the time ray the
+        same integral with one more factor i s.  At f = 0, a spectrally
+        accurate Cauchy circle around z that keeps off the branch cut.
         """
         z = complex(z)
         if self.f > 0.0:
-            zf = np.array([z])
-            if self._airy_safe(zf)[0]:
-                return complex(-1.0 - self._stark_airy_batch(
-                    zf, derivative=True)[0])
-        rho = self.settings.derivative_radius
-        if self.f == 0.0:
-            # keep the circle away from the branch cut
-            dist = abs(z) if z.real >= 0.0 else abs(z.imag)
-            rho = min(rho, 0.45 * dist)
+            return complex(-1.0 - self._stark(np.array([z]), True)[0])
+        dist = abs(z) if z.real >= 0.0 else abs(z.imag)
+        rho = min(QUADRATURE["derivative_radius"], 0.45 * dist)
         return cauchy_derivative(self.F_value, z, rho,
-                                 self.settings.derivative_nodes)
+                                 QUADRATURE["derivative_nodes"])
 
     # ------------------------------------------------------------------
     # Rouche dominance certificate

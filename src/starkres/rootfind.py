@@ -3,8 +3,8 @@
 The argument principle is evaluated by tracking the continuous phase of F
 along adaptively refined boundary samples, which yields exact integer
 winding numbers without numerically integrating F'/F.  Windows are split
-until each sub-box holds at most one zero, then Newton polishing (with a
-Cauchy-circle derivative fallback) produces residual-certified zeros.
+until each sub-box holds at most one zero, then Newton polishing with the
+caller's derivative produces residual-certified zeros.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from ._gauss import cauchy_derivative
 
 __all__ = [
     "Window",
@@ -176,13 +174,9 @@ def winding_number(F, window: Window) -> int:
 def _newton(F, fprime, z0: complex, box: Window, tol: float):
     """Polish a zero from z0; returns (z, residual, iterations) or None."""
     z = complex(z0)
-    rho = min(1e-3, 0.25 * min(box.width, box.height))
     for it in range(1, _NEWTON_MAX_ITER + 1):
         fz = complex(np.asarray(F(np.array([z])), dtype=complex)[0])
-        if fprime is not None:
-            dfz = complex(fprime(z))
-        else:
-            dfz = cauchy_derivative(F, z, rho)
+        dfz = complex(fprime(z))
         if dfz == 0 or not np.isfinite(dfz) or not np.isfinite(fz):
             return None
         step = fz / dfz
@@ -208,17 +202,18 @@ def _split(window: Window, fraction: float = 0.5):
             Window(window.re_min, window.re_max, cut, window.im_max))
 
 
-def find_zeros(F, window: Window, tol: float = 1e-10, fprime=None,
+def find_zeros(F, window: Window, tol: float = 1e-10, *, fprime,
                f: float = 0.0) -> list[Resonance]:
     """All zeros of F in the window, each carried by a winding certificate.
 
     Sub-boxes are bisected until they isolate single zeros; Newton polishes
-    from the box center, falling back to further bisection when it escapes
-    its certified box.  The certificates of the returned zeros add up to
-    the winding number of the full window.  Zero clusters that cannot be
-    separated above ``max(50 tol, 1e-12 window.diameter)`` are reported as
-    a single record with winding > 1 and a nonzero cluster radius (their
-    residual may exceed ``tol``).
+    from the box center with ``fprime(z)``, F' at a scalar point, falling
+    back to further bisection when it escapes its certified box.  The
+    certificates of the returned zeros add up to the winding number of the
+    full window.  Zero clusters that cannot be separated above
+    ``max(50 tol, 1e-12 window.diameter)`` are reported as a single record
+    with winding > 1 and a nonzero cluster radius (their residual may
+    exceed ``tol``).
     """
     min_box = max(50.0 * tol, 1e-12 * window.diameter)
     total = winding_number(F, window)

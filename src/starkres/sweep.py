@@ -17,8 +17,7 @@ import numpy as np
 
 from .floquet import FloquetProblem, eigen_near
 from .formfactor import FormFactor
-from .resolvent import (QuadratureError, QuadratureSettings,
-                        ResolventEvaluator, SectorLimitError)
+from .resolvent import QuadratureError, ResolventEvaluator, SectorLimitError
 from .rootfind import BoundaryZeroError, Resonance, Window, find_zeros
 
 __all__ = [
@@ -34,6 +33,9 @@ __all__ = [
 # is a bug and propagates.
 _NUMERIC_ERRORS = (QuadratureError, BoundaryZeroError, SectorLimitError,
                    np.linalg.LinAlgError, RuntimeError)
+# radius of the disk around the tracked eigenvalue that the AC sweep
+# searches at each field value
+_DISK_RADIUS = 0.05
 
 
 @dataclass(frozen=True)
@@ -150,15 +152,13 @@ def _gate_radius(zs: list[complex]) -> float:
 
 
 def dc_sweep(phi: FormFactor, f_grid, window: Window, tol: float = 1e-9,
-             settings: QuadratureSettings | None = None,
              workers: int = 1) -> SweepResult:
     """Locate the resonance cloud per field value and test the
     instability predicates against the field-free resonance."""
     grid = _validate_grid(f_grid)
     if window.im_max > 0:
         raise ValueError("resonance search windows must lie in Im z <= 0")
-    settings = settings or QuadratureSettings()
-    ev0 = ResolventEvaluator(phi, 0.0, settings)
+    ev0 = ResolventEvaluator(phi, 0.0)
     ref_window = Window(window.re_min, window.re_max,
                         min(window.im_min, -1e-3), -1e-4)
     ref_zeros = find_zeros(ev0.F_value, ref_window, tol=1e-11,
@@ -168,7 +168,7 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window, tol: float = 1e-9,
     reference = min(ref_zeros, key=lambda r: abs(r.z - 1.0)).z
 
     def zeros_at(f: float):
-        ev = ResolventEvaluator(phi, f, settings)
+        ev = ResolventEvaluator(phi, f)
         return find_zeros(ev.F_value, window, tol=tol,
                           fprime=ev.F_derivative, f=f)
 
@@ -215,8 +215,7 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window, tol: float = 1e-9,
 def ac_sweep(phi: FormFactor, f_grid, omega: float = 1.0, theta: complex = 0.3j,
              target: complex | None = None, tol: float = 1e-9,
              n_fourier: int = 16, n_hermite: int = 80,
-             length_scale: float = 1.0, disk_radius: float = 0.05,
-             workers: int = 1) -> SweepResult:
+             length_scale: float = 1.0, workers: int = 1) -> SweepResult:
     """Track the Floquet resonance eigenvalue along the descending f grid.
 
     The trajectory starts at the f = 0 eigenvalue; distances are recorded
@@ -227,7 +226,7 @@ def ac_sweep(phi: FormFactor, f_grid, omega: float = 1.0, theta: complex = 0.3j,
     prob0 = FloquetProblem(phi, 0.0, omega, theta, n_fourier, n_hermite,
                            length_scale)
     seed = target if target is not None else 1.0 - 0.01j
-    pairs0 = eigen_near(prob0, seed, tol=tol, radius=disk_radius)
+    pairs0 = eigen_near(prob0, seed, tol=tol, radius=_DISK_RADIUS)
     if not pairs0:
         raise ValueError("no field-free Floquet eigenvalue near the target")
     lam0 = min(pairs0, key=lambda p: (p.sensitivity, abs(p.eigenvalue - seed)))
@@ -237,7 +236,7 @@ def ac_sweep(phi: FormFactor, f_grid, omega: float = 1.0, theta: complex = 0.3j,
         prob = FloquetProblem(phi, f, omega, theta, n_fourier, n_hermite,
                               length_scale)
         pairs = eigen_near(prob, lam0.eigenvalue, tol=tol,
-                           radius=disk_radius)
+                           radius=_DISK_RADIUS)
         return pairs[0] if pairs else None
 
     results = _per_field(nearest_at, grid, workers)

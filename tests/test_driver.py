@@ -208,6 +208,20 @@ def test_plot_missing_csv_is_config_error(tmp_path):
     assert main(["plot", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("lines, named", [
+    (["f,re_z", "0.05,1.0"], "im_z"),
+    (["f,re_z,im_z", "0.05,1.0,-0.03", "0.02,1.01"], ":3:"),
+], ids=("missing-column", "short-row"))
+def test_plot_malformed_csv_is_config_error(tmp_path, capsys, lines, named):
+    src = tmp_path / "bad.csv"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "figs"
+    assert main(["plot", "--csv", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and named in err
+    assert not (out / "failure.log").exists()
+
+
 def test_svg_scatter_degenerate_inputs(tmp_path):
     svg_scatter(tmp_path / "e.svg", [], "x", "y", "empty")
     svg_scatter(tmp_path / "one.svg", [(1.0, 2.0)], "x", "y", "single")
@@ -226,10 +240,20 @@ def test_cli_entry_point_runs():
 def test_threads_env_cap(monkeypatch):
     monkeypatch.setenv("STARKRES_THREADS", "3")
     assert RunConfig(mode="dc").workers() == 3
-    monkeypatch.setenv("STARKRES_THREADS", "bogus")
-    assert RunConfig(mode="dc").workers() == 1
+    for bad in ("bogus", "0", "-2"):
+        monkeypatch.setenv("STARKRES_THREADS", bad)
+        with pytest.raises(ValueError, match="STARKRES_THREADS"):
+            RunConfig(mode="dc").workers()
     monkeypatch.delenv("STARKRES_THREADS")
     assert RunConfig(mode="dc").workers() == 1
+
+
+def test_bad_threads_env_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STARKRES_THREADS", "0")
+    out = tmp_path / "x"
+    assert main(["dc", "--f", "0", "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (out / "failure.log").exists()
 
 
 def test_numeric_failure_exit_code(tmp_path):
@@ -247,7 +271,7 @@ def test_sweep_failed_fields_exit_code(tmp_path, monkeypatch):
     from starkres import QuadratureError, sweep
     real = sweep.find_zeros
 
-    def find_zeros(F, window, tol=1e-10, fprime=None, f=0.0):
+    def find_zeros(F, window, tol=1e-10, *, fprime, f=0.0):
         if f > 0:
             raise QuadratureError("no convergence", 1e-3)
         return real(F, window, tol=tol, fprime=fprime, f=f)

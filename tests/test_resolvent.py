@@ -7,7 +7,6 @@ from conftest import R0
 from starkres import (
     CutProximityError,
     FormFactor,
-    QuadratureSettings,
     ResolventEvaluator,
     erfc_closed_form,
     erfc_free_element,
@@ -203,8 +202,6 @@ def test_stark_gamma_sector_validation(coupling):
     from starkres import SectorLimitError
     with pytest.raises(SectorLimitError):
         ev.stark_time_ray(1 - 0.01j, gamma=1.2)
-    with pytest.raises(ValueError):
-        QuadratureSettings(gamma=2.0)
 
 
 def test_stark_morera_small_square(coupling):
@@ -232,16 +229,22 @@ def test_stark_entire_no_jump_across_axis(coupling):
     assert abs(up - dn) < 1e-7
 
 
-@pytest.mark.parametrize("f", (0.05, 0.005))
+@pytest.mark.parametrize("f", (0.5, 0.05, 0.005))
 @pytest.mark.parametrize("mixed", (False, True), ids=("reference", "mixed"))
 def test_stark_F_derivative_matches_cauchy_ring(coupling, f, mixed):
-    # translation-covariance F' against the ring on window points, for the
-    # reference Gaussian and a complex coupling without parity
+    # analytic F' against the ring, for the reference Gaussian and a
+    # complex coupling without parity: translation covariance on window
+    # points, and at f = 0.5 the time-ray derivative on points above the
+    # axis that the growth guard keeps off the Airy route
     phi = FormFactor((Term(0.1 + 0.03j, 0, 1.0, 0.0),
                       Term(0.05 - 0.02j, 1, 1.3 + 0.1j, 0.0),
                       Term(0.02j, 2, 0.9, 0.1))) if mixed else coupling
     ev = ResolventEvaluator(phi, f)
-    for z in (1.0 - 0.01j, 0.93 - 0.04j, 1.08 - 0.002j):
+    window = [1.0 - 0.01j, 0.93 - 0.04j, 1.08 - 0.002j]
+    ray = [1.0 + 0.02j, 0.8 + 0.3j] if f == 0.5 else []
+    assert ev._airy_safe(np.array(window)).all()
+    assert not ev._airy_safe(np.array(ray, dtype=complex)).any()
+    for z in window + ray:
         ring = cauchy_derivative(ev.F_value, z, 1e-3)
         assert abs(ev.F_derivative(z) - ring) <= 1e-10 * abs(ring)
 
@@ -257,10 +260,10 @@ def test_stark_F_derivative_needs_no_F_values(coupling, monkeypatch):
     monkeypatch.setattr(ResolventEvaluator, "F_value", counting)
     ResolventEvaluator(coupling, 0.01).F_derivative(1.0 - 0.01j)
     assert calls == []
-    # a point above the axis that the growth guard sends to the time ray
-    # still takes the ring
+    # nor at a point above the axis that the growth guard sends to the
+    # time ray
     ResolventEvaluator(coupling, 0.5).F_derivative(1.0 + 0.02j)
-    assert calls == [QuadratureSettings().derivative_nodes]
+    assert calls == []
 
 
 def test_stark_F_derivative_zero_coupling():

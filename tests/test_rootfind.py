@@ -20,6 +20,11 @@ def poly_from_roots(roots):
     return F
 
 
+def poly_derivative(roots):
+    dp = np.polyder(np.poly(roots))
+    return lambda z: np.polyval(dp, z)
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         Window(1.0, 0.5, -1.0, -0.1)
@@ -59,7 +64,7 @@ def test_winding_random_cubics(rng):
 def test_find_zeros_polynomial():
     roots = [1 - 0.5j, 2 - 0.25j, 1.5 - 1j]
     out = find_zeros(poly_from_roots(roots), Window(0.5, 2.5, -1.5, -0.1),
-                     tol=1e-12)
+                     tol=1e-12, fprime=poly_derivative(roots))
     assert len(out) == 3
     for r, expect in zip(out, sorted(roots, key=lambda z: z.real)):
         assert abs(r.z - expect) < 1e-10
@@ -67,11 +72,17 @@ def test_find_zeros_polynomial():
         assert r.residual < 1e-12
 
 
+def test_find_zeros_requires_fprime():
+    with pytest.raises(TypeError):
+        find_zeros(poly_from_roots([1 - 0.5j]), Window(0.5, 1.5, -1.0, -0.1))
+
+
 def test_find_zeros_on_split_line():
     # a zero exactly on the midline of the window must not be lost or
     # double counted by the subdivision
     roots = [1.5 - 1.0j, 1 - 0.5j, 2 - 0.25j]
-    out = find_zeros(poly_from_roots(roots), Window(0.5, 2.5, -1.5, -0.1))
+    out = find_zeros(poly_from_roots(roots), Window(0.5, 2.5, -1.5, -0.1),
+                     fprime=poly_derivative(roots))
     assert len(out) == 3
     assert sum(r.winding for r in out) == 3
 
@@ -89,7 +100,8 @@ def test_find_zeros_reference(coupling):
 def test_find_zeros_empty_window(coupling):
     from starkres import FormFactor
     ev = ResolventEvaluator(FormFactor.zero(), 0.0)
-    out = find_zeros(ev.F_value, Window(1.5, 2.0, -0.5, -0.01))
+    out = find_zeros(ev.F_value, Window(1.5, 2.0, -0.5, -0.01),
+                     fprime=ev.F_derivative)
     assert out == []
 
 
@@ -114,7 +126,8 @@ def test_find_zeros_against_grid_scan(coupling):
 
 def test_double_zero_reported_with_multiplicity():
     F = lambda z: (np.asarray(z, dtype=complex) - (1.2 - 0.6j)) ** 2
-    out = find_zeros(F, Window(1.0, 1.4, -0.8, -0.4), tol=1e-10)
+    out = find_zeros(F, Window(1.0, 1.4, -0.8, -0.4), tol=1e-10,
+                     fprime=poly_derivative([1.2 - 0.6j, 1.2 - 0.6j]))
     assert sum(r.winding for r in out) == 2
     assert all(abs(r.z - (1.2 - 0.6j)) < 1e-6 for r in out)
 
@@ -159,7 +172,8 @@ def test_determinism(coupling):
 def test_axis_guard_flags_shallow_zeros():
     z0 = 1.0 - 5e-9j
     F = lambda z: np.asarray(z, dtype=complex) - z0
-    out = find_zeros(F, Window(0.5, 1.5, -0.4, -1e-12), tol=1e-9)
+    out = find_zeros(F, Window(0.5, 1.5, -0.4, -1e-12), tol=1e-9,
+                     fprime=poly_derivative([z0]))
     assert len(out) == 1
     assert out[0].axis_ambiguous
 

@@ -75,7 +75,7 @@ def _fail_above_zero_field(monkeypatch, exc):
     search still runs."""
     real = sweep.find_zeros
 
-    def find_zeros(F, window, tol=1e-10, fprime=None, f=0.0):
+    def find_zeros(F, window, tol=1e-10, *, fprime, f=0.0):
         if f > 0:
             raise exc
         return real(F, window, tol=tol, fprime=fprime, f=f)
