@@ -368,11 +368,10 @@ def _run_ac(config: RunConfig, out: Path) -> tuple[str, ...]:
                       n_hermite=config.n_hermite,
                       length_scale=config.length_scale,
                       workers=config.workers())
-    rows = []
     traj = result.trajectories[0]
-    for p, s in zip(traj, result.sensitivities[1:] + result.sensitivities[:1]):
-        rows.append([p.f, config.omega, config.im_theta, config.n_fourier,
-                     config.n_hermite, p.z.real, p.z.imag, p.residual, s])
+    rows = [[p.f, config.omega, config.im_theta, config.n_fourier,
+             config.n_hermite, p.z.real, p.z.imag, p.residual, s]
+            for p, s in zip(traj, result.sensitivities)]
     write_csv(out / "eigenvalues.csv",
               ["f", "omega", "im_theta", "N", "J", "re_lambda", "im_lambda",
                "residual", "sensitivity"], rows)

@@ -9,7 +9,7 @@ continuum strings and uncovers the resonance eigenvalues near the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -55,10 +55,8 @@ def momentum_squared_matrix(n_max: int, length_scale: float = 1.0
     second off-diagonals -sqrt((j+1)(j+2))/(2 ell^2)."""
     j = np.arange(n_max + 1, dtype=float)
     M = np.diag((j + 0.5).astype(complex))
-    for i in range(n_max - 1):
-        v = -math.sqrt((i + 1) * (i + 2)) / 2.0
-        M[i, i + 2] = v
-        M[i + 2, i] = v
+    i = np.arange(n_max - 1)
+    M[i, i + 2] = M[i + 2, i] = -np.sqrt((i + 1) * (i + 2)) / 2.0
     return M / length_scale**2
 
 
@@ -86,14 +84,13 @@ class FloquetProblem:
             raise ValueError("resonance uncovering requires Im theta > 0")
         if self.n_fourier < 1 or self.n_hermite < 2:
             raise ValueError("cutoffs too small")
-        dim = (2 * self.n_fourier + 1) * (self.n_hermite + 2)
-        if dim > 40000:
-            raise ValueError(f"matrix dimension {dim} exceeds the dense-LU guard")
+        if self.dimension > 40000:
+            raise ValueError(f"matrix dimension {self.dimension} exceeds "
+                             "the dense-LU guard")
 
     @property
     def dimension(self) -> int:
-        return (2 * self.n_fourier + 1) * (self.n_hermite + 1) + (
-            2 * self.n_fourier + 1)
+        return (2 * self.n_fourier + 1) * (self.n_hermite + 2)
 
     @property
     def period(self) -> float:
@@ -122,74 +119,61 @@ class FloquetProblem:
         x, w, _ = panel_nodes(-L, L, n_pan, 16)
         return x, w
 
-    def _coupling_timeline(self, conjugate: bool) -> np.ndarray:
-        """Hermite overlap vectors of the dilated, gauge-boosted coupling
-        on the period t-grid; shape (M, J+1)."""
+    def _coupling_modes(self, conjugate: bool) -> np.ndarray:
+        """Fourier modes over the drive period of the Hermite overlaps of
+        the dilated, gauge-boosted coupling, shape (M, J+1) with row d
+        holding mode d mod M; at f = 0 only mode 0 is nonzero."""
         x, w = self._x_grid
         H = hermite_functions(self.n_hermite, x, self.length_scale)
         Hw = H * w[None, :]
         M = _T_SAMPLES_PER_MODE * self.n_fourier
         base = self.phi.conj_position() if conjugate else self.phi
+        modes = np.zeros((M, self.n_hermite + 1), dtype=complex)
         if self.f == 0.0:
-            g = dilate(base, self.theta)(x)
-            return np.tile(Hw @ g, (M, 1))
-        out = np.empty((M, self.n_hermite + 1), dtype=complex)
+            modes[0] = Hw @ dilate(base, self.theta)(x)
+            return modes
+        sign = -1.0 if conjugate else 1.0
         for k in range(M):
             t = k * self.period / M
             a = 2.0 * self.f * math.sin(self.omega * t) / self.omega**2
             b = -self.f * math.cos(self.omega * t) / self.omega
-            if conjugate:
-                boosted = translate_modulate(base, a, -b, -a * b)
-            else:
-                boosted = translate_modulate(base, a, b, a * b)
-            out[k] = Hw @ dilate(boosted, self.theta)(x)
-        return out
+            boosted = translate_modulate(base, a, sign * b, sign * a * b)
+            modes[k] = Hw @ dilate(boosted, self.theta)(x)
+        return np.fft.fft(modes, axis=0) / M
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense truncation of K(f, theta); see the class docstring for the
-        block layout.  At f = 0 the matrix is exactly block diagonal over
-        the Fourier index."""
-        N, J = self.n_fourier, self.n_hermite
-        w = self.omega
-        dim = self.dimension
-        K = np.zeros((dim, dim), dtype=complex)
+        """Dense truncation of K(f, theta): the Kronecker-sum field sector
+        I (x) e^{-2 theta} p^2 + T (x) I, bordered by coupling blocks that
+        are Toeplitz in the Fourier index.  The row border holds the dilated
+        conjugate coupling (analytic continuation, not the conjugate of the
+        column).  At f = 0 the matrix is exactly block diagonal over the
+        Fourier index."""
+        N, J, w = self.n_fourier, self.n_hermite, self.omega
+        nb, nh = 2 * N + 1, J + 1
+        nf = nb * nh
+        K = np.zeros((self.dimension,) * 2, dtype=complex)
+        # reshapes that only split axes are views into K: the field sector
+        # as (n, j, m, k), the column border as (n, j, m), the row border
+        # as (n, m, j)
+        field = K[:nf, :nf].reshape(nb, nh, nb, nh)
+        col = K[:nf, nf:].reshape(nb, nh, nb)
+        row = K[nf:, :nf].reshape(nb, nb, nh)
+        n = np.arange(-N, N + 1)
+        i = np.arange(nb)
+        eye = np.eye(nh)
         p2 = np.exp(-2.0 * self.theta) * momentum_squared_matrix(
             J, self.length_scale)
         shift = self.f**2 / (2.0 * w**2)
         ridge = self.f**2 / (4.0 * w**2)
-        for n in range(-N, N + 1):
-            lo = self.index_field(n, 0)
-            hi = lo + J + 1
-            K[lo:hi, lo:hi] = p2
-            K[lo:hi, lo:hi] += (n * w + shift) * np.eye(J + 1)
-            for m in (n - 2, n + 2):
-                if -N <= m <= N and ridge != 0.0:
-                    lo2 = self.index_field(m, 0)
-                    K[lo:hi, lo2:lo2 + J + 1] += ridge * np.eye(J + 1)
-            K[self.index_discrete(n), self.index_discrete(n)] = 1.0 + n * w
-
-        # coupling Fourier coefficients; the row sector uses the dilated
-        # conjugate coupling (analytic continuation, not the conjugate of
-        # the column entries)
-        col_t = self._coupling_timeline(conjugate=False)
-        row_t = self._coupling_timeline(conjugate=True)
-        M = col_t.shape[0]
-        if self.f == 0.0:
-            col_c = np.zeros((M, J + 1), dtype=complex)
-            row_c = np.zeros((M, J + 1), dtype=complex)
-            col_c[0] = col_t[0]
-            row_c[0] = row_t[0]
-        else:
-            col_c = np.fft.fft(col_t, axis=0) / M
-            row_c = np.fft.fft(row_t, axis=0) / M
-        for n in range(-N, N + 1):
-            lo_n = self.index_field(n, 0)
-            for m in range(-N, N + 1):
-                d = (n - m) % M
-                K[lo_n:lo_n + J + 1, self.index_discrete(m)] += col_c[d]
-                lo_m = self.index_field(m, 0)
-                K[self.index_discrete(n), lo_m:lo_m + J + 1] += row_c[d]
+        field[i, :, i, :] = p2 + (n * w + shift)[:, None, None] * eye
+        field[i[:-2], :, i[2:], :] += ridge * eye
+        field[i[2:], :, i[:-2], :] += ridge * eye
+        K[nf + i, nf + i] = 1.0 + n * w
+        col_modes = self._coupling_modes(conjugate=False)
+        d = (n[:, None] - n[None, :]) % col_modes.shape[0]
+        col += col_modes[d].transpose(0, 2, 1)
+        row += self._coupling_modes(conjugate=True)[d]
         return K
 
 
@@ -201,8 +185,9 @@ class FloquetEigenpair:
     sensitivity: float
 
 
-def _arnoldi_candidates(lu, dim: int, target: complex, m: int) -> np.ndarray:
+def _arnoldi_candidates(lu, target: complex, m: int) -> np.ndarray:
     """Ritz values of the shift-inverted operator from a fixed start."""
+    dim = lu[0].shape[0]
     v0 = np.ones(dim, dtype=complex) + 1e-3 * np.arange(dim) / dim
     v0 /= np.linalg.norm(v0)
     V = np.zeros((dim, m + 1), dtype=complex)
@@ -239,21 +224,14 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
     sensitivity while true resonances are stable.
     """
     K = problem.matrix
-    dim = K.shape[0]
-    lam_list = _solve_near(K, dim, target, tol, radius)
+    lam_list = _solve_near(K, target, tol, radius)
     sens = {}
     if with_sensitivity and lam_list:
-        bigger = FloquetProblem(
-            problem.phi, problem.f, problem.omega, problem.theta,
-            problem.n_fourier + 4, problem.n_hermite + 16,
-            problem.length_scale)
-        Kb = bigger.matrix
-        lam_big = _solve_near(Kb, Kb.shape[0], target, tol, 1.5 * radius)
-        for lam, _vec in lam_list:
-            if lam_big:
-                sens[lam] = min(abs(lam - lb) for lb, _ in lam_big)
-            else:
-                sens[lam] = math.inf
+        bigger = replace(problem, n_fourier=problem.n_fourier + 4,
+                         n_hermite=problem.n_hermite + 16)
+        lam_big = _solve_near(bigger.matrix, target, tol, 1.5 * radius)
+        sens = {lam: min((abs(lam - lb) for lb, _ in lam_big),
+                         default=math.inf) for lam, _ in lam_list}
     out = []
     N, J = problem.n_fourier, problem.n_hermite
     for lam, vec in lam_list:
@@ -271,9 +249,12 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
     return out
 
 
-def _lu_nonsingular(A: np.ndarray):
-    """lu_factor that raises on an exact zero pivot (scipy only warns)."""
-    lu = lu_factor(A)
+def _lu_shifted(K: np.ndarray, sigma: complex):
+    """LU factors of K - sigma I, raising on an exact zero pivot (scipy
+    only warns); they overwrite one Fortran-ordered copy of K."""
+    A = K.copy(order="F")
+    A.flat[::A.shape[0] + 1] -= sigma
+    lu = lu_factor(A, overwrite_a=True)
     zero = np.flatnonzero(np.diagonal(lu[0]) == 0)
     if zero.size:
         raise np.linalg.LinAlgError(
@@ -281,11 +262,10 @@ def _lu_nonsingular(A: np.ndarray):
     return lu
 
 
-def _solve_near(K: np.ndarray, dim: int, target: complex, tol: float,
-                radius: float):
+def _solve_near(K: np.ndarray, target: complex, tol: float, radius: float):
     target = complex(target)
-    lu = _lu_nonsingular(K - target * np.eye(dim))
-    cands = _arnoldi_candidates(lu, dim, target, min(_KRYLOV_DIM, dim - 2))
+    lu = _lu_shifted(K, target)
+    cands = _arnoldi_candidates(lu, target, min(_KRYLOV_DIM, K.shape[0] - 2))
     cands = cands[np.abs(cands - target) <= radius]
     # deterministic ordering, dedup clustered Ritz values
     cands = sorted(cands, key=lambda z: (abs(z - target), z.real, z.imag))
@@ -293,7 +273,7 @@ def _solve_near(K: np.ndarray, dim: int, target: complex, tol: float,
     for lam0 in cands:
         if any(abs(lam0 - lam) < 1e-8 for lam, _ in found):
             continue
-        lam, vec = _inverse_iterate(K, dim, lam0, tol)
+        lam, vec = _inverse_iterate(K, lam0, tol)
         if abs(lam - target) > radius:
             continue
         if any(abs(lam - l2) < 1e-8 for l2, _ in found):
@@ -303,12 +283,13 @@ def _solve_near(K: np.ndarray, dim: int, target: complex, tol: float,
     return found
 
 
-def _inverse_iterate(K: np.ndarray, dim: int, lam0: complex, tol: float):
+def _inverse_iterate(K: np.ndarray, lam0: complex, tol: float):
     """Polish a candidate to a residual below tol, or raise LinAlgError."""
     lam = complex(lam0)
+    dim = K.shape[0]
     v = np.ones(dim, dtype=complex) / math.sqrt(dim)
     for _ in range(_INVERSE_ITERATIONS):
-        lu = _lu_nonsingular(K - lam * np.eye(dim))
+        lu = _lu_shifted(K, lam)
         for _ in range(2):
             v = lu_solve(lu, v)
             v /= np.linalg.norm(v)

@@ -64,6 +64,8 @@ QUADRATURE = MappingProxyType({
 # relative distance to the branch cut (-inf, 0] below which f = 0
 # evaluation is refused
 _CUT_MARGIN = 1e-8
+# points evaluated together; bounds the (points x nodes) work arrays
+_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,10 @@ class ResolventEvaluator:
         z_in = np.asarray(z, dtype=complex)
         zf = np.atleast_1d(z_in).ravel()
         self._check_off_cut(zf)
+        return _restore_shape(_in_batches(self._free_batch, zf), z_in)
+
+    def _free_batch(self, zf: np.ndarray) -> np.ndarray:
+        """:meth:`free_continued` at each point of the flat array zf."""
         rz = np.sqrt(zf)
         K = max(self._k_cutoff, 1.3 * float(np.max(np.abs(rz))))
         G = self._G
@@ -197,8 +203,7 @@ class ResolventEvaluator:
         w0 = (K - rz) / (K + rz)
         tail = c * np.log(w0) / rz
         pole = 1j * np.pi * (Gp + Gm) / (2.0 * rz)
-        out = val + tail + pole
-        return _restore_shape(out, z_in)
+        return val + tail + pole
 
     # ------------------------------------------------------------------
     # f > 0: propagator time representation (secondary route)
@@ -324,7 +329,7 @@ class ResolventEvaluator:
         right = np.where(zeta.real > 0,
                          (2.0 / 3.0) * np.real(zeta**1.5), 0.0)
         growth = np.max(np.maximum(osc, right), axis=1)
-        return np.where(zf.imag > 0.0, growth < 12.0, growth < 660.0)
+        return np.where(zf.imag > 0.0, growth < 3.0, growth < 660.0)
 
     def _stark_airy_batch(self, zf: np.ndarray,
                           derivative: bool = False) -> np.ndarray:
@@ -366,29 +371,25 @@ class ResolventEvaluator:
         inner = pair(dphi_l, P, Q) + pair(phi_l, dP, dQ)
         return np.pi * f ** (-4.0 / 3.0) * inner
 
-    def _stark(self, zf: np.ndarray, derivative: bool = False) -> np.ndarray:
+    def _stark(self, zc: np.ndarray, derivative: bool = False) -> np.ndarray:
         """r(z), or r'(z) when ``derivative``, at each point of the flat
-        array zf, routed by the growth guard: the Airy kernel where
+        array zc, routed by the growth guard: the Airy kernel where
         :meth:`_airy_safe` allows it, else the time ray above the axis.
         Below the axis no route keeps double precision, so it raises."""
-        out = np.empty_like(zf)
-        chunk = 128
-        for i in range(0, zf.size, chunk):
-            zc = zf[i:i + chunk]
-            res = out[i:i + chunk]          # a view: writes land in out
-            safe = self._airy_safe(zc)
-            if np.any(safe):
-                res[safe] = self._stark_airy_batch(zc[safe], derivative)
-            for j in np.nonzero(~safe)[0]:
-                zj = complex(zc[j])
-                if zj.imag <= 0.0:
-                    raise QuadratureError(
-                        "matrix element exceeds double-precision range at "
-                        f"z={zj} for f={self.f}", math.inf)
-                g = min(QUADRATURE["gamma"],
-                        0.25 * math.atan2(zj.imag, abs(zj.real) + 1.0))
-                res[j] = self.stark_time_ray(zj, max(g, 1e-6), derivative)
-        return out
+        res = np.empty_like(zc)
+        safe = self._airy_safe(zc)
+        if np.any(safe):
+            res[safe] = self._stark_airy_batch(zc[safe], derivative)
+        for j in np.nonzero(~safe)[0]:
+            zj = complex(zc[j])
+            if zj.imag <= 0.0:
+                raise QuadratureError(
+                    "matrix element exceeds double-precision range at "
+                    f"z={zj} for f={self.f}", math.inf)
+            g = min(QUADRATURE["gamma"],
+                    0.25 * math.atan2(zj.imag, abs(zj.real) + 1.0))
+            res[j] = self.stark_time_ray(zj, max(g, 1e-6), derivative)
+        return res
 
     def stark_matrix_element(self, z):
         """Entire continuation of (phi, (p^2 + f x - z)^{-1} phi) for f > 0.
@@ -400,7 +401,8 @@ class ResolventEvaluator:
         if self.f <= 0:
             raise ValueError("stark_matrix_element requires f > 0")
         z_in = np.asarray(z, dtype=complex)
-        return _restore_shape(self._stark(np.atleast_1d(z_in).ravel()), z_in)
+        zf = np.atleast_1d(z_in).ravel()
+        return _restore_shape(_in_batches(self._stark, zf), z_in)
 
     # ------------------------------------------------------------------
     # F and its derivative
@@ -473,6 +475,15 @@ class ResolventEvaluator:
 
 
 # ----------------------------------------------------------------------
+
+
+def _in_batches(body, zf: np.ndarray, *args) -> np.ndarray:
+    """body(zc, *args) on consecutive _BATCH-point slices zc of the flat
+    array zf, gathered in order."""
+    out = np.empty_like(zf)
+    for i in range(0, zf.size, _BATCH):
+        out[i:i + _BATCH] = body(zf[i:i + _BATCH], *args)
+    return out
 
 
 def _restore_shape(flat: np.ndarray, like: np.ndarray):

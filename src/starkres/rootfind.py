@@ -150,21 +150,25 @@ def _phase_winding(F, to_point) -> int:
     raise BoundaryZeroError("phase refinement exceeded its depth limit")
 
 
-def winding_number(F, window: Window) -> int:
-    """Exact zero count (with multiplicity) of F inside the window.
-
-    Boundary-zero suspicion triggers up to three deterministic outward
-    jitters of the window before failing.
-    """
+def _counted_window(F, window: Window) -> tuple[Window, int]:
+    """The window the zero count of F was taken on, and that count: the
+    window itself or, on boundary-zero suspicion, the first of up to three
+    deterministic outward jitters of it whose contour gives a count."""
     last: Exception | None = None
-    for attempt, factor in enumerate((0.0,) + _JITTER):
+    for factor in (0.0,) + _JITTER:
         w = window if factor == 0.0 else window.expanded(factor)
         try:
-            return _phase_winding(F, _rect_param(w))
+            return w, _phase_winding(F, _rect_param(w))
         except BoundaryZeroError as exc:
             last = exc
     raise BoundaryZeroError(
         f"winding failed after jitter retries: {last}")
+
+
+def winding_number(F, window: Window) -> int:
+    """Exact zero count (with multiplicity) of F inside the window, or in
+    a slightly jittered one when a zero seems to sit on the contour."""
+    return _counted_window(F, window)[1]
 
 
 # ----------------------------------------------------------------------
@@ -210,15 +214,16 @@ def find_zeros(F, window: Window, tol: float = 1e-10, *, fprime,
     from the box center with ``fprime(z)``, F' at a scalar point, falling
     back to further bisection when it escapes its certified box.  The
     certificates of the returned zeros add up to the winding number of the
-    full window.  Zero clusters that cannot be separated above
-    ``max(50 tol, 1e-12 window.diameter)`` are reported as a single record
-    with winding > 1 and a nonzero cluster radius (their residual may
-    exceed ``tol``).
+    full window; when a zero seems to sit on its contour, that is a window
+    jittered slightly outward, and it is the one subdivided.  Zero clusters
+    that cannot be separated above ``max(50 tol, 1e-12 window.diameter)``
+    are reported as a single record with winding > 1 and a nonzero cluster
+    radius (their residual may exceed ``tol``).
     """
     min_box = max(50.0 * tol, 1e-12 * window.diameter)
-    total = winding_number(F, window)
+    counted, total = _counted_window(F, window)
     found: list[Resonance] = []
-    stack: list[tuple[Window, int]] = [(window, total)]
+    stack: list[tuple[Window, int]] = [(counted, total)]
     while stack:
         box, wind = stack.pop()
         if wind == 0:

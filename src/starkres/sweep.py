@@ -60,7 +60,7 @@ class SweepResult:
     c0_largest_f: float
     flags: dict[str, bool] = field(default_factory=dict)
     errors: tuple[str, ...] = ()
-    sensitivities: tuple[float, ...] = ()
+    sensitivities: tuple[float, ...] = ()   # ac: aligned with trajectories[0]
 
     def all_points(self) -> list[tuple[float, Resonance]]:
         out = []
@@ -269,7 +269,7 @@ def ac_sweep(phi: FormFactor, f_grid, omega: float = 1.0, theta: complex = 0.3j,
     }
     max_im = tuple(abs(g[0].z.imag) if g else 0.0 for g in groups)
     min_d = tuple(abs(g[0].z - reference) if g else math.inf for g in groups)
-    # the field-free limit point closes the trajectory
+    # the field-free limit point closes the trajectory and its sensitivities
     ordered = tuple(traj[1:] + traj[:1])
     return SweepResult(
         mode="ac", f_grid=grid, resonances=tuple(groups), reference=reference,
@@ -279,4 +279,4 @@ def ac_sweep(phi: FormFactor, f_grid, omega: float = 1.0, theta: complex = 0.3j,
         scatter_re=tuple(0.0 for _ in groups),
         c0_envelope=0.0, c0_largest_f=0.0,
         flags=flags, errors=errors,
-        sensitivities=tuple(sens))
+        sensitivities=tuple(sens[1:] + sens[:1]))

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import subprocess
 import sys
@@ -332,3 +333,11 @@ def test_ac_subcommand_small(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "ac_stable" in manifest["results"]["flags"]
     assert (out / "ac_trajectory.svg").exists()
+    # the manifest lists trajectory and sensitivities in the CSV row order,
+    # with the f = 0 limit last
+    with open(out / "eigenvalues.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    results = manifest["results"]
+    assert [float(r["f"]) for r in rows] == [p[0] for p in results["trajectory"]]
+    assert results["trajectory"][-1][0] == 0.0
+    assert [float(r["sensitivity"]) for r in rows] == results["sensitivities"]

@@ -80,6 +80,28 @@ def test_f_zero_block_diagonal_exact(coupling):
                             lo_m:lo_m + J + 1] == 0)
 
 
+def test_field_sector_blocks_with_field(coupling):
+    # the field sector is I (x) e^{-2 theta} p^2 + T (x) I: T has
+    # n w + f^2/2w^2 on its diagonal and f^2/4w^2 two modes off it
+    f, om, th, N, J = 0.2, 1.3, 0.25j, 3, 8
+    prob = FloquetProblem(coupling, f, om, th, n_fourier=N, n_hermite=J)
+    K = prob.matrix
+    p2 = np.exp(-2.0 * th) * momentum_squared_matrix(J)
+    eye = np.eye(J + 1)
+    for n in range(-N, N + 1):
+        lo_n = prob.index_field(n, 0)
+        for m in range(-N, N + 1):
+            lo_m = prob.index_field(m, 0)
+            block = K[lo_n:lo_n + J + 1, lo_m:lo_m + J + 1]
+            if n == m:
+                want = p2 + (n * om + f**2 / (2.0 * om**2)) * eye
+                assert np.allclose(block, want, rtol=0.0, atol=1e-14)
+            elif abs(n - m) == 2:
+                assert np.array_equal(block, f**2 / (4.0 * om**2) * eye)
+            else:
+                assert np.all(block == 0)
+
+
 def test_discrete_sector_diagonal(small_problem):
     K = small_problem.matrix
     for n in range(-3, 4):
@@ -217,7 +239,7 @@ def test_zero_pivot_raises():
     K = np.diag(np.arange(1.0, 9.0) + 0.5j)
     with pytest.warns(Warning), pytest.raises(np.linalg.LinAlgError,
                                               match="zero pivot"):
-        _solve_near(K, 8, K[3, 3], 1e-10, 0.1)
+        _solve_near(K, K[3, 3], 1e-10, 0.1)
     with pytest.warns(Warning), pytest.raises(np.linalg.LinAlgError,
                                               match="zero pivot"):
-        _inverse_iterate(K, 8, K[5, 5], 1e-10)
+        _inverse_iterate(K, K[5, 5], 1e-10)

@@ -117,6 +117,23 @@ def test_free_matches_erfc_F_on_grid(ev0):
             assert abs(complex(ev0.F_value(z)) - erfc_closed_form(z)) < 1e-10
 
 
+def test_free_continued_evaluates_in_bounded_batches(ev0, monkeypatch):
+    # the (points x nodes) work arrays stay bounded however many points
+    # one call brings
+    sizes = []
+    batch = ResolventEvaluator._free_batch
+
+    def counting(self, zf):
+        sizes.append(zf.size)
+        return batch(self, zf)
+
+    z = np.linspace(0.9, 1.1, 300) - 0.02j
+    whole = ev0.free_continued(z)
+    monkeypatch.setattr(ResolventEvaluator, "_free_batch", counting)
+    assert np.array_equal(ev0.free_continued(z), whole)
+    assert sizes == [128, 128, 44]
+
+
 def test_cut_proximity_rejected(ev0):
     with pytest.raises(CutProximityError):
         ev0.free_continued(-0.5 + 1e-12j)
@@ -177,6 +194,21 @@ def test_stark_matches_time_ray_below_axis(coupling):
     for z in (1 - 0.01j, 0.95 - 0.03j, 1.1 - 0.005j):
         assert abs(complex(ev.stark_matrix_element(z))
                    - ev.stark_time_ray(z)) < 1e-10
+
+
+@pytest.mark.parametrize("f, z", [
+    (0.05, 0.8 + 0.3j), (0.05, 1.0 + 0.3j), (0.05, 1.2 + 0.3j),
+    (0.05, 0.7 + 0.5j), (0.01, 1.0 + 0.1j), (0.2, 0.7 + 1.1j),
+    # points above the axis that stay on the Airy route
+    (0.05, 1.0 + 0.1j), (0.01, 1.0 + 0.02j),
+])
+def test_stark_matches_time_ray_above_axis(coupling, f, z):
+    # above the axis the element stays small while the Airy factors grow,
+    # so the routed value must keep the accuracy of the time ray; a
+    # shallow ray stays accurate down to f = 0.01
+    ev = ResolventEvaluator(coupling, f)
+    ray = ev.stark_time_ray(z, math.pi / 48)
+    assert abs(complex(ev.stark_matrix_element(z)) - ray) <= 1e-10 * abs(ray)
 
 
 def test_time_ray_contour_independence(coupling):

@@ -184,3 +184,19 @@ def test_winding_zero_on_boundary_jitters():
     F = poly_from_roots([1.0 - 0.5j])
     w = Window(0.5, 1.0, -1.0, -0.1)   # zero on the right edge
     assert winding_number(F, w) in (0, 1)
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-12, 1e-13])
+def test_find_zeros_subdivides_the_jittered_window(eps):
+    # a zero just outside the right edge makes the plain contour fail, so
+    # the count comes from an outward-jittered window; the subdivision
+    # must search that window, or it hunts for a zero that is not there
+    roots = [1.0 - 0.02j, 1.1 + eps - 0.0213j]
+    out = find_zeros(poly_from_roots(roots), Window(0.9, 1.1, -0.05, -1e-6),
+                     tol=1e-9, fprime=poly_derivative(roots))
+    assert len(out) == 2
+    for r, expect in zip(out, roots):
+        assert abs(r.z - expect) < 1e-10
+        assert r.winding == 1
+        assert r.cluster_radius == 0.0
+        assert r.residual < 1e-9
