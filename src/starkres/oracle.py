@@ -1,7 +1,7 @@
 """Independent brute-force references for the main numerical paths.
 
 Nothing here shares quadrature kernels with the evaluator module: the
-free-line element is integrated by scipy's adaptive QUADPACK, the Stark
+free-line element is integrated by scipy's adaptive quad_vec, the Stark
 element by explicit integrating-factor double quadrature, continuation by
 stepwise Taylor re-expansion, and the closed form by the complementary
 error function.  These paths are slow and transparent by design; their
@@ -11,14 +11,16 @@ only job is to certify the fast ones.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
 from .formfactor import FormFactor, conj_reflect
+from .resolvent import QuadratureError
 from .rootfind import Window
 
 __all__ = [
@@ -38,22 +40,29 @@ __all__ = [
 # direct momentum-space resolvent solves (Im z > 0)
 
 
-def _pair_element_upper(u: FormFactor, v: FormFactor, f: float, z: complex,
-                        tol: float = 1e-10) -> complex:
-    """(u, (p^2 + f x - z)^{-1} v) for Im z > 0 by explicit quadrature."""
-    z = complex(z)
-    if z.imag <= 0:
+def _pair_element_upper(u: FormFactor, v: FormFactor, f: float, z,
+                        tol: float = 1e-10):
+    """(u, (p^2 + f x - z)^{-1} v) for Im z > 0 by explicit quadrature.
+
+    At f = 0, z may be an array whose points share one quad_vec pass.
+    """
+    if np.any(np.imag(z) <= 0):
         raise ValueError("the direct solve requires Im z > 0")
     u_hat = conj_reflect(u).transform()   # equals conj(uhat) on the real axis
     v_hat = v.transform()
     K = max(u.width_extent(1e-18), v.width_extent(1e-18), 9.0)
     if f == 0.0:
-        def integrand(k):
-            return u_hat(k) * v_hat(k) / (k * k - z)
-        val, _ = quad(integrand, -K, K, complex_func=True,
-                      epsabs=1e-13, epsrel=tol, limit=400)
-        return val
+        zf = np.ravel(z)
+        val, err, info = quad_vec(
+            lambda k: u_hat(k) * v_hat(k) / (k * k - zf), -K, K,
+            epsabs=1e-13, epsrel=tol, limit=400, norm="max",
+            full_output=True)
+        if info.status != 0:
+            raise QuadratureError(
+                f"direct solve did not converge: {info.message}", float(err))
+        return complex(val[0]) if np.ndim(z) == 0 else val.reshape(np.shape(z))
 
+    z = complex(z)
     # u(k) from the integrating factor, as a truncated ray integral in
     # sigma with the Gauss panels sized to the local phase rate
     sig_max = 46.0 / z.imag
@@ -79,8 +88,8 @@ def _pair_element_upper(u: FormFactor, v: FormFactor, f: float, z: complex,
     return val
 
 
-def ode_resolvent_oracle(phi: FormFactor, f: float, z: complex,
-                         tol: float = 1e-10) -> complex:
+def ode_resolvent_oracle(phi: FormFactor, f: float, z,
+                         tol: float = 1e-10):
     """Reference (phi, R_f(z) phi) for Im z > 0 via the first-order
     momentum-space equation (k^2 + i f d/dk - z) u = phihat solved by its
     integrating factor."""
@@ -130,18 +139,19 @@ class _Disk:
     coeffs: np.ndarray
     reach: float
 
-    def eval(self, z: complex) -> complex:
-        return complex(np.polynomial.polynomial.polyval(
-            complex(z) - self.center, self.coeffs))
+    def eval(self, z):
+        return np.polynomial.polynomial.polyval(
+            np.asarray(z, dtype=complex) - self.center, self.coeffs)
 
 
 def _expand(sample, center: complex, radius: float, n_terms: int) -> _Disk:
     n_s = max(4 * n_terms, 128)
     angles = 2.0 * np.pi * np.arange(n_s) / n_s
     ring = center + radius * np.exp(1j * angles)
-    vals = np.array([sample(p) for p in ring], dtype=complex)
-    raw = np.abs(np.fft.fft(vals))[:n_terms] / n_s   # = |a_n| * radius^n
-    coeffs = np.fft.fft(vals)[:n_terms] / n_s / radius ** np.arange(n_terms)
+    vals = np.asarray(sample(ring), dtype=complex)
+    spectrum = np.fft.fft(vals)[:n_terms]
+    raw = np.abs(spectrum) / n_s   # = |a_n| * radius^n
+    coeffs = spectrum / n_s / radius ** np.arange(n_terms)
     # convergence radius from the decay of the circle coefficients,
     # fitted above the rounding noise floor of the sampled values
     floor = max(1e-14 * float(np.max(np.abs(vals))), 1e-300)
@@ -157,12 +167,12 @@ def _expand(sample, center: complex, radius: float, n_terms: int) -> _Disk:
     # zero out the sub-noise coefficients so they cannot pollute
     # evaluations near the rim
     coeffs[~(raw > floor)] = 0.0
-    coeffs[0] = np.fft.fft(vals)[0] / n_s
+    coeffs[0] = spectrum[0] / n_s
     return _Disk(center, coeffs, reach)
 
 
 class TaylorContinuation:
-    """Disk chain continuing an Im z > 0 evaluator along a fixed path.
+    """Disk chain continuing an Im z > 0 array evaluator along a fixed path.
 
     Build once, evaluate at any point within the final disk's reach.
     """
@@ -193,7 +203,7 @@ class TaylorContinuation:
             raise TaylorPathError(
                 f"target at distance {abs(complex(z) - last.center):.3f} "
                 f"exceeds the final reach {0.75 * last.reach:.3f}")
-        return last.eval(z)
+        return complex(last.eval(z))
 
 
 def default_continuation_path(target: complex) -> list[complex]:
@@ -207,10 +217,10 @@ def taylor_continuation_oracle(func_upper, target: complex,
                                n_terms: int = 64) -> complex:
     """Continue a function analytic on the upper half-plane to ``target``.
 
-    ``func_upper`` is evaluated only at points with Im z > 0; successive
-    Taylor disks carry the values across (0, inf).  Raises
-    :class:`TaylorPathError` when a step exceeds the estimated convergence
-    reach of the current disk.
+    ``func_upper`` must accept an array of points, all with Im z > 0, and
+    return their values; successive Taylor disks carry the values across
+    (0, inf).  Raises :class:`TaylorPathError` when a step exceeds the
+    estimated convergence reach of the current disk.
     """
     if path is None:
         path = default_continuation_path(target)
@@ -274,15 +284,16 @@ def full_resolvent_pole_test(phi: FormFactor, f: float, psi: FormFactor,
     r = complex(resonance)
     path = default_continuation_path(r)
 
-    def continued(func):
-        chain = TaylorContinuation(func, path)
-        return chain.eval
+    @functools.cache
+    def continued(u: FormFactor, v: FormFactor):
+        return TaylorContinuation(
+            lambda z: _pair_element_upper(u, v, f, z), path).eval
 
     def make_element(psi_t: FormFactor, c_t: complex):
-        pp = continued(lambda z: _pair_element_upper(psi_t, psi_t, f, z))
-        fp = continued(lambda z: _pair_element_upper(phi, psi_t, f, z))
-        pf = continued(lambda z: _pair_element_upper(psi_t, phi, f, z))
-        ff = continued(lambda z: _pair_element_upper(phi, phi, f, z))
+        pp = continued(psi_t, psi_t)
+        fp = continued(phi, psi_t)
+        pf = continued(psi_t, phi)
+        ff = continued(phi, phi)
         ip = psi_t.inner(phi)
 
         def element(z):
@@ -362,9 +373,8 @@ def verify_report() -> dict:
                        "pass": dev < 1e-8})
 
     targets = [1.0 - 0.02j, 0.95 - 0.05j]
-    dev = max(abs(taylor_continuation_oracle(
-        lambda z: complex(ev0.free_continued(z)), t)
-        - complex(ev0.free_continued(t))) for t in targets)
+    dev = max(abs(taylor_continuation_oracle(ev0.free_continued, t)
+                  - complex(ev0.free_continued(t))) for t in targets)
     checks.append({"name": "taylor_continuation_vs_free",
                    "points": len(targets), "max_deviation": dev,
                    "pass": dev < 1e-7})

@@ -246,16 +246,22 @@ class ResolventEvaluator:
         or r'(z) = -int_ray s e^{izs} m(s) ds when ``derivative``.
 
         The ray is s = t exp(-i gamma), gamma in (0, pi/3), where the
-        cubic phase factor decays.  Accurate for moderate f; for small f
-        with Im z < 0 the integrand peak grows like exp(c/f) and the
-        evaluation loses digits -- use :meth:`stark_matrix_element` there.
+        cubic phase factor decays.  The default gamma is QUADRATURE's;
+        for Im z > 0 it is capped at a quarter of arg(|Re z| + 1 + i Im z),
+        and floored at 1e-6, so that e^{izs} itself decays along the ray
+        and small f loses no digits there.  For small f with Im z < 0 the
+        integrand peak grows like exp(c/f) and the evaluation loses digits
+        -- use :meth:`stark_matrix_element` there.
         """
         if self.f <= 0:
             raise ValueError("stark_time_ray requires f > 0")
+        z = complex(z)
         g = QUADRATURE["gamma"] if gamma is None else float(gamma)
+        if gamma is None and z.imag > 0.0:
+            g = max(min(g, 0.25 * math.atan2(z.imag, abs(z.real) + 1.0)),
+                    1e-6)
         if not 0.0 < g < math.pi / 3.0:
             raise SectorLimitError("rotation angle must lie in (0, pi/3)")
-        z = complex(z)
         rot = cmath.exp(-1j * g)
         f = self.f
         t_cubic = (12.0 * 46.0 / (f * f * math.sin(3.0 * g))) ** (1.0 / 3.0)
@@ -386,9 +392,7 @@ class ResolventEvaluator:
                 raise QuadratureError(
                     "matrix element exceeds double-precision range at "
                     f"z={zj} for f={self.f}", math.inf)
-            g = min(QUADRATURE["gamma"],
-                    0.25 * math.atan2(zj.imag, abs(zj.real) + 1.0))
-            res[j] = self.stark_time_ray(zj, max(g, 1e-6), derivative)
+            res[j] = self.stark_time_ray(zj, derivative=derivative)
         return res
 
     def stark_matrix_element(self, z):
@@ -407,16 +411,12 @@ class ResolventEvaluator:
     # ------------------------------------------------------------------
     # F and its derivative
 
-    def continued_value(self, z):
-        """r(z) on the continuation region for the evaluator's f."""
-        if self.f == 0.0:
-            return self.free_continued(z)
-        return self.stark_matrix_element(z)
-
     def F_value(self, z):
         """F(z) = 1 - z - r(z), whose zeros are the resonances."""
         z_in = np.asarray(z, dtype=complex)
-        return 1.0 - z_in - np.asarray(self.continued_value(z_in))
+        r = (self.free_continued(z_in) if self.f == 0.0
+             else self.stark_matrix_element(z_in))
+        return 1.0 - z_in - np.asarray(r)
 
     def F_derivative(self, z: complex) -> complex:
         """F'(z) = -1 - r'(z).

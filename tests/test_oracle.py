@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import starkres.oracle as oracle
 from conftest import R0
 from starkres import (
     FormFactor,
+    QuadratureError,
     ResolventEvaluator,
     TaylorPathError,
     Window,
@@ -23,6 +25,21 @@ def test_erfc_form_is_direct_integral(coupling):
     ev = ResolventEvaluator(coupling, 0.0)
     for z in (2j, 1 + 0.3j):
         assert abs(erfc_free_element(z) - ev.free_matrix_element(z)) < 1e-10
+    # the first Taylor ring of the pole test, integrated in one pass
+    ring = 1.019 + 0.9j + 0.675 * np.exp(2j * np.pi * np.arange(256) / 256)
+    direct = ode_resolvent_oracle(coupling, 0.0, ring)
+    assert direct.shape == ring.shape
+    for z, val in zip(ring, direct):
+        assert abs(erfc_free_element(z) - val) < 1e-10
+
+
+def test_direct_solve_fails_loudly_near_the_axis(coupling):
+    z = 1 + 1e-6j
+    exact = erfc_free_element(z, continued=False)
+    assert abs(ode_resolvent_oracle(coupling, 0.0, z) - exact) \
+        < 1e-9 * abs(exact)
+    with pytest.raises(QuadratureError):
+        ode_resolvent_oracle(coupling, 0.0, 1 + 1e-12j)
 
 
 def test_erfc_closed_form_zero_is_reference():
@@ -84,7 +101,7 @@ def test_taylor_rational():
 
 def test_taylor_matches_free_continuation(coupling):
     ev = ResolventEvaluator(coupling, 0.0)
-    f_up = lambda z: complex(ev.free_continued(z))
+    f_up = ev.free_continued
     for t in (1.0 - 0.02j, 0.95 - 0.05j):
         assert abs(taylor_continuation_oracle(f_up, t) - f_up(t)) < 1e-7
 
@@ -103,7 +120,7 @@ def test_stark_continuation_certified_by_independent_contour(coupling):
 
 def test_taylor_path_independence(coupling):
     ev = ResolventEvaluator(coupling, 0.0)
-    f_up = lambda z: complex(ev.free_continued(z))
+    f_up = ev.free_continued
     t = 0.96 - 0.03j
     p1 = [complex(0.96, 0.9), complex(0.96, 0.5), complex(0.96, 0.22),
           complex(0.96, 0.07)]
@@ -179,6 +196,25 @@ def test_full_pole_test_residue_scale(coupling):
         lambda z: _pair_element_upper(coupling, coupling, 0.0, z), path)
     g = ff.eval(probe) ** 2 / (1.0 - probe - ff.eval(probe))
     assert abs(abs(g) * abs(probe - R0) - expected) < 0.2 * expected
+
+
+@pytest.mark.parametrize("psi, chains", [
+    (FormFactor.gaussian(0.08, 0.8), 7),
+    (FormFactor.gaussian(0.1, 1.0), 4),
+], ids=["distinct", "psi-is-phi"])
+def test_full_pole_test_builds_each_chain_once(coupling, monkeypatch, psi,
+                                               chains):
+    # one direct solve per distinct (u, v) pair, over the whole first ring
+    sizes = []
+    direct = oracle._pair_element_upper
+
+    def counted(u, v, f, z, *args):
+        sizes.append(np.size(z))
+        return direct(u, v, f, z, *args)
+
+    monkeypatch.setattr(oracle, "_pair_element_upper", counted)
+    full_resolvent_pole_test(coupling, 0.0, psi, 0.0, R0)
+    assert sizes == [256] * chains
 
 
 def test_full_pole_test_no_pole_for_zero_coupling():

@@ -205,10 +205,12 @@ def test_stark_matches_time_ray_below_axis(coupling):
 def test_stark_matches_time_ray_above_axis(coupling, f, z):
     # above the axis the element stays small while the Airy factors grow,
     # so the routed value must keep the accuracy of the time ray; a
-    # shallow ray stays accurate down to f = 0.01
+    # shallow ray stays accurate down to f = 0.01, and so does the
+    # default angle, which shrinks with arg z
     ev = ResolventEvaluator(coupling, f)
     ray = ev.stark_time_ray(z, math.pi / 48)
     assert abs(complex(ev.stark_matrix_element(z)) - ray) <= 1e-10 * abs(ray)
+    assert abs(ev.stark_time_ray(z) - ray) <= 1e-10 * abs(ray)
 
 
 def test_time_ray_contour_independence(coupling):
