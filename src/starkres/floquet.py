@@ -4,16 +4,26 @@ The operator -i d/dt + H(t) acts on Fourier(t) x (Hermite(x) + C) with the
 gauge-transformed generator p^2 + (f^2/2w^2) cos(2wt) + f^2/2w^2 in the
 field sector.  Complex dilation by theta (Im theta > 0) rotates the
 continuum strings and uncovers the resonance eigenvalues near the target.
+
+Eigenvalues are found without forming the truncated operator: its field
+sector is a Kronecker sum of two real symmetric matrices, diagonal in the
+product of their eigenbases, and the discrete sector borders it with
+2N+1 rows and columns.  A shifted solve is then two small basis changes,
+a diagonal scaling and one (2N+1)-square Schur complement.  The dense
+``FloquetProblem.matrix`` is kept as the oracle view the tests compare
+against.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_triangular
 
 from ._gauss import panel_nodes
 from .formfactor import FormFactor, dilate, translate_modulate
@@ -32,6 +42,7 @@ _KRYLOV_DIM = 36
 _INVERSE_ITERATIONS = 8
 # samples of the drive period per Fourier mode in the coupling blocks
 _T_SAMPLES_PER_MODE = 8
+_FILTERS_LOCK = threading.Lock()
 
 
 def hermite_functions(n_max: int, x: np.ndarray, length_scale: float = 1.0
@@ -84,9 +95,6 @@ class FloquetProblem:
             raise ValueError("resonance uncovering requires Im theta > 0")
         if self.n_fourier < 1 or self.n_hermite < 2:
             raise ValueError("cutoffs too small")
-        if self.dimension > 40000:
-            raise ValueError(f"matrix dimension {self.dimension} exceeds "
-                             "the dense-LU guard")
 
     @property
     def dimension(self) -> int:
@@ -141,40 +149,53 @@ class FloquetProblem:
             modes[k] = Hw @ dilate(boosted, self.theta)(x)
         return np.fft.fft(modes, axis=0) / M
 
+    def _factors(self):
+        """The real symmetric Fourier matrix T (n w + f^2/2w^2 on its
+        diagonal, f^2/4w^2 two modes off it), p^2 in the Hermite basis,
+        the discrete diagonal 1 + n w, and the coupling borders: the
+        column B as (n, j, m) and the row C as (n, m, j), entry (n, m)
+        holding Fourier mode n - m.  The row holds the dilated conjugate
+        coupling (analytic continuation, not the conjugate of the
+        column)."""
+        N, J, w = self.n_fourier, self.n_hermite, self.omega
+        n = np.arange(-N, N + 1)
+        ridge = np.full(2 * N - 1, self.f**2 / (4.0 * w**2))
+        T = (np.diag(n * w + self.f**2 / (2.0 * w**2))
+             + np.diag(ridge, 2) + np.diag(ridge, -2))
+        P = momentum_squared_matrix(J, self.length_scale).real
+        col_modes = self._coupling_modes(conjugate=False)
+        d = (n[:, None] - n[None, :]) % col_modes.shape[0]
+        B = np.ascontiguousarray(col_modes[d].transpose(0, 2, 1))
+        C = self._coupling_modes(conjugate=True)[d]
+        return T, P, 1.0 + n * w, B, C
+
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense truncation of K(f, theta): the Kronecker-sum field sector
-        I (x) e^{-2 theta} p^2 + T (x) I, bordered by coupling blocks that
-        are Toeplitz in the Fourier index.  The row border holds the dilated
-        conjugate coupling (analytic continuation, not the conjugate of the
-        column).  At f = 0 the matrix is exactly block diagonal over the
-        Fourier index."""
-        N, J, w = self.n_fourier, self.n_hermite, self.omega
-        nb, nh = 2 * N + 1, J + 1
+        """Dense truncation of K(f, theta), the oracle view of the operator
+        ``eigen_near`` solves with: the Kronecker-sum field sector
+        T (x) I + I (x) e^{-2 theta} p^2, bordered by coupling blocks that
+        are Toeplitz in the Fourier index.  At f = 0 the matrix is exactly
+        block diagonal over the Fourier index."""
+        T, P, D, B, C = self._factors()
+        nb, nh = T.shape[0], P.shape[0]
         nf = nb * nh
         K = np.zeros((self.dimension,) * 2, dtype=complex)
         # reshapes that only split axes are views into K: the field sector
         # as (n, j, m, k), the column border as (n, j, m), the row border
         # as (n, m, j)
         field = K[:nf, :nf].reshape(nb, nh, nb, nh)
-        col = K[:nf, nf:].reshape(nb, nh, nb)
-        row = K[nf:, :nf].reshape(nb, nb, nh)
-        n = np.arange(-N, N + 1)
         i = np.arange(nb)
-        eye = np.eye(nh)
-        p2 = np.exp(-2.0 * self.theta) * momentum_squared_matrix(
-            J, self.length_scale)
-        shift = self.f**2 / (2.0 * w**2)
-        ridge = self.f**2 / (4.0 * w**2)
-        field[i, :, i, :] = p2 + (n * w + shift)[:, None, None] * eye
-        field[i[:-2], :, i[2:], :] += ridge * eye
-        field[i[2:], :, i[:-2], :] += ridge * eye
-        K[nf + i, nf + i] = 1.0 + n * w
-        col_modes = self._coupling_modes(conjugate=False)
-        d = (n[:, None] - n[None, :]) % col_modes.shape[0]
-        col += col_modes[d].transpose(0, 2, 1)
-        row += self._coupling_modes(conjugate=True)[d]
+        field[i, :, i, :] = np.exp(-2.0 * self.theta) * P
+        a, b = np.nonzero(T)
+        field[a, :, b, :] += T[a, b][:, None, None] * np.eye(nh)
+        K[nf + i, nf + i] = D
+        K[:nf, nf:].reshape(nb, nh, nb)[...] = B
+        K[nf:, :nf].reshape(nb, nb, nh)[...] = C
         return K
+
+    @cached_property
+    def _operator(self) -> "_BorderedKroneckerSum":
+        return _BorderedKroneckerSum(self)
 
 
 @dataclass(frozen=True)
@@ -185,9 +206,115 @@ class FloquetEigenpair:
     sensitivity: float
 
 
-def _arnoldi_candidates(lu, target: complex, m: int) -> np.ndarray:
+class _BorderedKroneckerSum:
+    """K through the eigenbases of its Kronecker-sum field sector.
+
+    With T = Q diag(tau) Q^T and p^2 = W diag(mu) W^T, the field sector is
+    diag(Lambda), Lambda[i, k] = tau_i + e^{-2 theta} mu_k, in the basis
+    Q (x) W, bordered by B~ = (Q (x) W)^T B and C~ = C (Q (x) W).  A shift
+    then costs one (2N+1)-square Schur complement; K itself is never
+    formed."""
+
+    def __init__(self, problem: FloquetProblem):
+        self.T, P, self.D, self.B, self.C = problem._factors()
+        nb, nh = self.T.shape[0], P.shape[0]
+        self.nf = nb * nh
+        self.dim = self.nf + nb
+        rot = np.exp(-2.0 * problem.theta)
+        self.p2 = rot * P
+        tau, self.Q = np.linalg.eigh(self.T)
+        mu, self.W = np.linalg.eigh(P)
+        self.lam = (tau[:, None] + rot * mu[None, :]).ravel()
+        # each column (row) of the border is an (n, j) field vector,
+        # carried to the eigenbasis by two matmuls
+        Bt = self.Q.T @ self.B.transpose(2, 0, 1) @ self.W
+        self.Bt = np.ascontiguousarray(Bt.reshape(nb, self.nf).T)
+        self.Ct = (self.Q.T @ self.C @ self.W).reshape(nb, self.nf)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """K v = (T X + X e^{-2 theta} p^2 + B y, C x + D y)."""
+        nb = self.D.size
+        X = v[:self.nf].reshape(nb, -1)
+        y = v[self.nf:]
+        field = self.T @ X + X @ self.p2 + self.B @ y
+        return np.concatenate([field.ravel(),
+                               self.C.reshape(nb, -1) @ v[:self.nf]
+                               + self.D * y])
+
+    def shift(self, sigma: complex) -> "_ShiftedSolve":
+        return _ShiftedSolve(self, complex(sigma))
+
+
+class _ShiftedSolve:
+    """K - sigma factored through the Schur complement of its field sector.
+
+    S(sigma) = D - sigma - C~ diag(1/(Lambda - sigma)) B~.  Field modes with
+    Lambda == sigma exactly are moved into the bordered block, so nothing
+    is divided by zero.  An exact zero pivot of S means sigma is an
+    eigenvalue of the truncation: ``solve`` then raises LinAlgError, and
+    ``null_vector`` gives its eigenvector."""
+
+    def __init__(self, op: _BorderedKroneckerSum, sigma: complex):
+        self.op = op
+        gap = op.lam - sigma
+        self.moved = np.flatnonzero(gap == 0)
+        self.inv = np.zeros_like(gap)
+        kept = gap != 0
+        self.inv[kept] = 1.0 / gap[kept]
+        nz = self.moved.size
+        S = np.zeros((nz + op.D.size,) * 2, dtype=complex)
+        S[:nz, nz:] = op.Bt[self.moved]
+        S[nz:, :nz] = op.Ct[:, self.moved]
+        S[nz:, nz:] = (np.diag(op.D - sigma)
+                       - op.Ct @ (self.inv[:, None] * op.Bt))
+        # scipy only warns on an exact zero pivot, which is inspected
+        # below; the lock keeps field threads from interleaving their
+        # changes to the process-wide warning filters
+        with _FILTERS_LOCK, warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            self.lu = lu_factor(S, overwrite_a=True)
+        zero = np.flatnonzero(np.diagonal(self.lu[0]) == 0)
+        self.zero_pivot = int(zero[0]) if zero.size else None
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(K - sigma)^{-1} b, raising on an exact zero pivot."""
+        if self.zero_pivot is not None:
+            raise np.linalg.LinAlgError(
+                "singular shifted matrix: exact zero pivot at row "
+                f"{self.zero_pivot} of the Schur complement")
+        op = self.op
+        bt = (op.Q.T @ b[:op.nf].reshape(op.D.size, -1) @ op.W).ravel()
+        rhs = np.concatenate([bt[self.moved],
+                              b[op.nf:] - op.Ct @ (self.inv * bt)])
+        return self._field_back(bt, lu_solve(self.lu, rhs))
+
+    def null_vector(self) -> np.ndarray:
+        """A null vector of K - sigma from the first zero pivot k of S: the
+        bordered unknowns u = (moved field modes, y) solve U u = 0 with
+        u_k = 1, and the other field modes are x~ = -(Lambda - sigma)^{-1}
+        B~ y."""
+        k = self.zero_pivot
+        U = self.lu[0]
+        u = np.zeros(U.shape[0], dtype=complex)
+        u[k] = 1.0
+        u[:k] = solve_triangular(U[:k, :k], -U[:k, k])
+        return self._field_back(np.zeros(self.op.nf, dtype=complex), u)
+
+    def _field_back(self, bt: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Full vector from the transformed field right-hand side and the
+        bordered unknowns u = (moved field modes, discrete part)."""
+        op = self.op
+        y = u[self.moved.size:]
+        xt = self.inv * (bt - op.Bt @ y)
+        xt[self.moved] = u[:self.moved.size]
+        X = op.Q @ xt.reshape(op.D.size, -1) @ op.W.T
+        return np.concatenate([X.ravel(), y])
+
+
+def _arnoldi_candidates(shifted: _ShiftedSolve, target: complex, m: int
+                        ) -> np.ndarray:
     """Ritz values of the shift-inverted operator from a fixed start."""
-    dim = lu[0].shape[0]
+    dim = shifted.op.dim
     v0 = np.ones(dim, dtype=complex) + 1e-3 * np.arange(dim) / dim
     v0 /= np.linalg.norm(v0)
     V = np.zeros((dim, m + 1), dtype=complex)
@@ -195,7 +322,7 @@ def _arnoldi_candidates(lu, target: complex, m: int) -> np.ndarray:
     V[:, 0] = v0
     k_eff = m
     for k in range(m):
-        wv = lu_solve(lu, V[:, k])
+        wv = shifted.solve(V[:, k])
         for i in range(k + 1):
             Hm[i, k] = np.vdot(V[:, i], wv)
             wv -= Hm[i, k] * V[:, i]
@@ -215,27 +342,30 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
                with_sensitivity: bool = True) -> list[FloquetEigenpair]:
     """Eigenvalues of the truncated K(f, theta) within ``radius`` of target.
 
-    Shift-inverted Arnoldi over a dense LU factorization locates the
-    candidates (this doubles as deflation for clustered eigenvalues); each
-    is polished by inverse iteration and certified by its residual, and a
-    candidate that does not reach ``tol`` raises LinAlgError.  The
-    sensitivity field is the eigenvalue movement when the truncation is
-    enlarged to (N+4, J+16); discretized-continuum artifacts carry a large
-    sensitivity while true resonances are stable.
+    Shift-inverted Arnoldi locates the candidates (this doubles as
+    deflation for clustered eigenvalues); each is polished by inverse
+    iteration and certified by its residual, and a candidate that does not
+    reach ``tol`` raises LinAlgError.  Every shifted solve goes through the
+    eigenbases of the Kronecker-sum field sector and a (2N+1)-square Schur
+    complement of the coupling border; the dense ``problem.matrix`` is
+    never formed.  The sensitivity field is the eigenvalue movement when
+    the truncation is enlarged to (N+4, J+16); discretized-continuum
+    artifacts carry a large sensitivity while true resonances are stable.
     """
-    K = problem.matrix
-    lam_list = _solve_near(K, target, tol, radius)
+    op = problem._operator
+    lam_list = _solve_near(op, target, tol, radius)
     sens = {}
     if with_sensitivity and lam_list:
         bigger = replace(problem, n_fourier=problem.n_fourier + 4,
                          n_hermite=problem.n_hermite + 16)
-        lam_big = _solve_near(bigger.matrix, target, tol, 1.5 * radius)
+        lam_big = _solve_near(bigger._operator, target, tol, 1.5 * radius)
         sens = {lam: min((abs(lam - lb) for lb, _ in lam_big),
                          default=math.inf) for lam, _ in lam_list}
     out = []
     N, J = problem.n_fourier, problem.n_hermite
     for lam, vec in lam_list:
-        res = float(np.linalg.norm(K @ vec - lam * vec) / np.linalg.norm(vec))
+        res = float(np.linalg.norm(op.matvec(vec) - lam * vec)
+                    / np.linalg.norm(vec))
         field = vec[:(2 * N + 1) * (J + 1)].reshape(2 * N + 1, J + 1)
         disc = vec[(2 * N + 1) * (J + 1):]
         weight = np.sum(np.abs(field) ** 2, axis=1) + np.abs(disc) ** 2
@@ -249,23 +379,11 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
     return out
 
 
-def _lu_shifted(K: np.ndarray, sigma: complex):
-    """LU factors of K - sigma I, raising on an exact zero pivot (scipy
-    only warns); they overwrite one Fortran-ordered copy of K."""
-    A = K.copy(order="F")
-    A.flat[::A.shape[0] + 1] -= sigma
-    lu = lu_factor(A, overwrite_a=True)
-    zero = np.flatnonzero(np.diagonal(lu[0]) == 0)
-    if zero.size:
-        raise np.linalg.LinAlgError(
-            f"singular shifted matrix: exact zero pivot at row {zero[0]}")
-    return lu
-
-
-def _solve_near(K: np.ndarray, target: complex, tol: float, radius: float):
+def _solve_near(op: _BorderedKroneckerSum, target: complex, tol: float,
+                radius: float):
     target = complex(target)
-    lu = _lu_shifted(K, target)
-    cands = _arnoldi_candidates(lu, target, min(_KRYLOV_DIM, K.shape[0] - 2))
+    cands = _arnoldi_candidates(op.shift(target), target,
+                                min(_KRYLOV_DIM, op.dim - 2))
     cands = cands[np.abs(cands - target) <= radius]
     # deterministic ordering, dedup clustered Ritz values
     cands = sorted(cands, key=lambda z: (abs(z - target), z.real, z.imag))
@@ -273,7 +391,7 @@ def _solve_near(K: np.ndarray, target: complex, tol: float, radius: float):
     for lam0 in cands:
         if any(abs(lam0 - lam) < 1e-8 for lam, _ in found):
             continue
-        lam, vec = _inverse_iterate(K, lam0, tol)
+        lam, vec = _inverse_iterate(op, lam0, tol)
         if abs(lam - target) > radius:
             continue
         if any(abs(lam - l2) < 1e-8 for l2, _ in found):
@@ -283,17 +401,22 @@ def _solve_near(K: np.ndarray, target: complex, tol: float, radius: float):
     return found
 
 
-def _inverse_iterate(K: np.ndarray, lam0: complex, tol: float):
-    """Polish a candidate to a residual below tol, or raise LinAlgError."""
+def _inverse_iterate(op: _BorderedKroneckerSum, lam0: complex, tol: float):
+    """Polish a candidate to a residual below tol, or raise LinAlgError.
+    A shift that makes S exactly singular is an eigenvalue of the
+    truncation; its null vector is then the iterate."""
     lam = complex(lam0)
-    dim = K.shape[0]
-    v = np.ones(dim, dtype=complex) / math.sqrt(dim)
+    v = np.ones(op.dim, dtype=complex) / math.sqrt(op.dim)
     for _ in range(_INVERSE_ITERATIONS):
-        lu = _lu_shifted(K, lam)
-        for _ in range(2):
-            v = lu_solve(lu, v)
+        shifted = op.shift(lam)
+        if shifted.zero_pivot is None:
+            for _ in range(2):
+                v = shifted.solve(v)
+                v /= np.linalg.norm(v)
+        else:
+            v = shifted.null_vector()
             v /= np.linalg.norm(v)
-        Kv = K @ v
+        Kv = op.matvec(v)
         lam_new = complex(np.vdot(v, Kv))
         res = float(np.linalg.norm(Kv - lam_new * v))
         lam = lam_new

@@ -6,6 +6,7 @@ import pytest
 from conftest import R0
 from starkres import (
     FloquetProblem,
+    FormFactor,
     eigen_near,
     hermite_functions,
     momentum_squared_matrix,
@@ -27,8 +28,10 @@ def test_validation(coupling):
         FloquetProblem(coupling, -0.1)
     with pytest.raises(ValueError):
         FloquetProblem(coupling, 0.0, omega=0.0)
-    with pytest.raises(ValueError):
-        FloquetProblem(coupling, 0.0, n_fourier=100, n_hermite=500)
+    # no dense-dimension guard: eigen_near never forms the dense matrix
+    big = FloquetProblem(coupling, 0.0, n_fourier=100, n_hermite=500)
+    assert big.dimension == 201 * 502
+    assert "matrix" not in big.__dict__
 
 
 def test_dimension(small_problem):
@@ -234,12 +237,70 @@ def test_coupling_blocks_match_direct_fourier_integrals(coupling):
 
 
 def test_zero_pivot_raises():
-    # a diagonal K shifted at one of its own eigenvalues is exactly
-    # singular; lu_factor only warns, the solvers must raise
-    K = np.diag(np.arange(1.0, 9.0) + 0.5j)
-    with pytest.warns(Warning), pytest.raises(np.linalg.LinAlgError,
-                                              match="zero pivot"):
-        _solve_near(K, K[3, 3], 1e-10, 0.1)
-    with pytest.warns(Warning), pytest.raises(np.linalg.LinAlgError,
-                                              match="zero pivot"):
-        _inverse_iterate(K, K[5, 5], 1e-10)
+    # without coupling the Schur complement is D - sigma, exactly singular
+    # at sigma = 1 (the n = 0 discrete state): the Arnoldi target must
+    # raise, not divide by the zero pivot
+    prob = FloquetProblem(FormFactor.gaussian(0.0, 1.0), 0.0, n_fourier=2,
+                          n_hermite=10)
+    with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
+        _solve_near(prob._operator, 1.0, 1e-10, 0.1)
+
+
+TWO_TERMS = FormFactor.from_records([[0.1, 0.02, 1, 1.0, 0.1, 0.3, 0.0],
+                                     [0.05, 0.0, 0, 0.7, 0.0]])
+
+
+@pytest.mark.parametrize("f", [0.0, 0.1])
+@pytest.mark.parametrize("phi", [FormFactor.gaussian(0.1, 1.0), TWO_TERMS],
+                         ids=["gaussian", "two-terms"])
+def test_structured_operator_matches_dense(phi, f, rng):
+    prob = FloquetProblem(phi, f, 1.0, 0.3j, n_fourier=3, n_hermite=20)
+    op = prob._operator
+    K = prob.matrix
+    v = rng.standard_normal(prob.dimension) + 1j * rng.standard_normal(
+        prob.dimension)
+    Kv = K @ v
+    assert np.linalg.norm(op.matvec(v) - Kv) <= 1e-13 * np.linalg.norm(Kv)
+    sigma = 1.02 - 0.01j
+    x = op.shift(sigma).solve(v)
+    want = np.linalg.solve(K - sigma * np.eye(prob.dimension), v)
+    assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("f", [0.0, 0.1])
+def test_shift_on_a_field_eigenvalue_solves(coupling, f, rng):
+    # sigma exactly on a Lambda entry: that field mode joins the bordered
+    # block instead of being divided by zero; the solve is backward stable
+    prob = FloquetProblem(coupling, f, 1.0, 0.3j, n_fourier=3, n_hermite=20)
+    op = prob._operator
+    A = prob.matrix - op.lam[37] * np.eye(prob.dimension)
+    v = rng.standard_normal(prob.dimension) + 1j * rng.standard_normal(
+        prob.dimension)
+    x = op.shift(op.lam[37]).solve(v)
+    assert np.all(np.isfinite(x))
+    backward = np.linalg.norm(A @ x - v) / (
+        np.linalg.norm(A, 2) * np.linalg.norm(x))
+    assert backward < 1e-14
+
+
+@pytest.mark.parametrize("field_mode", [False, True])
+def test_inverse_iteration_at_a_singular_schur_complement(field_mode):
+    # without coupling, sigma = 2 is the n = 1 discrete eigenvalue and a
+    # Lambda entry a field one; S is then exactly singular and its null
+    # vector is the eigenvector
+    prob = FloquetProblem(FormFactor.gaussian(0.0, 1.0), 0.1, n_fourier=2,
+                          n_hermite=10)
+    op = prob._operator
+    sigma = op.lam[13] if field_mode else 2.0
+    assert op.shift(sigma).zero_pivot is not None
+    lam, vec = _inverse_iterate(op, sigma, 1e-12)
+    assert abs(lam - sigma) < 1e-14
+    K = prob.matrix
+    assert np.linalg.norm(K @ vec - lam * vec) < 1e-12 * np.linalg.norm(vec)
+
+
+def test_eigen_near_leaves_the_dense_matrix_unbuilt(coupling):
+    prob = FloquetProblem(coupling, 0.05, 1.0, 0.3j, n_fourier=3,
+                          n_hermite=40)
+    assert eigen_near(prob, R0, tol=1e-10, radius=0.05)
+    assert "matrix" not in prob.__dict__
