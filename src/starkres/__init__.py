@@ -24,6 +24,7 @@ from .resolvent import (
 )
 from .rootfind import (
     BoundaryZeroError,
+    CertificateError,
     Resonance,
     Window,
     find_zeros,
@@ -36,7 +37,7 @@ from .floquet import (
     hermite_functions,
     momentum_squared_matrix,
 )
-from .sweep import SweepResult, ac_sweep, dc_sweep
+from .sweep import FloquetTrack, SweepResult, ac_sweep, dc_sweep
 from .oracle import (
     PoleTestResult,
     TaylorPathError,
@@ -54,11 +55,11 @@ __all__ = [
     "FormFactor", "Term", "conj_reflect", "dilate", "translate_modulate",
     "CutProximityError", "QuadratureError",
     "ResolventEvaluator", "RoucheCertificate", "SectorLimitError",
-    "BoundaryZeroError", "Resonance", "Window", "find_zeros",
-    "winding_number",
+    "BoundaryZeroError", "CertificateError", "Resonance", "Window",
+    "find_zeros", "winding_number",
     "FloquetEigenpair", "FloquetProblem", "eigen_near",
     "hermite_functions", "momentum_squared_matrix",
-    "SweepResult", "ac_sweep", "dc_sweep",
+    "FloquetTrack", "SweepResult", "ac_sweep", "dc_sweep",
     "PoleTestResult", "TaylorPathError", "erfc_closed_form",
     "erfc_free_element", "full_resolvent_pole_test", "grid_scan",
     "ode_resolvent_oracle", "taylor_continuation_oracle", "verify_report",

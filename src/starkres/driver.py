@@ -19,11 +19,12 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
+from .floquet import FloquetProblem
 from .formfactor import FormFactor
-from .oracle import verify_report
-from .resolvent import QUADRATURE, ResolventEvaluator
+from .oracle import TaylorPathError, verify_report
+from .resolvent import QUADRATURE, CutProximityError, ResolventEvaluator
 from .rootfind import Window, find_zeros
-from .sweep import ac_sweep, dc_sweep
+from .sweep import _NUMERIC_ERRORS, ac_sweep, dc_sweep
 
 __all__ = ["RunConfig", "run", "main", "write_csv", "write_manifest",
            "svg_scatter", "parse_config_file"]
@@ -361,14 +362,12 @@ def _run_sweep(config: RunConfig, out: Path) -> tuple[str, ...]:
 
 
 def _run_ac(config: RunConfig, out: Path) -> tuple[str, ...]:
-    phi = config.coupling()
-    result = ac_sweep(phi, config.f_grid, omega=config.omega,
-                      theta=1j * config.im_theta, target=config.target,
-                      tol=config.tol, n_fourier=config.n_fourier,
-                      n_hermite=config.n_hermite,
-                      length_scale=config.length_scale,
-                      workers=config.workers())
-    traj = result.trajectories[0]
+    problem = FloquetProblem(config.coupling(), 0.0, config.omega,
+                             1j * config.im_theta, config.n_fourier,
+                             config.n_hermite, config.length_scale)
+    result = ac_sweep(problem, config.f_grid, target=config.target,
+                      tol=config.tol, workers=config.workers())
+    traj = result.points
     rows = [[p.f, config.omega, config.im_theta, config.n_fourier,
              config.n_hermite, p.z.real, p.z.imag, p.residual, s]
             for p, s in zip(traj, result.sensitivities)]
@@ -383,7 +382,7 @@ def _run_ac(config: RunConfig, out: Path) -> tuple[str, ...]:
     manifest["results"] = {
         "reference": [result.reference.real, result.reference.imag],
         "trajectory": [[p.f, p.z.real, p.z.imag] for p in traj],
-        "distances": list(result.min_dist_reference),
+        "distances": list(result.distances),
         "sensitivities": list(result.sensitivities),
         "flags": result.flags,
         "errors": list(result.errors),
@@ -435,6 +434,8 @@ def _run_verify(config: RunConfig, out: Path) -> tuple[str, ...]:
 _RUNNERS = {"dc": _run_dc, "sweep": _run_sweep, "ac": _run_ac,
             "plot": _run_plot, "verify": _run_verify}
 MODES = tuple(_RUNNERS)
+# exit 3 with failure.log; any other exception is a bug and propagates
+_RUN_ERRORS = _NUMERIC_ERRORS + (CutProximityError, TaylorPathError)
 
 
 def run(config: RunConfig) -> int:
@@ -448,13 +449,13 @@ def run(config: RunConfig) -> int:
     try:
         config.workers()        # reject a bad STARKRES_THREADS before any work
         errors = _RUNNERS[config.mode](config, out)
-    except (ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
+    except _RUN_ERRORS as exc:      # before ValueError: LinAlgError is one
         return _numeric_failure(
             out, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
             str(exc))
+    except (ValueError, OSError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     if errors:
         # the partial artifacts are written; the run still failed
         return _numeric_failure(out, "".join(e + "\n" for e in errors),

@@ -83,8 +83,13 @@ def _pair_element_upper(u: FormFactor, v: FormFactor, f: float, z,
         vals = np.exp(1j * phase) * v_hat(k + f * sig)
         return 1j * np.sum(wts * vals)
 
-    val, _ = quad(lambda k: u_hat(k) * solved(k), -K, K, complex_func=True,
-                  epsabs=1e-12, epsrel=max(tol, 1e-9), limit=400)
+    val, err, info = quad(lambda k: u_hat(k) * solved(k), -K, K,
+                          complex_func=True, epsabs=1e-12,
+                          epsrel=max(tol, 1e-9), limit=400, full_output=True)
+    for part in info.values():      # (infodict, message) when quad gave up
+        if len(part) > 1:
+            raise QuadratureError("direct solve did not converge: "
+                                  + part[1].splitlines()[0], abs(err))
     return val
 
 

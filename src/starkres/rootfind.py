@@ -18,6 +18,7 @@ __all__ = [
     "Window",
     "Resonance",
     "BoundaryZeroError",
+    "CertificateError",
     "winding_number",
     "find_zeros",
 ]
@@ -25,18 +26,20 @@ __all__ = [
 # deterministic outward jitter factors for boundary-zero retries
 _JITTER = (2.3e-4, 7.9e-4, 2.7e-3)
 _PHASE_STEP_MAX = 0.45 * math.pi
-# initial contour samples of a phase-tracked winding, its refinement
-# rounds, and the |F| floor (relative to the median) that flags a
-# contour zero
+# initial contour samples of a phase-tracked winding, refinement rounds
 _N_INIT = 64
 _PHASE_ROUNDS = 28
-_ZERO_FLOOR_REL = 1e-10
 # Newton steps before a polish gives up
 _NEWTON_MAX_ITER = 60
 
 
 class BoundaryZeroError(Exception):
     """A zero of F appears to lie on the integration contour."""
+
+
+class CertificateError(RuntimeError):
+    """Measured zero counts contradict each other or the analyticity of F:
+    the contour is undersampled."""
 
 
 @dataclass(frozen=True)
@@ -121,23 +124,22 @@ def _rect_param(window: Window):
 
 
 def _phase_winding(F, to_point) -> int:
-    """Winding of F along the closed path t in [0, 1) -> to_point(t)."""
+    """Winding of F along the closed path t in [0, 1) -> to_point(t).
+    A sample where F is 0 or not finite, or an unresolved phase jump, is a
+    contour zero; a negative count raises ``CertificateError``."""
     t = np.linspace(0.0, 1.0, _N_INIT, endpoint=False)
     v = np.asarray(F(to_point(t)), dtype=complex).ravel()
     for _ in range(_PHASE_ROUNDS):
-        scale = float(np.median(np.abs(v)))
-        if scale == 0.0 or float(np.min(np.abs(v))) < _ZERO_FLOOR_REL * scale:
-            raise BoundaryZeroError("|F| below threshold on the contour")
+        if not np.all(np.isfinite(v) & (v != 0)):
+            raise BoundaryZeroError("F is zero or not finite on the contour")
         steps = np.angle(np.roll(v, -1) / v)
         bad = np.abs(steps) > _PHASE_STEP_MAX
         if not np.any(bad):
-            total = float(np.sum(steps))
-            wind = total / (2.0 * math.pi)
-            nearest = round(wind)
-            if abs(wind - nearest) > 0.05:
-                raise BoundaryZeroError(
-                    f"phase tracking inconsistent (sum {wind:.4f} turns)")
-            return int(nearest)
+            wind = round(float(np.sum(steps)) / (2.0 * math.pi))
+            if wind < 0:
+                raise CertificateError(
+                    f"negative winding {wind}: the contour is undersampled")
+            return wind
         t_next = np.roll(t, -1).copy()
         t_next[-1] = 1.0
         mids = 0.5 * (t[bad] + t_next[bad])
@@ -215,7 +217,8 @@ def find_zeros(F, window: Window, tol: float = 1e-10, *, fprime,
     back to further bisection when it escapes its certified box.  The
     certificates of the returned zeros add up to the winding number of the
     full window; when a zero seems to sit on its contour, that is a window
-    jittered slightly outward, and it is the one subdivided.  Zero clusters
+    jittered slightly outward, and it is the one subdivided.  A split half
+    counted above its parent raises ``CertificateError``.  Zero clusters
     that cannot be separated above ``max(50 tol, 1e-12 window.diameter)``
     are reported as a single record with winding > 1 and a nonzero cluster
     radius (their residual may exceed ``tol``).
@@ -245,32 +248,26 @@ def find_zeros(F, window: Window, tol: float = 1e-10, *, fprime,
         # bisect, jittering the cut if a zero sits on the split line;
         # the halves use strict windings (no window expansion) so that an
         # on-edge zero forces a different cut instead of double-counting
-        halves = None
-        w1 = None
         for fraction in (0.5, 0.5 + 37.0 * _JITTER[0], 0.5 - 59.0 * _JITTER[1]):
-            cand = _split(box, fraction)
+            halves = _split(box, fraction)
             try:
-                w1 = _phase_winding(F, _rect_param(cand[0]))
-                halves = cand
+                w1 = _phase_winding(F, _rect_param(halves[0]))
                 break
             except BoundaryZeroError:
                 continue
-        if halves is None:
+        else:
             raise BoundaryZeroError(
                 f"could not place a zero-free split line in {box}")
-        w2 = wind - w1
-        if w2 < 0:
-            w2 = _phase_winding(F, _rect_param(halves[1]))
-            w1 = wind - w2
-        if w1 < 0 or w2 < 0:
-            raise RuntimeError(
-                f"inconsistent winding split {wind} -> ({w1}, {w2}) in {box}")
+        if w1 > wind:
+            raise CertificateError(
+                f"half {halves[0]} counts {w1} zeros, its parent {box} "
+                f"counts {wind}")
         stack.append((halves[0], w1))
-        stack.append((halves[1], w2))
+        stack.append((halves[1], wind - w1))
 
     found = _merge_duplicates(found, radius=1e-9)
     if sum(r.winding for r in found) != total:
-        raise RuntimeError(
+        raise CertificateError(
             f"certificate mismatch: window winding {total}, "
             f"sum of zero certificates {sum(r.winding for r in found)}")
     guard = 10.0 * tol

@@ -3,36 +3,37 @@
 The DC sweep locates all window zeros per field value, links them into
 trajectories by nearest-neighbor gating, and measures the instability
 envelope; the AC sweep follows the dilated Floquet eigenvalue toward its
-field-free limit.  The stability/instability flags are fixed numeric
-predicates over those outputs, reproducible bit for bit.
+field-free limit as a ``FloquetTrack``.  The stability/instability flags
+are fixed numeric predicates over those outputs, reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .floquet import FloquetProblem, eigen_near
 from .formfactor import FormFactor
 from .resolvent import QuadratureError, ResolventEvaluator, SectorLimitError
-from .rootfind import BoundaryZeroError, Resonance, Window, find_zeros
+from .rootfind import (BoundaryZeroError, CertificateError, Resonance,
+                       Window, find_zeros)
 
 __all__ = [
     "TrajectoryPoint",
     "SweepResult",
+    "FloquetTrack",
     "dc_sweep",
     "ac_sweep",
     "link_trajectories",
 ]
 
-# failures a field value may end in without stopping the sweep; the
-# RuntimeError is the root finder's certificate mismatch.  Anything else
-# is a bug and propagates.
-_NUMERIC_ERRORS = (QuadratureError, BoundaryZeroError, SectorLimitError,
-                   np.linalg.LinAlgError, RuntimeError)
+# failures a field value may end in without stopping the sweep.  Anything
+# else is a bug and propagates.
+_NUMERIC_ERRORS = (QuadratureError, BoundaryZeroError, CertificateError,
+                   SectorLimitError, np.linalg.LinAlgError)
 # radius of the disk around the tracked eigenvalue that the AC sweep
 # searches at each field value
 _DISK_RADIUS = 0.05
@@ -47,7 +48,8 @@ class TrajectoryPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    mode: str
+    """DC sweep: the certified zero cloud per field value."""
+
     f_grid: tuple[float, ...]
     resonances: tuple[tuple[Resonance, ...], ...]   # aligned with f_grid
     reference: complex                              # field-free resonance
@@ -60,7 +62,6 @@ class SweepResult:
     c0_largest_f: float
     flags: dict[str, bool] = field(default_factory=dict)
     errors: tuple[str, ...] = ()
-    sensitivities: tuple[float, ...] = ()   # ac: aligned with trajectories[0]
 
     def all_points(self) -> list[tuple[float, Resonance]]:
         out = []
@@ -205,37 +206,47 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window, tol: float = 1e-9,
     }
     flags["dc_unstable"] = flags["axis_approach"] and flags["r0_avoidance"]
     return SweepResult(
-        mode="dc", f_grid=grid, resonances=groups, reference=reference,
+        f_grid=grid, resonances=groups, reference=reference,
         trajectories=trajectories, max_im=tuple(max_im),
         min_dist_reference=tuple(min_dist), mean_re=tuple(mean_re),
         scatter_re=tuple(scat_re), c0_envelope=c0_env, c0_largest_f=c0_top,
         flags=flags, errors=errors)
 
 
-def ac_sweep(phi: FormFactor, f_grid, omega: float = 1.0, theta: complex = 0.3j,
-             target: complex | None = None, tol: float = 1e-9,
-             n_fourier: int = 16, n_hermite: int = 80,
-             length_scale: float = 1.0, workers: int = 1) -> SweepResult:
+@dataclass(frozen=True)
+class FloquetTrack:
+    """AC sweep: the Floquet eigenvalue followed down the field grid."""
+
+    reference: complex
+    points: tuple[TrajectoryPoint, ...]   # grid fields found, then f = 0
+    sensitivities: tuple[float, ...]      # aligned with points
+    distances: tuple[float, ...]          # to reference per grid field
+    flags: dict[str, bool]
+    errors: tuple[str, ...]
+
+
+def ac_sweep(problem: FloquetProblem, f_grid, target: complex | None = None,
+             tol: float = 1e-9, workers: int = 1) -> FloquetTrack:
     """Track the Floquet resonance eigenvalue along the descending f grid.
 
-    The trajectory starts at the f = 0 eigenvalue; distances are recorded
-    against ``target`` (the field-free resonance from a DC run) when
-    given, else against the f = 0 eigenvalue itself.
+    ``problem`` is the f = 0 truncation; each field value solves a copy of
+    it with only f changed.  The track starts at the f = 0 eigenvalue;
+    distances are recorded against ``target`` (the field-free resonance
+    from a DC run) when given, else against the f = 0 eigenvalue itself,
+    and are infinite at a field that found no eigenvalue.
     """
+    if problem.f != 0:
+        raise ValueError("ac_sweep starts from the f = 0 problem")
     grid = _validate_grid(f_grid)
-    prob0 = FloquetProblem(phi, 0.0, omega, theta, n_fourier, n_hermite,
-                           length_scale)
     seed = target if target is not None else 1.0 - 0.01j
-    pairs0 = eigen_near(prob0, seed, tol=tol, radius=_DISK_RADIUS)
+    pairs0 = eigen_near(problem, seed, tol=tol, radius=_DISK_RADIUS)
     if not pairs0:
         raise ValueError("no field-free Floquet eigenvalue near the target")
     lam0 = min(pairs0, key=lambda p: (p.sensitivity, abs(p.eigenvalue - seed)))
     reference = complex(target) if target is not None else lam0.eigenvalue
 
     def nearest_at(f: float):
-        prob = FloquetProblem(phi, f, omega, theta, n_fourier, n_hermite,
-                              length_scale)
-        pairs = eigen_near(prob, lam0.eigenvalue, tol=tol,
+        pairs = eigen_near(replace(problem, f=f), lam0.eigenvalue, tol=tol,
                            radius=_DISK_RADIUS)
         return pairs[0] if pairs else None
 
@@ -243,40 +254,19 @@ def ac_sweep(phi: FormFactor, f_grid, omega: float = 1.0, theta: complex = 0.3j,
     # a field without a pair either failed or found no eigenvalue
     errors = tuple(err or f"f={f:.17g}: no eigenvalue in the target disk"
                    for f, (pair, err) in zip(grid, results) if pair is None)
-
-    groups = []
-    traj = [TrajectoryPoint(0.0, lam0.eigenvalue, lam0.residual)]
-    sens = [lam0.sensitivity]
-    dists = []
-    for f, (pair, _err) in zip(grid, results):
-        if pair is None:
-            groups.append(())
-            continue
-        groups.append((Resonance(pair.eigenvalue, f, pair.residual, 1, 0),))
-        traj.append(TrajectoryPoint(f, pair.eigenvalue, pair.residual))
-        sens.append(pair.sensitivity)
-        dists.append(abs(pair.eigenvalue - reference))
-
-    decreasing = (len(dists) >= 3
-                  and dists[-1] < dists[-2] < dists[-3])
-    last_sens = sens[-1] if sens[-1] == sens[-1] else max(
-        (s for s in sens if s == s), default=math.inf)
-    small = bool(dists and dists[-1] <= 10.0 * last_sens)
-    flags = {
-        "converging_to_reference": bool(decreasing),
-        "within_truncation_floor": small,
-        "ac_stable": bool(decreasing and small),
-    }
-    max_im = tuple(abs(g[0].z.imag) if g else 0.0 for g in groups)
-    min_d = tuple(abs(g[0].z - reference) if g else math.inf for g in groups)
-    # the field-free limit point closes the trajectory and its sensitivities
-    ordered = tuple(traj[1:] + traj[:1])
-    return SweepResult(
-        mode="ac", f_grid=grid, resonances=tuple(groups), reference=reference,
-        trajectories=(ordered,), max_im=max_im,
-        min_dist_reference=min_d,
-        mean_re=tuple(g[0].z.real if g else math.nan for g in groups),
-        scatter_re=tuple(0.0 for _ in groups),
-        c0_envelope=0.0, c0_largest_f=0.0,
-        flags=flags, errors=errors,
-        sensitivities=tuple(sens[1:] + sens[:1]))
+    found = [(f, pair) for f, (pair, _) in zip(grid, results) if pair]
+    dists = [abs(pair.eigenvalue - reference) for _, pair in found]
+    decreasing = len(dists) >= 3 and dists[-1] < dists[-2] < dists[-3]
+    small = bool(found) and dists[-1] <= 10.0 * found[-1][1].sensitivity
+    found.append((0.0, lam0))
+    return FloquetTrack(
+        reference=reference,
+        points=tuple(TrajectoryPoint(f, p.eigenvalue, p.residual)
+                     for f, p in found),
+        sensitivities=tuple(p.sensitivity for _, p in found),
+        distances=tuple(abs(pair.eigenvalue - reference) if pair else math.inf
+                        for pair, _ in results),
+        flags={"converging_to_reference": decreasing,
+               "within_truncation_floor": small,
+               "ac_stable": decreasing and small},
+        errors=errors)

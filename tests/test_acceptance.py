@@ -78,8 +78,9 @@ def floquet_zero(coupling):
 def ac_result(coupling, located_r0):
     zeros, _ = located_r0
     t0 = time.monotonic()
-    res = ac_sweep(coupling, AC_GRID, omega=1.0, theta=0.3j,
-                   target=zeros[0].z, tol=1e-9, n_fourier=16, n_hermite=80)
+    prob = FloquetProblem(coupling, 0.0, 1.0, 0.3j, n_fourier=16,
+                          n_hermite=80)
+    res = ac_sweep(prob, AC_GRID, target=zeros[0].z, tol=1e-9)
     return res, time.monotonic() - t0
 
 
@@ -263,7 +264,7 @@ def test_criterion_08_ac_stability(coupling, located_r0, floquet_zero,
     b_ok = copy_dev < 1e-10
     dt_copies = time.monotonic() - t0
 
-    dists = list(ac.min_dist_reference)
+    dists = list(ac.distances)
     c_ok = len(dists) == 3 and dists[0] > dists[1] > dists[2]
     dt = dt_zero + dt_ac + dt_copies
     time_ok = dt < 1200.0

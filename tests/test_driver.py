@@ -267,6 +267,31 @@ def test_numeric_failure_exit_code(tmp_path):
     assert (out / "failure.log").exists()
 
 
+def test_program_error_is_not_a_numeric_failure(tmp_path, monkeypatch):
+    # a bug in a runner propagates with its traceback instead of exit 3
+    def broken(config, out):
+        raise TypeError("a bug, not a numeric failure")
+
+    monkeypatch.setitem(driver._RUNNERS, "dc", broken)
+    out = tmp_path / "bug"
+    with pytest.raises(TypeError, match="a bug"):
+        run(RunConfig(mode="dc", out=str(out)))
+    assert not (out / "failure.log").exists()
+
+
+def test_linalg_failure_is_a_numeric_failure(tmp_path, monkeypatch):
+    # LinAlgError is a ValueError, but it is a numeric failure, not a
+    # configuration error
+    def singular(config, out):
+        raise np.linalg.LinAlgError("zero pivot")
+
+    monkeypatch.setitem(driver._RUNNERS, "dc", singular)
+    out = tmp_path / "singular"
+    assert run(RunConfig(mode="dc", out=str(out))) == 3
+    assert (out / "failure.log").read_text().startswith(
+        "LinAlgError: zero pivot\n")
+
+
 def test_sweep_failed_fields_exit_code(tmp_path, monkeypatch):
     # a field whose search fails keeps its partial artifacts and exits 3
     from starkres import QuadratureError, sweep

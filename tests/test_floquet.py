@@ -267,6 +267,26 @@ def test_structured_operator_matches_dense(phi, f, rng):
     assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("radius", [0.05, 0.1])
+@pytest.mark.parametrize("f", [0.0, 0.1])
+@pytest.mark.parametrize("n_fourier, n_hermite",
+                         [(3, 20), (3, 40), (4, 40), (2, 60)])
+@pytest.mark.parametrize("phi", [FormFactor.gaussian(0.1, 1.0), TWO_TERMS],
+                         ids=["gaussian", "two-terms"])
+def test_eigen_near_finds_every_dense_eigenvalue_in_the_disk(
+        phi, n_fourier, n_hermite, f, radius):
+    prob = FloquetProblem(phi, f, 1.0, 0.3j, n_fourier=n_fourier,
+                          n_hermite=n_hermite)
+    dense = np.linalg.eigvals(prob.matrix)
+    want = dense[np.abs(dense - R0) <= radius]
+    got = np.array([p.eigenvalue for p in eigen_near(
+        prob, R0, tol=1e-10, radius=radius, with_sensitivity=False)])
+    assert want.size == got.size
+    for a, b in ((want, got), (got, want)):
+        for lam in a:
+            assert np.min(np.abs(b - lam)) < 1e-8
+
+
 @pytest.mark.parametrize("f", [0.0, 0.1])
 def test_shift_on_a_field_eigenvalue_solves(coupling, f, rng):
     # sigma exactly on a Lambda entry: that field mode joins the bordered

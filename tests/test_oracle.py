@@ -42,6 +42,19 @@ def test_direct_solve_fails_loudly_near_the_axis(coupling):
         ode_resolvent_oracle(coupling, 0.0, 1 + 1e-12j)
 
 
+def test_direct_solve_in_a_field_fails_loudly(coupling, monkeypatch):
+    # quad giving up on the real part is a QuadratureError, not a warning
+    message = "The maximum number of subdivisions (400) has been achieved."
+
+    def gave_up(*args, **kwargs):
+        assert kwargs["full_output"]
+        return 0j, 1e-3 + 0j, {"real": ({}, message), "imag": ({},)}
+
+    monkeypatch.setattr(oracle, "quad", gave_up)
+    with pytest.raises(QuadratureError, match="maximum number of subdiv"):
+        ode_resolvent_oracle(coupling, 0.05, 1 + 0.9j)
+
+
 def test_erfc_closed_form_zero_is_reference():
     # Newton on the closed form reproduces the pinned resonance
     z = 1.0 - 0.01j

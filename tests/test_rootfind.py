@@ -3,12 +3,16 @@ import pytest
 
 from conftest import R0
 from starkres import (
+    BoundaryZeroError,
+    CertificateError,
     ResolventEvaluator,
     Window,
     find_zeros,
     grid_scan,
+    rootfind,
     winding_number,
 )
+from starkres.rootfind import _counted_window
 
 
 def poly_from_roots(roots):
@@ -200,3 +204,57 @@ def test_find_zeros_subdivides_the_jittered_window(eps):
         assert r.winding == 1
         assert r.cluster_radius == 0.0
         assert r.residual < 1e-9
+
+
+# the default dc window, where the zero cloud of the reference Gaussian
+# grows like 0.065/f
+DC_WINDOW = Window(0.9, 1.1, -0.05, -1e-6)
+
+
+def test_find_zeros_certifies_the_cloud_at_f_0_004(coupling):
+    ev = ResolventEvaluator(coupling, 0.004)
+    out = find_zeros(ev.F_value, DC_WINDOW, tol=1e-9,
+                     fprime=ev.F_derivative, f=0.004)
+    assert len(out) == 16
+    for r in out:
+        assert r.winding == 1
+        assert DC_WINDOW.contains(r.z)
+        assert r.residual <= 1e-9
+
+
+def test_count_is_taken_on_the_requested_window(coupling):
+    # the nearest zero sits 1.4e-5 below the top edge; no jitter is needed
+    ev = ResolventEvaluator(coupling, 0.005)
+    assert _counted_window(ev.F_value, DC_WINDOW) == (DC_WINDOW, 13)
+
+
+def test_negative_winding_raises(coupling):
+    # at f = 0.003 the 64 initial samples alias the cloud's phase and the
+    # sum comes out at -3 turns, which no analytic F can give
+    ev = ResolventEvaluator(coupling, 0.003)
+    with pytest.raises(CertificateError, match="negative winding"):
+        winding_number(ev.F_value, DC_WINDOW)
+
+
+def test_half_counted_above_its_parent_raises(monkeypatch):
+    roots = [1 - 0.5j, 2 - 0.25j]
+    real = rootfind._phase_winding
+    calls = []
+
+    def inflated(F, to_point):
+        calls.append(to_point)
+        # the window itself keeps its count of 2; every half gets 3 more
+        return real(F, to_point) + (3 if len(calls) > 1 else 0)
+
+    monkeypatch.setattr(rootfind, "_phase_winding", inflated)
+    with pytest.raises(CertificateError, match="its parent"):
+        find_zeros(poly_from_roots(roots), Window(0.5, 2.5, -1.5, -0.1),
+                   fprime=poly_derivative(roots))
+
+
+def test_zero_or_nonfinite_sample_is_a_contour_zero():
+    w = Window(-1.0, 1.0, -1.0, 1.0)
+    for value in (0.0, np.nan, np.inf):
+        F = lambda z, v=value: np.where(np.asarray(z) == -1 - 1j, v, 1.0 + 0j)
+        with pytest.raises(BoundaryZeroError, match="zero or not finite"):
+            rootfind._phase_winding(F, rootfind._rect_param(w))

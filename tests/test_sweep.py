@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import R0
-from starkres import FormFactor, QuadratureError, Window, ac_sweep, dc_sweep
+from starkres import (
+    CertificateError,
+    FloquetProblem,
+    FormFactor,
+    QuadratureError,
+    Window,
+    ac_sweep,
+    dc_sweep,
+)
 from starkres import sweep
 from starkres.rootfind import Resonance
 from starkres.sweep import link_trajectories
@@ -40,7 +48,6 @@ def test_link_trajectories_permutation_invariant():
 def test_dc_sweep_small(coupling):
     res = dc_sweep(coupling, (0.05, 0.02), Window(0.9, 1.1, -0.05, -1e-6),
                    tol=1e-9)
-    assert res.mode == "dc"
     assert abs(res.reference - R0) < 1e-8
     assert all(len(g) >= 1 for g in res.resonances)
     assert res.c0_envelope > 0
@@ -102,18 +109,47 @@ def test_dc_sweep_propagates_program_errors(coupling, monkeypatch):
         dc_sweep(coupling, (0.05, 0.02), Window(0.9, 1.1, -0.05, -1e-6))
 
 
+def test_dc_sweep_records_certificate_errors(coupling, monkeypatch):
+    _fail_above_zero_field(monkeypatch, CertificateError("undersampled"))
+    res = dc_sweep(coupling, (0.05,), Window(0.9, 1.1, -0.05, -1e-6))
+    assert res.errors == ("f=0.050000000000000003: CertificateError: "
+                          "undersampled",)
+
+
+def test_dc_sweep_propagates_plain_runtime_errors(coupling, monkeypatch):
+    # only the root finder's CertificateError is a numeric failure; any
+    # other RuntimeError is a bug
+    _fail_above_zero_field(monkeypatch, RuntimeError("a bug"))
+    with pytest.raises(RuntimeError, match="a bug"):
+        dc_sweep(coupling, (0.05, 0.02), Window(0.9, 1.1, -0.05, -1e-6))
+
+
+def _floquet_zero(coupling, n_fourier, n_hermite):
+    return FloquetProblem(coupling, 0.0, 1.0, 0.3j, n_fourier=n_fourier,
+                          n_hermite=n_hermite)
+
+
 def test_ac_sweep_small(coupling):
-    res = ac_sweep(coupling, (0.1, 0.05, 0.02), omega=1.0, theta=0.3j,
-                   target=None, tol=1e-9, n_fourier=4, n_hermite=40)
-    assert res.mode == "ac"
-    # reference is the field-free eigenvalue; the trajectory closes on it
-    traj = res.trajectories[0]
-    assert traj[-1].f == 0.0
+    res = ac_sweep(_floquet_zero(coupling, 4, 40), (0.1, 0.05, 0.02),
+                   target=None, tol=1e-9)
+    # reference is the field-free eigenvalue; the track closes on it
+    traj = res.points
+    assert [p.f for p in traj] == [0.1, 0.05, 0.02, 0.0]
+    assert traj[-1].z == res.reference
     dists = [abs(p.z - res.reference) for p in traj[:-1]]
+    assert list(res.distances) == dists
     assert dists[0] > dists[1] > dists[2]
     assert res.flags["converging_to_reference"]
     assert res.flags["ac_stable"]
     assert len(res.sensitivities) == 4
+    assert res.errors == ()
+
+
+def test_ac_sweep_needs_the_field_free_problem(coupling):
+    prob = FloquetProblem(coupling, 0.1, 1.0, 0.3j, n_fourier=2,
+                          n_hermite=24)
+    with pytest.raises(ValueError, match="f = 0"):
+        ac_sweep(prob, (0.05,))
 
 
 def test_ac_sweep_records_failed_fields_in_grid_order(coupling, monkeypatch):
@@ -128,9 +164,10 @@ def test_ac_sweep_records_failed_fields_in_grid_order(coupling, monkeypatch):
         return real(problem, target, tol=1e-300 if problem.f else tol, **kw)
 
     monkeypatch.setattr(sweep, "eigen_near", eigen_near)
-    res = ac_sweep(coupling, (0.1, 0.05), tol=1e-9, n_fourier=2,
-                   n_hermite=24)
-    assert res.resonances == ((), ())
+    res = ac_sweep(_floquet_zero(coupling, 2, 24), (0.1, 0.05), tol=1e-9)
+    assert [p.f for p in res.points] == [0.0]
+    assert res.distances == (np.inf, np.inf)
+    assert not res.flags["ac_stable"]
     assert len(res.errors) == 2
     assert res.errors[0].startswith(
         "f=0.10000000000000001: LinAlgError: inverse iteration from "
