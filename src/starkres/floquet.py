@@ -5,6 +5,11 @@ gauge-transformed generator p^2 + (f^2/2w^2) cos(2wt) + f^2/2w^2 in the
 field sector.  Complex dilation by theta (Im theta > 0) rotates the
 continuum strings and uncovers the resonance eigenvalues near the target.
 
+The coupling borders are exact: each drive-period sample of the boosted,
+dilated coupling is a finite Hermite-Gaussian sum, and its Hermite
+overlaps follow from a three-term recurrence in closed form, so no
+position grid is involved.
+
 Eigenvalues are found without forming the truncated operator: its field
 sector is a Kronecker sum of two real symmetric matrices, diagonal in the
 product of their eigenbases, and the discrete sector borders it with
@@ -25,7 +30,6 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_triangular
 
-from ._gauss import panel_nodes
 from .formfactor import FormFactor, dilate, translate_modulate
 
 __all__ = [
@@ -71,6 +75,50 @@ def momentum_squared_matrix(n_max: int, length_scale: float = 1.0
     return M / length_scale**2
 
 
+def _hermite_overlaps(phis, n_max: int, length_scale: float) -> np.ndarray:
+    """Exact overlaps int h_j(x) phi(x) dx, j = 0..n_max, of each coupling
+    in phis with the Hermite functions of scale ell, shape
+    (len(phis), n_max+1).
+
+    A term c x^d exp(-w x^2/2 + b x) becomes c ell^(d+1/2) y^d
+    exp(-w ell^2 y^2/2 + b ell y) at unit scale.  There its Gaussian
+    overlaps start from o_0 = pi^{-1/4} sqrt(2 pi/(1+w)) e^{b^2/(2(1+w))}
+    and o_1 = sqrt(2) b o_0/(1+w), and obey
+
+        (1+w) sqrt((j+1)/2) o_{j+1} = b o_j + (1-w) sqrt(j/2) o_{j-1};
+
+    the factor y^d is d applications of the tridiagonal position matrix
+    (off-diagonal sqrt(k/2)) on levels 0..J+d, truncated to 0..J.  One
+    pass covers every term of every coupling."""
+    owner = [i for i, phi in enumerate(phis) for _ in phi.terms]
+    out = np.zeros((len(phis), n_max + 1), dtype=complex)
+    if not owner:
+        return out
+    c, d, w, b = (np.array(v) for v in zip(
+        *(t for phi in phis for t in phi.terms)))
+    w = w * length_scale**2
+    b = b * length_scale
+    c = c * length_scale ** (d + 0.5)
+    top = n_max + int(d.max())
+    o = np.empty((top + 1, c.size), dtype=complex)
+    o[0] = (np.pi ** -0.25 * np.sqrt(2.0 * np.pi / (1.0 + w))
+            * np.exp(b * b / (2.0 * (1.0 + w))))
+    o[1] = math.sqrt(2.0) * b * o[0] / (1.0 + w)
+    for j in range(1, top):
+        o[j + 1] = ((b * o[j] + (1.0 - w) * math.sqrt(j / 2.0) * o[j - 1])
+                    / ((1.0 + w) * math.sqrt((j + 1) / 2.0)))
+    off = np.sqrt(np.arange(1, top + 1) / 2.0)[:, None]
+    for r in range(int(d.max())):
+        raised = d > r
+        v = o[:, raised]
+        xv = np.zeros_like(v)
+        xv[:-1] = off * v[1:]
+        xv[1:] += off * v[:-1]
+        o[:, raised] = xv
+    np.add.at(out, np.array(owner), (c * o[:n_max + 1]).T)
+    return out
+
+
 @dataclass(frozen=True)
 class FloquetProblem:
     """Truncation of K(f, theta) over Fourier modes -N..N and Hermite
@@ -104,50 +152,32 @@ class FloquetProblem:
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
 
-    def index_field(self, n: int, j: int) -> int:
-        return (n + self.n_fourier) * (self.n_hermite + 1) + j
-
-    def index_discrete(self, n: int) -> int:
-        return (2 * self.n_fourier + 1) * (self.n_hermite + 1) + (
-            n + self.n_fourier)
-
     # ------------------------------------------------------------------
-
-    @cached_property
-    def _x_grid(self):
-        J = self.n_hermite
-        ell = self.length_scale
-        shrink = math.cos(2.0 * self.theta.imag)
-        if shrink <= 0:
-            raise ValueError("Im theta too large for the Gaussian family")
-        L = max(math.sqrt(2.0 * J + 1.0) * ell,
-                self.phi.width_extent() / math.sqrt(shrink)
-                + 2.0 * self.f / self.omega**2) + 6.0
-        n_pan = int(math.ceil(2.0 * L / 0.5))
-        x, w, _ = panel_nodes(-L, L, n_pan, 16)
-        return x, w
 
     def _coupling_modes(self, conjugate: bool) -> np.ndarray:
         """Fourier modes over the drive period of the Hermite overlaps of
         the dilated, gauge-boosted coupling, shape (M, J+1) with row d
         holding mode d mod M; at f = 0 only mode 0 is nonzero."""
-        x, w = self._x_grid
-        H = hermite_functions(self.n_hermite, x, self.length_scale)
-        Hw = H * w[None, :]
         M = _T_SAMPLES_PER_MODE * self.n_fourier
         base = self.phi.conj_position() if conjugate else self.phi
-        modes = np.zeros((M, self.n_hermite + 1), dtype=complex)
         if self.f == 0.0:
-            modes[0] = Hw @ dilate(base, self.theta)(x)
+            modes = np.zeros((M, self.n_hermite + 1), dtype=complex)
+            modes[0] = _hermite_overlaps([dilate(base, self.theta)],
+                                         self.n_hermite,
+                                         self.length_scale)[0]
             return modes
         sign = -1.0 if conjugate else 1.0
+        boosted = []
         for k in range(M):
             t = k * self.period / M
             a = 2.0 * self.f * math.sin(self.omega * t) / self.omega**2
             b = -self.f * math.cos(self.omega * t) / self.omega
-            boosted = translate_modulate(base, a, sign * b, sign * a * b)
-            modes[k] = Hw @ dilate(boosted, self.theta)(x)
-        return np.fft.fft(modes, axis=0) / M
+            boosted.append(dilate(
+                translate_modulate(base, a, sign * b, sign * a * b),
+                self.theta))
+        overlaps = _hermite_overlaps(boosted, self.n_hermite,
+                                     self.length_scale)
+        return np.fft.fft(overlaps, axis=0) / M
 
     def _factors(self):
         """The real symmetric Fourier matrix T (n w + f^2/2w^2 on its

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import quad_vec
 
 from .formfactor import FormFactor, conj_reflect
 from .resolvent import QuadratureError
@@ -44,7 +44,8 @@ def _pair_element_upper(u: FormFactor, v: FormFactor, f: float, z,
                         tol: float = 1e-10):
     """(u, (p^2 + f x - z)^{-1} v) for Im z > 0 by explicit quadrature.
 
-    At f = 0, z may be an array whose points share one quad_vec pass.
+    The k integral is one adaptive quad_vec pass at every f; at f = 0, z
+    may be an array whose points share that pass.
     """
     if np.any(np.imag(z) <= 0):
         raise ValueError("the direct solve requires Im z > 0")
@@ -53,44 +54,44 @@ def _pair_element_upper(u: FormFactor, v: FormFactor, f: float, z,
     K = max(u.width_extent(1e-18), v.width_extent(1e-18), 9.0)
     if f == 0.0:
         zf = np.ravel(z)
-        val, err, info = quad_vec(
-            lambda k: u_hat(k) * v_hat(k) / (k * k - zf), -K, K,
-            epsabs=1e-13, epsrel=tol, limit=400, norm="max",
-            full_output=True)
-        if info.status != 0:
-            raise QuadratureError(
-                f"direct solve did not converge: {info.message}", float(err))
-        return complex(val[0]) if np.ndim(z) == 0 else val.reshape(np.shape(z))
 
-    z = complex(z)
-    # u(k) from the integrating factor, as a truncated ray integral in
-    # sigma with the Gauss panels sized to the local phase rate
-    sig_max = 46.0 / z.imag
-    xg, wg = np.polynomial.legendre.leggauss(16)
+        def integrand(k):
+            return u_hat(k) * v_hat(k) / (k * k - zf)
+        epsabs, epsrel = 1e-13, tol
+    else:
+        z = complex(z)
+        # u(k) from the integrating factor, as a truncated ray integral in
+        # sigma with the Gauss panels sized to the local phase rate
+        sig_max = 46.0 / z.imag
+        xg, wg = np.polynomial.legendre.leggauss(16)
 
-    def solved(k: float) -> complex:
-        rate = k * k + abs(z) + 2.0 * f * sig_max * abs(k) \
-            + (f * sig_max) ** 2 + 1.0
-        n_pan = int(math.ceil(sig_max * rate / 4.0))
-        n_pan = min(max(n_pan, 4), 40000)
-        edges = np.linspace(0.0, sig_max, n_pan + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        sig = (half[:, None] * xg[None, :] + mid[:, None]).ravel()
-        wts = (half[:, None] * wg[None, :]).ravel()
-        phase = z * sig - (k * k * sig + f * sig * sig * k
-                           + f * f * sig**3 / 3.0)
-        vals = np.exp(1j * phase) * v_hat(k + f * sig)
-        return 1j * np.sum(wts * vals)
+        def solved(k: float) -> complex:
+            rate = k * k + abs(z) + 2.0 * f * sig_max * abs(k) \
+                + (f * sig_max) ** 2 + 1.0
+            n_pan = int(math.ceil(sig_max * rate / 4.0))
+            n_pan = min(max(n_pan, 4), 40000)
+            edges = np.linspace(0.0, sig_max, n_pan + 1)
+            half = 0.5 * (edges[1:] - edges[:-1])
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            sig = (half[:, None] * xg[None, :] + mid[:, None]).ravel()
+            wts = (half[:, None] * wg[None, :]).ravel()
+            phase = z * sig - (k * k * sig + f * sig * sig * k
+                               + f * f * sig**3 / 3.0)
+            vals = np.exp(1j * phase) * v_hat(k + f * sig)
+            return 1j * np.sum(wts * vals)
 
-    val, err, info = quad(lambda k: u_hat(k) * solved(k), -K, K,
-                          complex_func=True, epsabs=1e-12,
-                          epsrel=max(tol, 1e-9), limit=400, full_output=True)
-    for part in info.values():      # (infodict, message) when quad gave up
-        if len(part) > 1:
-            raise QuadratureError("direct solve did not converge: "
-                                  + part[1].splitlines()[0], abs(err))
-    return val
+        def integrand(k):
+            return u_hat(k) * solved(k)
+        epsabs, epsrel = 1e-12, max(tol, 1e-9)
+
+    val, err, info = quad_vec(integrand, -K, K, epsabs=epsabs,
+                              epsrel=epsrel, limit=400, norm="max",
+                              full_output=True)
+    if info.status != 0:
+        raise QuadratureError(
+            f"direct solve did not converge: {info.message}", float(err))
+    return complex(np.ravel(val)[0]) if np.ndim(z) == 0 \
+        else val.reshape(np.shape(z))
 
 
 def ode_resolvent_oracle(phi: FormFactor, f: float, z,
@@ -386,8 +387,8 @@ def verify_report() -> dict:
 
     lam = 1.0
     eps = 1e-6
-    jump = (ev0.free_matrix_element(lam + 1j * eps)
-            - np.conj(ev0.free_matrix_element(lam + 1j * eps)))
+    up = ode_resolvent_oracle(phi, 0.0, lam + 1j * eps)
+    jump = up - np.conj(up)
     G = math.exp(-lam) / 100.0
     expect = 2j * math.pi * G / math.sqrt(lam)
     dev = abs(jump - expect)

@@ -131,26 +131,6 @@ class ResolventEvaluator:
     # ------------------------------------------------------------------
     # f = 0: free line
 
-    def free_matrix_element(self, z: complex) -> complex:
-        """Direct integral int G(k)/(k^2 - z) dk for Im z > 0.
-
-        Plain adaptive panel quadrature; independent of the subtraction
-        identities used by :meth:`free_continued`.
-        """
-        z = complex(z)
-        if z.imag <= 0.0:
-            raise ValueError("free_matrix_element requires Im z > 0")
-        K = max(self._k_cutoff, 2.0 * abs(cmath.sqrt(z)))
-        G = self._G
-
-        def fun(k):
-            return G(k) / (k * k - z)
-
-        # local bisection depth is logarithmic in the distance to the
-        # nearly singular points, so a deep limit stays cheap
-        return _adaptive_gl(fun, -K, K, QUADRATURE["tol"],
-                            max(48, QUADRATURE["max_subdivisions"]))
-
     def free_continued(self, z):
         """Analytic continuation of the free matrix element across (0, inf).
 
@@ -502,38 +482,3 @@ def _cumulative_left(vals: np.ndarray, halves: np.ndarray, M: np.ndarray,
     panel_totals = (v @ gauss_w) * halves[None, :]
     offsets = np.cumsum(panel_totals, axis=1) - panel_totals
     return (within + offsets[:, :, None]).reshape(nz, n_pan * nn)
-
-
-def _adaptive_gl(fun, lo: float, hi: float, tol: float,
-                 max_depth: int) -> complex:
-    """Scalar adaptive Gauss-Legendre with interval bisection."""
-    x12, w12 = np.polynomial.legendre.leggauss(12)
-    x24, w24 = np.polynomial.legendre.leggauss(24)
-
-    def rules(a, b):
-        h = 0.5 * (b - a)
-        m = 0.5 * (a + b)
-        c1 = h * np.sum(w12 * fun(h * x12 + m))
-        c2 = h * np.sum(w24 * fun(h * x24 + m))
-        return c1, c2
-
-    total = 0.0 + 0.0j
-    worst = 0.0
-    stack = [(lo, hi, 0)]
-    while stack:
-        a, b, depth = stack.pop()
-        c1, c2 = rules(a, b)
-        err = abs(c2 - c1)
-        budget = max(tol * max(1.0, abs(c2)) * (b - a) / (hi - lo),
-                     5e-16 * (1.0 + abs(c2)))   # round-off floor
-        if err <= budget or depth >= max_depth:
-            total += c2
-            worst = max(worst, err)
-            if depth >= max_depth and err > budget:
-                raise QuadratureError(
-                    "adaptive quadrature exceeded the subdivision limit", err)
-        else:
-            m = 0.5 * (a + b)
-            stack.append((m, b, depth + 1))
-            stack.append((a, m, depth + 1))
-    return total

@@ -12,7 +12,26 @@ from starkres import (
     momentum_squared_matrix,
 )
 from starkres import floquet
+from starkres._gauss import panel_nodes
 from starkres.floquet import _inverse_iterate, _solve_near
+
+
+TWO_TERMS = FormFactor.from_records([[0.1, 0.02, 1, 1.0, 0.1, 0.3, 0.0],
+                                     [0.05, 0.0, 0, 0.7, 0.0]])
+
+
+def sectors(prob):
+    """Views of prob.matrix by the reshapes it is assembled with: the
+    field sector as (n, j, m, k), the column border as (n, j, m), the row
+    border as (n, m, j) and the discrete diagonal, Fourier indices
+    counted from -N."""
+    K = prob.matrix
+    nb, nh = 2 * prob.n_fourier + 1, prob.n_hermite + 1
+    nf = nb * nh
+    return (K[:nf, :nf].reshape(nb, nh, nb, nh),
+            K[:nf, nf:].reshape(nb, nh, nb),
+            K[nf:, :nf].reshape(nb, nb, nh),
+            np.diagonal(K[nf:, nf:]))
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +47,11 @@ def test_validation(coupling):
         FloquetProblem(coupling, -0.1)
     with pytest.raises(ValueError):
         FloquetProblem(coupling, 0.0, omega=0.0)
+    # a rotation that turns the coupling width out of the right
+    # half-plane is rejected when the operator is built
+    with pytest.raises(ValueError, match="right half-plane"):
+        FloquetProblem(coupling, 0.0, theta=0.8j, n_fourier=2,
+                       n_hermite=10)._operator
     # no dense-dimension guard: eigen_near never forms the dense matrix
     big = FloquetProblem(coupling, 0.0, n_fourier=100, n_hermite=500)
     assert big.dimension == 201 * 502
@@ -68,19 +92,14 @@ def test_p2_matrix_against_quadrature():
 def test_f_zero_block_diagonal_exact(coupling):
     prob = FloquetProblem(coupling, 0.0, 1.0, 0.3j, n_fourier=2,
                           n_hermite=12)
-    K = prob.matrix
-    J = 12
-    for n in range(-2, 3):
-        for m in range(-2, 3):
+    field, col, row, _ = sectors(prob)
+    for n in range(5):
+        for m in range(5):
             if n == m:
                 continue
-            lo_n = prob.index_field(n, 0)
-            lo_m = prob.index_field(m, 0)
-            assert np.all(K[lo_n:lo_n + J + 1, lo_m:lo_m + J + 1] == 0)
-            assert np.all(K[lo_n:lo_n + J + 1,
-                            prob.index_discrete(m)] == 0)
-            assert np.all(K[prob.index_discrete(n),
-                            lo_m:lo_m + J + 1] == 0)
+            assert np.all(field[n, :, m, :] == 0)
+            assert np.all(col[n, :, m] == 0)
+            assert np.all(row[n, m, :] == 0)
 
 
 def test_field_sector_blocks_with_field(coupling):
@@ -88,14 +107,12 @@ def test_field_sector_blocks_with_field(coupling):
     # n w + f^2/2w^2 on its diagonal and f^2/4w^2 two modes off it
     f, om, th, N, J = 0.2, 1.3, 0.25j, 3, 8
     prob = FloquetProblem(coupling, f, om, th, n_fourier=N, n_hermite=J)
-    K = prob.matrix
+    field = sectors(prob)[0]
     p2 = np.exp(-2.0 * th) * momentum_squared_matrix(J)
     eye = np.eye(J + 1)
     for n in range(-N, N + 1):
-        lo_n = prob.index_field(n, 0)
         for m in range(-N, N + 1):
-            lo_m = prob.index_field(m, 0)
-            block = K[lo_n:lo_n + J + 1, lo_m:lo_m + J + 1]
+            block = field[n + N, :, m + N, :]
             if n == m:
                 want = p2 + (n * om + f**2 / (2.0 * om**2)) * eye
                 assert np.allclose(block, want, rtol=0.0, atol=1e-14)
@@ -106,20 +123,17 @@ def test_field_sector_blocks_with_field(coupling):
 
 
 def test_discrete_sector_diagonal(small_problem):
-    K = small_problem.matrix
+    disc = sectors(small_problem)[3]
     for n in range(-3, 4):
-        idx = small_problem.index_discrete(n)
-        assert K[idx, idx] == 1.0 + n * small_problem.omega
+        assert disc[n + 3] == 1.0 + n * small_problem.omega
 
 
 def test_row_is_not_conjugate_of_column(coupling):
     # with complex theta the row sector holds analytic continuations
     prob = FloquetProblem(coupling, 0.0, 1.0, 0.3j, n_fourier=1,
                           n_hermite=16)
-    K = prob.matrix
-    lo = prob.index_field(0, 0)
-    col = K[lo:lo + 17, prob.index_discrete(0)]
-    row = K[prob.index_discrete(0), lo:lo + 17]
+    _, col, row, _ = sectors(prob)
+    col, row = col[1, :, 1], row[1, 1, :]
     assert not np.allclose(row, np.conj(col), atol=1e-10)
     # for this real even coupling the row equals the column (complex
     # symmetric operator), not its conjugate
@@ -198,42 +212,66 @@ def test_t_sampling_doubling(coupling, monkeypatch):
     assert np.max(np.abs(Ka - b.matrix)) < 1e-12
 
 
-def test_coupling_blocks_match_direct_fourier_integrals(coupling):
+def boosted_on_grid(prob, t, conj, x):
+    """The gauge-boosted, dilated coupling at drive time t on the grid x."""
+    from starkres.formfactor import dilate, translate_modulate
+
+    om = prob.omega
+    a = 2 * prob.f * math.sin(om * t) / om**2
+    b = -prob.f * math.cos(om * t) / om
+    base = prob.phi.conj_position() if conj else prob.phi
+    sign = -1.0 if conj else 1.0
+    return dilate(translate_modulate(base, a, sign * b, sign * a * b),
+                  prob.theta)(x)
+
+
+@pytest.mark.parametrize("phi, ell",
+                         [(FormFactor.gaussian(0.1, 1.0), 1.0),
+                          (TWO_TERMS, 1.3)], ids=["gaussian", "two-terms"])
+def test_coupling_blocks_match_direct_fourier_integrals(phi, ell):
     # entries K[field(n,j), disc(m)] and K[disc(n), field(m,j)] must equal
     # the period-averaged Fourier integrals of the boosted, dilated
     # coupling overlaps
     from scipy.integrate import quad
-    from starkres.formfactor import dilate, translate_modulate
 
-    prob = FloquetProblem(coupling, 0.2, 1.3, 0.25j, n_fourier=2,
-                          n_hermite=8)
-    K = prob.matrix
+    prob = FloquetProblem(phi, 0.2, 1.3, 0.25j, n_fourier=2,
+                          n_hermite=8, length_scale=ell)
+    _, col, row, _ = sectors(prob)
     om, tau = prob.omega, prob.period
     x = np.linspace(-14, 14, 4001)
     dx = x[1] - x[0]
-    H = hermite_functions(8, x, 1.0)
-
-    def boosted(t, conj):
-        a = 2 * prob.f * math.sin(om * t) / om**2
-        b = -prob.f * math.cos(om * t) / om
-        base = coupling.conj_position() if conj else coupling
-        sign = -1.0 if conj else 1.0
-        return dilate(translate_modulate(base, a, sign * b, sign * a * b),
-                      0.25j)(x)
+    H = hermite_functions(8, x, ell)
 
     for n, m, j, conj in ((1, 0, 2, False), (-1, 1, 0, True)):
         def integrand(t, part):
             v = np.exp(-1j * (n - m) * om * t) * np.trapezoid(
-                H[j] * boosted(t, conj), dx=dx)
+                H[j] * boosted_on_grid(prob, t, conj, x), dx=dx)
             return v.real if part == "re" else v.imag
         direct = (quad(lambda t: integrand(t, "re"), 0, tau, limit=100)[0]
                   + 1j * quad(lambda t: integrand(t, "im"), 0, tau,
                               limit=100)[0]) / tau
         if conj:
-            got = K[prob.index_discrete(n), prob.index_field(m, j)]
+            got = row[n + 2, m + 2, j]
         else:
-            got = K[prob.index_field(n, j), prob.index_discrete(m)]
+            got = col[n + 2, j, m + 2]
         assert abs(got - direct) < 1e-12
+
+
+@pytest.mark.parametrize("conj", [False, True])
+def test_coupling_modes_match_grid_overlaps_at_readme_size(coupling, conj):
+    # the exact Hermite overlaps against hermite_functions on a fine
+    # composite Gauss-Legendre grid, at every drive sample of the README
+    # truncation, N = 16, J = 80
+    prob = FloquetProblem(coupling, 0.1, 1.0, 0.3j, n_fourier=16,
+                          n_hermite=80)
+    M = floquet._T_SAMPLES_PER_MODE * prob.n_fourier
+    x, w, _ = panel_nodes(-20.0, 20.0, 160, 16)
+    H = hermite_functions(80, x) * w
+    samples = np.array([H @ boosted_on_grid(prob, k * prob.period / M,
+                                            conj, x) for k in range(M)])
+    want = np.fft.fft(samples, axis=0) / M
+    got = prob._coupling_modes(conjugate=conj)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_zero_pivot_raises():
@@ -244,10 +282,6 @@ def test_zero_pivot_raises():
                           n_hermite=10)
     with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
         _solve_near(prob._operator, 1.0, 1e-10, 0.1)
-
-
-TWO_TERMS = FormFactor.from_records([[0.1, 0.02, 1, 1.0, 0.1, 0.3, 0.0],
-                                     [0.05, 0.0, 0, 0.7, 0.0]])
 
 
 @pytest.mark.parametrize("f", [0.0, 0.1])
