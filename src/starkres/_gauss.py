@@ -2,6 +2,8 @@
 
 Everything here is exact closed-form algebra or fixed composite
 Gauss-Legendre machinery; no adaptive state, safe for concurrent use.
+The panel grid serves the Airy-kernel route for f > 0, which builds it
+once per evaluator; the f = 0 element needs no quadrature.
 """
 
 from __future__ import annotations
@@ -60,12 +62,10 @@ def cauchy_derivative(F, z: complex, rho: float, n: int = 32) -> complex:
     return complex(np.mean(vals * np.exp(-1j * angles)) / rho)
 
 
-@lru_cache(maxsize=64)
 def panel_nodes(lo: float, hi: float, n_panels: int, n_nodes: int):
     """Composite Gauss-Legendre nodes and weights on [lo, hi].
 
-    Returns (x, w) as flat arrays, plus the panel edge array, cached by
-    grid signature.
+    Returns (x, w) as flat arrays, plus the panel edge array.
     """
     xg, wg = np.polynomial.legendre.leggauss(n_nodes)
     edges = np.linspace(lo, hi, n_panels + 1)
@@ -73,8 +73,6 @@ def panel_nodes(lo: float, hi: float, n_panels: int, n_nodes: int):
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = (half[:, None] * xg[None, :] + mid[:, None]).ravel()
     w = (half[:, None] * wg[None, :]).ravel()
-    x.setflags(write=False)
-    w.setflags(write=False)
     return x, w, edges
 
 

@@ -10,11 +10,12 @@ with inline styling.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -59,6 +60,12 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            entries = value if fld.name == "f_grid" else (value,)
+            if any(isinstance(v, (float, complex)) and not cmath.isfinite(v)
+                   for v in entries):
+                raise ValueError(f"{fld.name} must be finite, got {value!r}")
         if self.f < 0 or self.omega <= 0 or self.tol <= 0:
             raise ValueError("require f >= 0, omega > 0, tol > 0")
         if self.width <= 0 or self.length_scale <= 0:

@@ -21,6 +21,7 @@ against.
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 import warnings
@@ -133,14 +134,17 @@ class FloquetProblem:
     length_scale: float = 1.0
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-        if self.f < 0:
-            raise ValueError("f must be nonnegative")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
+        if not 0.0 <= self.f < math.inf:
+            raise ValueError("f must be finite and nonnegative")
+        if not 0.0 < self.length_scale < math.inf:
+            raise ValueError("length scale must be positive and finite")
         th = complex(self.theta)
         object.__setattr__(self, "theta", th)
-        if th.imag <= 0:
-            raise ValueError("resonance uncovering requires Im theta > 0")
+        if not (th.imag > 0 and cmath.isfinite(th)):
+            raise ValueError("resonance uncovering requires a finite theta "
+                             "with Im theta > 0")
         if self.n_fourier < 1 or self.n_hermite < 2:
             raise ValueError("cutoffs too small")
 

@@ -1,11 +1,13 @@
 """Resolvent matrix elements, their analytic continuation, and F(z).
 
 For field strength f = 0 the matrix element is a momentum-space integral
-with a square-root branch structure across (0, inf); the continued value
-is computed from a single pole-subtracted formula valid on the whole cut
-plane.  For f > 0 the element extends to an entire function; it is
-evaluated through the constant-field Green's kernel built from Airy
-functions, which stays numerically stable arbitrarily close to f = 0.
+with a square-root branch structure across (0, inf); for the
+Hermite-Gaussian family it is a finite sum of Gaussian moments and
+Faddeeva-function values, one closed form that is also the continuation
+on the whole cut plane.  For f > 0 the element extends to an entire
+function; it is evaluated through the constant-field Green's kernel
+built from Airy functions, which stays numerically stable arbitrarily
+close to f = 0.
 A propagator time-integral representation along a rotated ray is kept as
 a secondary route (exact for moderate f, used for cross-checks).
 """
@@ -54,7 +56,6 @@ class CutProximityError(Exception):
 # the evaluator's numerical policy; run manifests record it unchanged
 QUADRATURE = MappingProxyType({
     "tol": 1e-10,
-    "max_subdivisions": 12,
     "gamma": math.pi / 8.0,          # time-ray rotation angle, in (0, pi/3)
     "derivative_radius": 1e-3,       # f = 0 Cauchy ring
     "derivative_nodes": 32,
@@ -92,8 +93,8 @@ class ResolventEvaluator:
     f: float = 0.0
 
     def __post_init__(self):
-        if self.f < 0:
-            raise ValueError("field strength f must be nonnegative")
+        if not 0.0 <= self.f < math.inf:
+            raise ValueError("field strength f must be finite and nonnegative")
 
     # ------------------------------------------------------------------
     # shared ingredients
@@ -102,10 +103,6 @@ class ResolventEvaluator:
     def _G(self) -> FormFactor:
         """Entire momentum-space product equal to |phihat|^2 on the real axis."""
         return conj_reflect(self.phi).transform().product(self.phi.transform())
-
-    @cached_property
-    def _k_cutoff(self) -> float:
-        return max(8.0, self._G.width_extent(1e-24))
 
     @cached_property
     def _x_cutoff(self) -> float:
@@ -134,14 +131,20 @@ class ResolventEvaluator:
     def free_continued(self, z):
         """Analytic continuation of the free matrix element across (0, inf).
 
-        Uniform formula on C \\ (-inf, 0]:
+        Closed form on C \\ (-inf, 0].  With s = sqrt(z), each term
+        c k^m exp(-u k^2 + p k) of G splits as
 
-            r(z) = int [G(k) - c - s k]/(k^2 - z) dk  - 2 c J(K, z)
-                   + i pi (G(rz) + G(-rz)) / (2 rz),    rz = sqrt(z)
+            k^m/(k^2 - z) = P(k) + (s^{m-1}/2) [1/(k - s) - (-1)^m/(k + s)]
 
-        with c, s the linear interpolant of G through +-rz, and J the
-        exact outer tail of the constant part.  For Im z > 0 this equals
-        the direct integral; crossing the positive axis it stays analytic.
+        with P a polynomial, integrated in closed form by
+        gaussian_poly_integral.  With k0 = p/(2u) and w the Faddeeva
+        function, the two fractions integrate to
+
+            i pi e^{p^2/4u} (s^{m-1}/2)
+                [w(sqrt(u) (s - k0)) + (-1)^m w(sqrt(u) (s + k0))].
+
+        This is exact for Im z > 0 and entire in s, so the same
+        expression is the continuation across (0, inf).
         """
         z_in = np.asarray(z, dtype=complex)
         zf = np.atleast_1d(z_in).ravel()
@@ -150,40 +153,24 @@ class ResolventEvaluator:
 
     def _free_batch(self, zf: np.ndarray) -> np.ndarray:
         """:meth:`free_continued` at each point of the flat array zf."""
-        rz = np.sqrt(zf)
-        K = max(self._k_cutoff, 1.3 * float(np.max(np.abs(rz))))
-        G = self._G
-        Gp = G(rz)
-        Gm = G(-rz)
-        c = 0.5 * (Gp + Gm)
-        s = 0.5 * (Gp - Gm) / rz
-
-        n_base = max(8, int(math.ceil(2.0 * K / QUADRATURE["panel_width"])))
-        prev = None
-        val = None
-        err = math.inf
-        for level in range(QUADRATURE["max_subdivisions"] + 1):
-            x, w, _ = panel_nodes(-K, K, n_base * 2**level,
-                                  QUADRATURE["panel_nodes"])
-            Gx = G(x)
-            num = Gx[None, :] - c[:, None] - s[:, None] * x[None, :]
-            den = x[None, :] ** 2 - zf[:, None]
-            val = (num / den) @ w
-            if prev is not None:
-                err = float(np.max(np.abs(val - prev)
-                                   / np.maximum(1.0, np.abs(val))))
-                if err <= QUADRATURE["tol"]:
-                    break
-            prev = val
-        else:
-            raise QuadratureError("free_continued quadrature did not converge",
-                                  err)
-
-        # exact outer tail of the constant part: -2c * int_K^inf dk/(k^2-z)
-        w0 = (K - rz) / (K + rz)
-        tail = c * np.log(w0) / rz
-        pole = 1j * np.pi * (Gp + Gm) / (2.0 * rz)
-        return val + tail + pole
+        s = np.sqrt(zf)
+        out = np.zeros_like(zf)
+        for c, m, width, p in self._G.terms:
+            u = 0.5 * width
+            k0 = p / (2.0 * u)
+            # P(k) = (k^m - s^m [m even] - s^{m-1} k [m odd])/(k^2 - z)
+            poly = [zf ** ((m - 2 - j) // 2) if (m - j) % 2 == 0 else 0.0
+                    for j in range(m - 1)]
+            wp = special.wofz(np.sqrt(u) * (s - k0))
+            wm = special.wofz(np.sqrt(u) * (s + k0))
+            fractions = (0.5j * np.pi * np.exp(p * p / (4.0 * u))
+                         * s ** (m - 1) * (wp + (-1) ** m * wm))
+            out = out + c * (gaussian_poly_integral(poly, u, p) + fractions)
+        if not np.all(np.isfinite(out)):
+            raise QuadratureError(
+                "free matrix element overflowed double precision for this "
+                "window", math.inf)
+        return out
 
     # ------------------------------------------------------------------
     # f > 0: propagator time representation (secondary route)

@@ -53,6 +53,9 @@ class Window:
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("window must satisfy re_min < re_max and "
                              "im_min < im_max")
+        if not all(map(math.isfinite, (self.re_min, self.re_max,
+                                       self.im_min, self.im_max))):
+            raise ValueError("window edges must be finite")
 
     @property
     def width(self) -> float:
@@ -223,6 +226,8 @@ def find_zeros(F, window: Window, tol: float = 1e-10, *, fprime,
     are reported as a single record with winding > 1 and a nonzero cluster
     radius (their residual may exceed ``tol``).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     min_box = max(50.0 * tol, 1e-12 * window.diameter)
     counted, total = _counted_window(F, window)
     found: list[Resonance] = []

@@ -72,8 +72,8 @@ class SweepResult:
 
 def _validate_grid(f_grid) -> tuple[float, ...]:
     grid = tuple(float(f) for f in f_grid)
-    if not grid or any(f <= 0 for f in grid):
-        raise ValueError("f grid must be positive")
+    if not grid or not all(0.0 < f < math.inf for f in grid):
+        raise ValueError("f grid must be positive and finite")
     if any(a <= b for a, b in zip(grid, grid[1:])):
         raise ValueError("f grid must be strictly descending")
     return grid

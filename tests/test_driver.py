@@ -257,6 +257,20 @@ def test_bad_threads_env_is_config_error(tmp_path, monkeypatch, capsys):
     assert not (out / "failure.log").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["dc", "--f", "inf"],
+    ["dc", "--f", "nan"],
+    ["dc", "--f", "0.02", "--tol", "nan"],
+    ["ac", "--omega", "nan"],
+    ["sweep", "--f-grid", "inf,0.05"],
+], ids=["f-inf", "f-nan", "tol-nan", "omega-nan", "grid-inf"])
+def test_nonfinite_option_is_config_error(tmp_path, capsys, args):
+    out = tmp_path / "x"
+    assert main(args + ["--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (out / "failure.log").exists()
+
+
 def test_numeric_failure_exit_code(tmp_path):
     # a window straddling the branch cut triggers a numeric failure:
     # exit 3 with a failure log

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import R0
+from conftest import R0, TWO_TERMS
 from starkres import (
     FloquetProblem,
     FormFactor,
@@ -14,10 +14,6 @@ from starkres import (
 from starkres import floquet
 from starkres._gauss import panel_nodes
 from starkres.floquet import _inverse_iterate, _solve_near
-
-
-TWO_TERMS = FormFactor.from_records([[0.1, 0.02, 1, 1.0, 0.1, 0.3, 0.0],
-                                     [0.05, 0.0, 0, 0.7, 0.0]])
 
 
 def sectors(prob):
@@ -47,6 +43,16 @@ def test_validation(coupling):
         FloquetProblem(coupling, -0.1)
     with pytest.raises(ValueError):
         FloquetProblem(coupling, 0.0, omega=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            FloquetProblem(coupling, bad)
+        with pytest.raises(ValueError):
+            FloquetProblem(coupling, 0.0, omega=bad)
+        with pytest.raises(ValueError):
+            FloquetProblem(coupling, 0.0, theta=complex(bad, 0.3))
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="length scale"):
+            FloquetProblem(coupling, 0.0, length_scale=bad)
     # a rotation that turns the coupling width out of the right
     # half-plane is rejected when the operator is built
     with pytest.raises(ValueError, match="right half-plane"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import R0
+from conftest import R0, TWO_TERMS
 from starkres import (
     CutProximityError,
     FormFactor,
@@ -50,6 +50,25 @@ def test_large_z_limit(ev0, coupling):
     # first-order Richardson in 1/|z|
     extrap = vals[1e4] + (vals[1e4] - vals[1e3]) / 9.0
     assert abs(extrap - (-SQRT_PI / 100.0)) < 1e-8
+
+
+@pytest.mark.parametrize("phi, z", [
+    (FormFactor.gaussian(0.1, 1.0), -20.0 + 0.1j),
+    (FormFactor.gaussian(0.1, 1.0), -50.0 + 0.001j),
+    (TWO_TERMS, 1000j),
+], ids=["gaussian-left", "gaussian-near-cut", "two-terms-far"])
+def test_free_element_far_from_the_window_matches_oracle(phi, z):
+    # far from the resonance window, on both sides of the origin, the
+    # closed form keeps its relative accuracy
+    ref = ode_resolvent_oracle(phi, 0.0, z)
+    got = complex(ResolventEvaluator(phi, 0.0).free_continued(z))
+    assert abs(got - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("f", (math.nan, math.inf))
+def test_evaluator_rejects_nonfinite_field(coupling, f):
+    with pytest.raises(ValueError, match="field strength"):
+        ResolventEvaluator(coupling, f)
 
 
 def test_continuity_across_positive_axis(ev0):

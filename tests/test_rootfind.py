@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,18 @@ def test_window_validation():
         Window(1.0, 0.5, -1.0, -0.1)
     with pytest.raises(ValueError):
         Window(0.5, 1.0, -0.1, -1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Window(0.5, math.inf, -1.0, -0.1)
+    with pytest.raises(ValueError, match="finite"):
+        Window(0.5, 1.5, -math.inf, -0.1)
+
+
+@pytest.mark.parametrize("tol", (0.0, -1.0, math.nan, math.inf))
+def test_find_zeros_requires_positive_finite_tol(tol):
+    roots = [1 - 0.5j]
+    with pytest.raises(ValueError, match="tol"):
+        find_zeros(poly_from_roots(roots), Window(0.5, 1.5, -1.0, -0.1),
+                   tol=tol, fprime=poly_derivative(roots))
 
 
 def test_winding_linear():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,9 @@ def test_dc_sweep_grid_validation(coupling):
         dc_sweep(coupling, (0.02, 0.05), Window(0.9, 1.1, -0.05, -1e-6))
     with pytest.raises(ValueError):
         dc_sweep(coupling, (), Window(0.9, 1.1, -0.05, -1e-6))
+    for grid in ((math.inf, 0.05), (0.05, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            dc_sweep(coupling, grid, Window(0.9, 1.1, -0.05, -1e-6))
     with pytest.raises(ValueError):
         dc_sweep(FormFactor.zero(), (0.05,), Window(0.9, 1.1, -0.05, -1e-6))
 
