@@ -40,7 +40,6 @@ class RunConfig:
     mode: str = "dc"
     amplitude: float = 0.1
     width: float = 1.0
-    form_factor: tuple | None = None      # serialized records override
     f: float = 0.0
     f_grid: tuple[float, ...] = (0.05, 0.02, 0.01, 0.005)
     re_min: float = 0.9
@@ -76,8 +75,6 @@ class RunConfig:
         return Window(self.re_min, self.re_max, self.im_min, self.im_max)
 
     def coupling(self) -> FormFactor:
-        if self.form_factor is not None:
-            return FormFactor.from_records(self.form_factor)
         return FormFactor.gaussian(self.amplitude, self.width)
 
     def workers(self) -> int:
@@ -317,7 +314,7 @@ def _run_dc(config: RunConfig, out: Path) -> tuple[str, ...]:
     window = config.window
     ev = ResolventEvaluator(phi, config.f)
     zeros = find_zeros(ev.F_value, window, tol=config.tol,
-                       fprime=ev.F_derivative, f=config.f)
+                       fprime=ev.F_derivative)
     rows = [[config.f, r.z.real, r.z.imag, r.residual, r.winding, None]
             for r in zeros]
     write_csv(out / "resonances.csv",
@@ -415,7 +412,11 @@ def _run_plot(config: RunConfig, out: Path) -> tuple[str, ...]:
             if len(cells) <= max(cols):
                 raise ValueError(f"{src}:{ln}: {len(cells)} cells, "
                                  f"expected {len(header)}")
-            rows.append(tuple(float(cells[i]) for i in cols))
+            row = tuple(float(cells[i]) for i in cols)
+            if not all(map(cmath.isfinite, row)):
+                raise ValueError(f"{src}:{ln}: non-finite value in "
+                                 "f, re_z or im_z")
+            rows.append(row)
     made = _cloud_figures(out, rows)
     manifest = _base_manifest(config)
     manifest["results"] = {"figures": made, "points": len(rows)}

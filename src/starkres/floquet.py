@@ -236,7 +236,6 @@ class FloquetProblem:
 class FloquetEigenpair:
     eigenvalue: complex
     residual: float
-    dominant_fourier_index: int
     sensitivity: float
 
 
@@ -382,63 +381,47 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
     reach ``tol`` raises LinAlgError.  Every shifted solve goes through the
     eigenbases of the Kronecker-sum field sector and a (2N+1)-square Schur
     complement of the coupling border; the dense ``problem.matrix`` is
-    never formed.  The sensitivity field is the eigenvalue movement when
-    the truncation is enlarged to (N+4, J+16); discretized-continuum
-    artifacts carry a large sensitivity while true resonances are stable.
+    never formed.  Pairs come nearest first.  The sensitivity of an
+    eigenvalue lambda is |lambda - mu|, mu being where inverse iteration
+    from lambda converges on the (N+4, J+16) truncation (a follow that
+    misses ``tol`` raises LinAlgError); discretized-continuum artifacts
+    carry a large sensitivity while true resonances are stable.
     """
-    op = problem._operator
-    lam_list = _solve_near(op, target, tol, radius)
-    sens = {}
-    if with_sensitivity and lam_list:
+    pairs = _solve_near(problem._operator, target, tol, radius)
+    if with_sensitivity and pairs:
         bigger = replace(problem, n_fourier=problem.n_fourier + 4,
-                         n_hermite=problem.n_hermite + 16)
-        lam_big = _solve_near(bigger._operator, target, tol, 1.5 * radius)
-        sens = {lam: min((abs(lam - lb) for lb, _ in lam_big),
-                         default=math.inf) for lam, _ in lam_list}
-    out = []
-    N, J = problem.n_fourier, problem.n_hermite
-    for lam, vec in lam_list:
-        res = float(np.linalg.norm(op.matvec(vec) - lam * vec)
-                    / np.linalg.norm(vec))
-        field = vec[:(2 * N + 1) * (J + 1)].reshape(2 * N + 1, J + 1)
-        disc = vec[(2 * N + 1) * (J + 1):]
-        weight = np.sum(np.abs(field) ** 2, axis=1) + np.abs(disc) ** 2
-        out.append(FloquetEigenpair(
-            eigenvalue=lam,
-            residual=res,
-            dominant_fourier_index=int(np.argmax(weight)) - N,
-            sensitivity=sens.get(lam, math.nan),
-        ))
-    out.sort(key=lambda p: abs(p.eigenvalue - target))
-    return out
+                         n_hermite=problem.n_hermite + 16)._operator
+        return [FloquetEigenpair(
+            lam, res, abs(lam - _inverse_iterate(bigger, lam, tol)[0]))
+            for lam, res in pairs]
+    return [FloquetEigenpair(lam, res, math.nan) for lam, res in pairs]
 
 
 def _solve_near(op: _BorderedKroneckerSum, target: complex, tol: float,
-                radius: float):
+                radius: float) -> list[tuple[complex, float]]:
+    """(eigenvalue, residual) pairs within radius of target, nearest first."""
     target = complex(target)
     cands = _arnoldi_candidates(op.shift(target), target,
                                 min(_KRYLOV_DIM, op.dim - 2))
     cands = cands[np.abs(cands - target) <= radius]
-    # deterministic ordering, dedup clustered Ritz values
     cands = sorted(cands, key=lambda z: (abs(z - target), z.real, z.imag))
-    found: list[tuple[complex, np.ndarray]] = []
+    found: list[tuple[complex, float]] = []
     for lam0 in cands:
-        if any(abs(lam0 - lam) < 1e-8 for lam, _ in found):
-            continue
-        lam, vec = _inverse_iterate(op, lam0, tol)
+        lam, _, res = _inverse_iterate(op, lam0, tol)
         if abs(lam - target) > radius:
             continue
+        # clustered Ritz values polish to the same eigenvalue
         if any(abs(lam - l2) < 1e-8 for l2, _ in found):
             continue
-        found.append((lam, vec))
+        found.append((lam, res))
     found.sort(key=lambda t: (abs(t[0] - target), t[0].real, t[0].imag))
     return found
 
 
 def _inverse_iterate(op: _BorderedKroneckerSum, lam0: complex, tol: float):
-    """Polish a candidate to a residual below tol, or raise LinAlgError.
-    A shift that makes S exactly singular is an eigenvalue of the
-    truncation; its null vector is then the iterate."""
+    """(lambda, unit v, |K v - lambda v|) polished from a candidate to a
+    residual below tol, or LinAlgError.  An exactly singular S makes the
+    shift an eigenvalue of the truncation; its null vector is the iterate."""
     lam = complex(lam0)
     v = np.ones(op.dim, dtype=complex) / math.sqrt(op.dim)
     for _ in range(_INVERSE_ITERATIONS):
@@ -455,7 +438,7 @@ def _inverse_iterate(op: _BorderedKroneckerSum, lam0: complex, tol: float):
         res = float(np.linalg.norm(Kv - lam_new * v))
         lam = lam_new
         if res < tol:
-            return lam, v
+            return lam, v, res
     raise np.linalg.LinAlgError(
         f"inverse iteration from candidate {complex(lam0):.17g} ended at "
         f"residual {res:.3e} above tol {tol:.3e}")

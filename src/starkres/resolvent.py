@@ -149,10 +149,6 @@ class ResolventEvaluator:
         z_in = np.asarray(z, dtype=complex)
         zf = np.atleast_1d(z_in).ravel()
         self._check_off_cut(zf)
-        return _restore_shape(_in_batches(self._free_batch, zf), z_in)
-
-    def _free_batch(self, zf: np.ndarray) -> np.ndarray:
-        """:meth:`free_continued` at each point of the flat array zf."""
         s = np.sqrt(zf)
         out = np.zeros_like(zf)
         for c, m, width, p in self._G.terms:
@@ -170,7 +166,7 @@ class ResolventEvaluator:
             raise QuadratureError(
                 "free matrix element overflowed double precision for this "
                 "window", math.inf)
-        return out
+        return _restore_shape(out, z_in)
 
     # ------------------------------------------------------------------
     # f > 0: propagator time representation (secondary route)
@@ -444,12 +440,12 @@ class ResolventEvaluator:
 # ----------------------------------------------------------------------
 
 
-def _in_batches(body, zf: np.ndarray, *args) -> np.ndarray:
-    """body(zc, *args) on consecutive _BATCH-point slices zc of the flat
-    array zf, gathered in order."""
+def _in_batches(body, zf: np.ndarray) -> np.ndarray:
+    """body(zc) on consecutive _BATCH-point slices zc of the flat array
+    zf, gathered in order."""
     out = np.empty_like(zf)
     for i in range(0, zf.size, _BATCH):
-        out[i:i + _BATCH] = body(zf[i:i + _BATCH], *args)
+        out[i:i + _BATCH] = body(zf[i:i + _BATCH])
     return out
 
 

@@ -96,11 +96,9 @@ class Resonance:
     """A certified zero of F: location, isolation certificate, residual."""
 
     z: complex
-    f: float
     residual: float
     winding: int
     iterations: int
-    axis_ambiguous: bool = False
     cluster_radius: float = 0.0
 
 
@@ -211,8 +209,8 @@ def _split(window: Window, fraction: float = 0.5):
             Window(window.re_min, window.re_max, cut, window.im_max))
 
 
-def find_zeros(F, window: Window, tol: float = 1e-10, *, fprime,
-               f: float = 0.0) -> list[Resonance]:
+def find_zeros(F, window: Window, tol: float = 1e-10, *,
+               fprime) -> list[Resonance]:
     """All zeros of F in the window, each carried by a winding certificate.
 
     Sub-boxes are bisected until they isolate single zeros; Newton polishes
@@ -241,14 +239,14 @@ def find_zeros(F, window: Window, tol: float = 1e-10, *, fprime,
             center = box.center
             res = abs(complex(np.asarray(F(np.array([center])),
                                          dtype=complex)[0]))
-            found.append(Resonance(center, f, res, wind, 0,
+            found.append(Resonance(center, res, wind, 0,
                                    cluster_radius=0.5 * box.diameter))
             continue
         if wind == 1:
             polished = _newton(F, fprime, box.center, box, tol)
             if polished is not None:
                 z, res, it = polished
-                found.append(Resonance(z, f, res, 1, it))
+                found.append(Resonance(z, res, 1, it))
                 continue
         # bisect, jittering the cut if a zero sits on the split line;
         # the halves use strict windings (no window expansion) so that an
@@ -275,8 +273,6 @@ def find_zeros(F, window: Window, tol: float = 1e-10, *, fprime,
         raise CertificateError(
             f"certificate mismatch: window winding {total}, "
             f"sum of zero certificates {sum(r.winding for r in found)}")
-    guard = 10.0 * tol
-    found = [replace(r, axis_ambiguous=abs(r.z.imag) < guard) for r in found]
     found.sort(key=lambda r: (r.z.real, r.z.imag))
     return found
 

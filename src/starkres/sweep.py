@@ -171,7 +171,7 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window, tol: float = 1e-9,
     def zeros_at(f: float):
         ev = ResolventEvaluator(phi, f)
         return find_zeros(ev.F_value, window, tol=tol,
-                          fprime=ev.F_derivative, f=f)
+                          fprime=ev.F_derivative)
 
     results = _per_field(zeros_at, grid, workers)
     groups = tuple(tuple(zs or ()) for zs, _ in results)

@@ -212,7 +212,9 @@ def test_plot_missing_csv_is_config_error(tmp_path):
 @pytest.mark.parametrize("lines, named", [
     (["f,re_z", "0.05,1.0"], "im_z"),
     (["f,re_z,im_z", "0.05,1.0,-0.03", "0.02,1.01"], ":3:"),
-], ids=("missing-column", "short-row"))
+    (["f,re_z,im_z", "0.05,1.0,-0.03", "inf,1.01,-0.01"], ":3: non-finite"),
+    (["f,re_z,im_z", "0.05,1.0,nan", "0.02,1.01,-0.01"], ":2: non-finite"),
+], ids=("missing-column", "short-row", "inf", "nan"))
 def test_plot_malformed_csv_is_config_error(tmp_path, capsys, lines, named):
     src = tmp_path / "bad.csv"
     src.write_text("\n".join(lines) + "\n")
@@ -311,10 +313,10 @@ def test_sweep_failed_fields_exit_code(tmp_path, monkeypatch):
     from starkres import QuadratureError, sweep
     real = sweep.find_zeros
 
-    def find_zeros(F, window, tol=1e-10, *, fprime, f=0.0):
-        if f > 0:
+    def find_zeros(F, window, tol=1e-10, *, fprime):
+        if F.__self__.f > 0:        # F is the evaluator's bound F_value
             raise QuadratureError("no convergence", 1e-3)
-        return real(F, window, tol=tol, fprime=fprime, f=f)
+        return real(F, window, tol=tol, fprime=fprime)
 
     monkeypatch.setattr(sweep, "find_zeros", find_zeros)
     out = tmp_path / "failed"

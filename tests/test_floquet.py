@@ -152,7 +152,6 @@ def test_eigen_near_reference(small_problem):
     best = pairs[0]
     assert abs(best.eigenvalue - R0) < 5e-4
     assert best.residual < 1e-10
-    assert best.dominant_fourier_index == 0
     assert best.eigenvalue.imag < 0
     assert best.sensitivity < 1e-3
 
@@ -353,7 +352,7 @@ def test_inverse_iteration_at_a_singular_schur_complement(field_mode):
     op = prob._operator
     sigma = op.lam[13] if field_mode else 2.0
     assert op.shift(sigma).zero_pivot is not None
-    lam, vec = _inverse_iterate(op, sigma, 1e-12)
+    lam, vec, _ = _inverse_iterate(op, sigma, 1e-12)
     assert abs(lam - sigma) < 1e-14
     K = prob.matrix
     assert np.linalg.norm(K @ vec - lam * vec) < 1e-12 * np.linalg.norm(vec)
@@ -364,3 +363,34 @@ def test_eigen_near_leaves_the_dense_matrix_unbuilt(coupling):
                           n_hermite=40)
     assert eigen_near(prob, R0, tol=1e-10, radius=0.05)
     assert "matrix" not in prob.__dict__
+
+
+def test_eigen_near_searches_its_disk_once(small_problem, monkeypatch):
+    # the sensitivities follow each eigenvalue onto the enlarged
+    # truncation instead of searching a second disk there
+    calls = []
+    search = floquet._arnoldi_candidates
+
+    def counting(*a, **k):
+        calls.append(a[0].op.dim)
+        return search(*a, **k)
+
+    monkeypatch.setattr(floquet, "_arnoldi_candidates", counting)
+    assert eigen_near(small_problem, R0, tol=1e-10, radius=0.05,
+                      with_sensitivity=True)
+    assert calls == [small_problem.dimension]
+
+
+@pytest.mark.parametrize("f", [0.0, 0.1])
+def test_sensitivity_is_the_distance_to_the_enlarged_spectrum(coupling, f):
+    # the resonance's followed eigenvalue is the nearest eigenvalue of the
+    # dense (N+4, J+16) truncation
+    prob = FloquetProblem(coupling, f, 1.0, 0.3j, n_fourier=3, n_hermite=20)
+    best = min(eigen_near(prob, R0, tol=1e-10, radius=0.05),
+               key=lambda p: p.sensitivity)
+    enlarged = FloquetProblem(coupling, f, 1.0, 0.3j, n_fourier=7,
+                              n_hermite=36)
+    assert enlarged.dimension == 570
+    dense = np.linalg.eigvals(enlarged.matrix)
+    nearest = np.min(np.abs(best.eigenvalue - dense))
+    assert abs(best.sensitivity - nearest) < 1e-10

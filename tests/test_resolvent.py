@@ -137,23 +137,6 @@ def test_free_matches_erfc_F_on_grid(ev0):
             assert abs(complex(ev0.F_value(z)) - erfc_closed_form(z)) < 1e-10
 
 
-def test_free_continued_evaluates_in_bounded_batches(ev0, monkeypatch):
-    # the (points x nodes) work arrays stay bounded however many points
-    # one call brings
-    sizes = []
-    batch = ResolventEvaluator._free_batch
-
-    def counting(self, zf):
-        sizes.append(zf.size)
-        return batch(self, zf)
-
-    z = np.linspace(0.9, 1.1, 300) - 0.02j
-    whole = ev0.free_continued(z)
-    monkeypatch.setattr(ResolventEvaluator, "_free_batch", counting)
-    assert np.array_equal(ev0.free_continued(z), whole)
-    assert sizes == [128, 128, 44]
-
-
 def test_cut_proximity_rejected(ev0):
     with pytest.raises(CutProximityError):
         ev0.free_continued(-0.5 + 1e-12j)

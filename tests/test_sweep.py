@@ -20,7 +20,7 @@ from starkres.sweep import link_trajectories
 
 def _groups(per_f):
     return tuple(
-        tuple(Resonance(z, f, 1e-12, 1, 3) for z in zs)
+        tuple(Resonance(z, 1e-12, 1, 3) for z in zs)
         for f, zs in per_f
     )
 
@@ -87,10 +87,10 @@ def _fail_above_zero_field(monkeypatch, exc):
     search still runs."""
     real = sweep.find_zeros
 
-    def find_zeros(F, window, tol=1e-10, *, fprime, f=0.0):
-        if f > 0:
+    def find_zeros(F, window, tol=1e-10, *, fprime):
+        if F.__self__.f > 0:        # F is the evaluator's bound F_value
             raise exc
-        return real(F, window, tol=tol, fprime=fprime, f=f)
+        return real(F, window, tol=tol, fprime=fprime)
 
     monkeypatch.setattr(sweep, "find_zeros", find_zeros)
 
