@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "gaussian_poly_integral",
     "cauchy_derivative",
+    "gauss_legendre",
     "panel_nodes",
     "cumulative_matrix",
 ]
@@ -62,12 +63,21 @@ def cauchy_derivative(F, z: complex, rho: float, n: int = 32) -> complex:
     return complex(np.mean(vals * np.exp(-1j * angles)) / rho)
 
 
+@lru_cache(maxsize=16)
+def gauss_legendre(n_nodes: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    xg, wg = np.polynomial.legendre.leggauss(n_nodes)
+    xg.setflags(write=False)
+    wg.setflags(write=False)
+    return xg, wg
+
+
 def panel_nodes(lo: float, hi: float, n_panels: int, n_nodes: int):
     """Composite Gauss-Legendre nodes and weights on [lo, hi].
 
     Returns (x, w) as flat arrays, plus the panel edge array.
     """
-    xg, wg = np.polynomial.legendre.leggauss(n_nodes)
+    xg, wg = gauss_legendre(n_nodes)
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -84,7 +94,7 @@ def cumulative_matrix(n_nodes: int):
     antiderivative (vanishing at -1) at those same nodes.  Exact for
     polynomials of degree < n.
     """
-    xg, wg = np.polynomial.legendre.leggauss(n_nodes)
+    xg, wg = gauss_legendre(n_nodes)
     # Legendre-coefficient analysis matrix: c_l = (2l+1)/2 sum_m w_m P_l(x_m) v_m
     P = np.polynomial.legendre.legvander(xg, n_nodes - 1)  # (m, l)
     ell = np.arange(n_nodes)

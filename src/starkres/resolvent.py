@@ -19,12 +19,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
 from ._gauss import (cauchy_derivative, cumulative_matrix,
-                     gaussian_poly_integral, panel_nodes)
+                     gaussian_poly_integral, gauss_legendre, panel_nodes)
 from .formfactor import FormFactor, _derivative, conj_reflect
 
 __all__ = [
@@ -67,6 +68,9 @@ QUADRATURE = MappingProxyType({
 _CUT_MARGIN = 1e-8
 # points evaluated together; bounds the (points x nodes) work arrays
 _BATCH = 128
+# double-precision machine epsilon; the Airy route's Taylor tail bound
+# stops below it
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,22 @@ class RoucheCertificate:
 
     def __bool__(self) -> bool:
         return self.certified and not self.indeterminate
+
+
+class _AiryGrid(NamedTuple):
+    """Composite Gauss-Legendre grid of the Airy route for one (phi, f)."""
+
+    x: np.ndarray            # nodes, panel by panel
+    w: np.ndarray            # weights at x
+    halves: np.ndarray       # panel half-widths
+    M: np.ndarray            # running-integral matrix on one panel
+    gauss_w: np.ndarray      # Gauss-Legendre weights on [-1, 1]
+    phi_r: np.ndarray        # phi at x
+    phi_l: np.ndarray        # conj(phi(conj x)) at x
+    n_pan: int
+    nn: int
+    centres: np.ndarray      # f^{1/3} times the panel midpoints
+    h: np.ndarray            # f^{1/3} times the node offsets, every panel
 
 
 @dataclass(frozen=True)
@@ -100,9 +120,18 @@ class ResolventEvaluator:
     # shared ingredients
 
     @cached_property
+    def _psi_hat(self) -> FormFactor:
+        """Momentum-space transform of the conjugate reflection of phi."""
+        return conj_reflect(self.phi).transform()
+
+    @cached_property
+    def _phi_hat(self) -> FormFactor:
+        return self.phi.transform()
+
+    @cached_property
     def _G(self) -> FormFactor:
         """Entire momentum-space product equal to |phihat|^2 on the real axis."""
-        return conj_reflect(self.phi).transform().product(self.phi.transform())
+        return self._psi_hat.product(self._phi_hat)
 
     @cached_property
     def _x_cutoff(self) -> float:
@@ -146,8 +175,7 @@ class ResolventEvaluator:
         This is exact for Im z > 0 and entire in s, so the same
         expression is the continuation across (0, inf).
         """
-        z_in = np.asarray(z, dtype=complex)
-        zf = np.atleast_1d(z_in).ravel()
+        z_in, zf = _points(z)
         self._check_off_cut(zf)
         s = np.sqrt(zf)
         out = np.zeros_like(zf)
@@ -180,12 +208,10 @@ class ResolventEvaluator:
         s_in = np.asarray(s, dtype=complex)
         sv = np.atleast_1d(s_in).ravel()
         f = self.f
-        psi_hat = conj_reflect(self.phi).transform()
-        phi_hat = self.phi.transform()
         out = np.zeros_like(sv)
         cubic = np.exp(-1j * f * f * sv**3 / 3.0)
-        for b_i, m_i, u_i, p_i in psi_hat.terms:
-            for c_j, n_j, v_j, q_j in phi_hat.terms:
+        for b_i, m_i, u_i, p_i in self._psi_hat.terms:
+            for c_j, n_j, v_j, q_j in self._phi_hat.terms:
                 a = 0.5 * (u_i + v_j) + 1j * sv
                 if np.any(a.real <= 0):
                     raise SectorLimitError(
@@ -218,7 +244,7 @@ class ResolventEvaluator:
         """
         if self.f <= 0:
             raise ValueError("stark_time_ray requires f > 0")
-        z = complex(z)
+        z = complex(_points(z)[0])
         g = QUADRATURE["gamma"] if gamma is None else float(gamma)
         if gamma is None and z.imag > 0.0:
             g = max(min(g, 0.25 * math.atan2(z.imag, abs(z.real) + 1.0)),
@@ -230,7 +256,7 @@ class ResolventEvaluator:
         t_cubic = (12.0 * 46.0 / (f * f * math.sin(3.0 * g))) ** (1.0 / 3.0)
         t_max = 4.0 * t_cubic + 200.0
         h = min(1.0, 4.0 / max(1.0, abs(z)))
-        xg, wg = np.polynomial.legendre.leggauss(QUADRATURE["panel_nodes"])
+        xg, wg = gauss_legendre(QUADRATURE["panel_nodes"])
         total = 0.0 + 0.0j
         peak = 0.0
         t0 = 0.0
@@ -261,24 +287,24 @@ class ResolventEvaluator:
     # f > 0: Airy-kernel representation (main route)
 
     @cached_property
-    def _airy_grid(self):
+    def _airy_grid(self) -> _AiryGrid:
         L = self._x_cutoff
         rate = math.sqrt(2.0 + self.f * L)  # local oscillation bound
         pw = min(2.0 * QUADRATURE["panel_width"], 6.0 / rate)
         n_pan = max(8, int(math.ceil(2.0 * L / pw)))
         nn = QUADRATURE["panel_nodes"]
         x, w, edges = panel_nodes(-L, L, n_pan, nn)
-        halves = 0.5 * (edges[1:] - edges[:-1])
-        M = cumulative_matrix(nn)
-        gauss_w = np.polynomial.legendre.leggauss(nn)[1]
-        phi_r = self.phi(x)
-        phi_l = self.phi.conj_position()(x)
-        return x, w, halves, M, gauss_w, phi_r, phi_l, n_pan, nn
+        xg, gauss_w = gauss_legendre(nn)
+        cbrt = self.f ** (1.0 / 3.0)
+        return _AiryGrid(
+            x, w, 0.5 * (edges[1:] - edges[:-1]), cumulative_matrix(nn),
+            gauss_w, self.phi(x), self.phi.conj_position()(x), n_pan, nn,
+            cbrt * 0.5 * (edges[1:] + edges[:-1]), cbrt * (L / n_pan) * xg)
 
     @cached_property
     def _airy_grid_derivative(self):
         """phi' on the Airy grid (right side) and its conjugate (left)."""
-        x = self._airy_grid[0]
+        x = self._airy_grid.x
         dphi = FormFactor(_derivative(self.phi.terms))
         return dphi(x), dphi.conj_position()(x)
 
@@ -291,7 +317,7 @@ class ResolventEvaluator:
         axis the element stays small while the kernel factors grow, so
         those points go to the decaying-envelope ray integral early.
         """
-        x = self._airy_grid[0][::6]
+        x = self._airy_grid.x[::6]
         zeta = self.f ** (1.0 / 3.0) * x[None, :] - zf[:, None] * self.f ** (
             -2.0 / 3.0)
         osc = (2.0 / 3.0) * np.abs(np.imag((-zeta) ** 1.5))
@@ -309,12 +335,15 @@ class ResolventEvaluator:
         phi Ai from the right.  Translation covariance of p^2 + f x gives
         f r'(z) = (phi', R phi) + (phi, R phi'), so the derivative reuses
         the same Airy values and P, Q, plus the running integrals of phi'.
+        Ai and Bi take the argument zeta = f^{1/3} x - z f^{-2/3}; they
+        come from one ``special.airy`` call per panel, at its centre, and
+        reach the panel's nodes by :func:`_airy_panels`.
         """
-        x, w, halves, M, gauss_w, phi_r, phi_l, n_pan, nn = self._airy_grid
+        g = self._airy_grid
         f = self.f
-        cbrt = f ** (1.0 / 3.0)
-        zeta = cbrt * x[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
-        ai, _, bi, _ = special.airy(zeta)
+        zeta_c = g.centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
+        ai, bi = (v.reshape(zf.size, g.x.size)
+                  for v in _airy_panels(zeta_c, g.h))
         if not np.all(np.isfinite(ai)) or not np.all(np.isfinite(bi)):
             raise QuadratureError(
                 "Airy kernel overflowed double precision for this window",
@@ -323,21 +352,19 @@ class ResolventEvaluator:
         ci = bi + 1j * ai
 
         def running(right):
-            P = _cumulative_left(right[None, :] * ci, halves, M, gauss_w,
-                                 n_pan, nn)
-            cum_ai = _cumulative_left(right[None, :] * ai, halves, M,
-                                      gauss_w, n_pan, nn)
+            P = _cumulative_left(right[None, :] * ci, g)
+            cum_ai = _cumulative_left(right[None, :] * ai, g)
             return P, cum_ai[:, -1:] - cum_ai
 
         def pair(left, P, Q):
-            return (left[None, :] * ai * P + left[None, :] * ci * Q) @ w
+            return (left[None, :] * ai * P + left[None, :] * ci * Q) @ g.w
 
-        P, Q = running(phi_r)
+        P, Q = running(g.phi_r)
         if not derivative:
-            return np.pi * f ** (-1.0 / 3.0) * pair(phi_l, P, Q)
+            return np.pi * f ** (-1.0 / 3.0) * pair(g.phi_l, P, Q)
         dphi_r, dphi_l = self._airy_grid_derivative
         dP, dQ = running(dphi_r)
-        inner = pair(dphi_l, P, Q) + pair(phi_l, dP, dQ)
+        inner = pair(dphi_l, P, Q) + pair(g.phi_l, dP, dQ)
         return np.pi * f ** (-4.0 / 3.0) * inner
 
     def _stark(self, zc: np.ndarray, derivative: bool = False) -> np.ndarray:
@@ -367,8 +394,7 @@ class ResolventEvaluator:
         """
         if self.f <= 0:
             raise ValueError("stark_matrix_element requires f > 0")
-        z_in = np.asarray(z, dtype=complex)
-        zf = np.atleast_1d(z_in).ravel()
+        z_in, zf = _points(z)
         return _restore_shape(_in_batches(self._stark, zf), z_in)
 
     # ------------------------------------------------------------------
@@ -376,7 +402,7 @@ class ResolventEvaluator:
 
     def F_value(self, z):
         """F(z) = 1 - z - r(z), whose zeros are the resonances."""
-        z_in = np.asarray(z, dtype=complex)
+        z_in = _points(z)[0]
         r = (self.free_continued(z_in) if self.f == 0.0
              else self.stark_matrix_element(z_in))
         return 1.0 - z_in - np.asarray(r)
@@ -390,7 +416,7 @@ class ResolventEvaluator:
         same integral with one more factor i s.  At f = 0, a spectrally
         accurate Cauchy circle around z that keeps off the branch cut.
         """
-        z = complex(z)
+        z = complex(_points(z)[0])
         if self.f > 0.0:
             return complex(-1.0 - self._stark(np.array([z]), True)[0])
         dist = abs(z) if z.real >= 0.0 else abs(z.imag)
@@ -449,19 +475,85 @@ def _in_batches(body, zf: np.ndarray) -> np.ndarray:
     return out
 
 
+def _points(z):
+    """z as a complex array and as a flat array of points; raises
+    ValueError unless every point is finite."""
+    z_in = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z_in)):
+        raise ValueError("evaluation points z must be finite")
+    return z_in, np.atleast_1d(z_in).ravel()
+
+
 def _restore_shape(flat: np.ndarray, like: np.ndarray):
     if like.shape == ():
         return complex(flat[0])
     return flat.reshape(like.shape)
 
 
-def _cumulative_left(vals: np.ndarray, halves: np.ndarray, M: np.ndarray,
-                     gauss_w: np.ndarray, n_pan: int, nn: int) -> np.ndarray:
-    """Running integral from the left edge, at every node (batched)."""
+def _cumulative_left(vals: np.ndarray, g: _AiryGrid) -> np.ndarray:
+    """Running integral from the left edge, at every node of the grid g
+    (batched over the rows of vals)."""
     nz = vals.shape[0]
-    v = vals.reshape(nz, n_pan, nn)
-    within = np.einsum("ij,zpj->zpi", M, v) * halves[None, :, None]
+    v = vals.reshape(nz, g.n_pan, g.nn)
+    within = (v @ g.M.T) * g.halves[None, :, None]
     # full panel integrals from the Gauss weights (nodes exclude the edges)
-    panel_totals = (v @ gauss_w) * halves[None, :]
+    panel_totals = (v @ g.gauss_w) * g.halves[None, :]
     offsets = np.cumsum(panel_totals, axis=1) - panel_totals
-    return (within + offsets[:, :, None]).reshape(nz, n_pan * nn)
+    return (within + offsets[:, :, None]).reshape(nz, g.n_pan * g.nn)
+
+
+def _taylor_terms(zeta_max: float, h_max: float) -> int:
+    """Terms that the Taylor series of a solution of y'' = zeta y needs
+    about centres |zeta_c| <= zeta_max, for steps |t| <= h_max.
+
+    The scaled coefficients b_n = a_n h_max^n obey
+    b_n = (zeta_c h_max^2 b_{n-2} + h_max^3 b_{n-3}) / (n (n-1)), so
+    |b_n| <= beta_n max(|b_0|, |b_1|) with beta from the same recurrence
+    on (zeta_max, 1, 1).  Once q = (zeta_max h_max^2 + h_max^3)/(n (n-1))
+    is below 1/2, every further beta is at most q times the largest of
+    the three before it, so the tail past n is at most 3 q max/(1 - q);
+    the count stops when that falls below double-precision rounding.
+    The rounding error of the sum is about machine epsilon times the sum
+    of the beta; where that exceeds the evaluator tolerance (|z| in the
+    hundreds, where the panels no longer resolve the oscillation either)
+    it raises QuadratureError.
+    """
+    c, d = zeta_max * h_max * h_max, h_max ** 3
+    beta = [1.0, 1.0, 0.5 * c]
+    while True:
+        n = len(beta)
+        rounding = _EPS * sum(beta)
+        if not rounding <= QUADRATURE["tol"]:
+            raise QuadratureError(
+                "Taylor propagation of the Airy kernel loses the tolerance "
+                "at this distance from the window", rounding)
+        q = (c + d) / (n * (n - 1))
+        if q < 0.5 and 3.0 * q * max(beta[-3:]) / (1.0 - q) <= _EPS:
+            return n
+        beta.append((c * beta[-2] + d * beta[-3]) / (n * (n - 1)))
+
+
+def _airy_panels(zeta_c: np.ndarray, h: np.ndarray):
+    """Ai and Bi at zeta_c[..., None] + h, shape zeta_c.shape + h.shape.
+
+    One ``special.airy`` call at the centres gives y and y' for both
+    functions; the Airy recurrence (n+2)(n+1) a_{n+2} = zeta_c a_n +
+    a_{n-1} continues their Taylor coefficients, scaled by powers of
+    max|h|, and one matrix product with the powers (h/max|h|)^n sums the
+    series at every offset.  The term count comes from
+    :func:`_taylor_terms`.
+    """
+    h_max = float(np.max(np.abs(h)))
+    K = _taylor_terms(float(np.max(np.abs(zeta_c))), h_max)
+    ai, aip, bi, bip = special.airy(zeta_c)
+    zh2 = np.concatenate((zeta_c.ravel(), zeta_c.ravel())) * h_max**2
+    h3 = h_max**3
+    b = np.empty((K, zh2.size), dtype=complex)
+    b[0] = np.concatenate((ai.ravel(), bi.ravel()))
+    b[1] = h_max * np.concatenate((aip.ravel(), bip.ravel()))
+    b[2] = 0.5 * zh2 * b[0]
+    for n in range(3, K):
+        b[n] = (zh2 * b[n - 2] + h3 * b[n - 3]) / (n * (n - 1))
+    powers = (h / h_max)[None, :] ** np.arange(K)[:, None]
+    vals = (b.T @ powers).reshape((2,) + zeta_c.shape + h.shape)
+    return vals[0], vals[1]

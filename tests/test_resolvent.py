@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+import starkres.resolvent as resolvent
 from conftest import R0, TWO_TERMS
 from starkres import (
     CutProximityError,
     FormFactor,
+    QuadratureError,
     ResolventEvaluator,
     erfc_closed_form,
     erfc_free_element,
@@ -14,6 +17,7 @@ from starkres import (
 )
 from starkres._gauss import cauchy_derivative
 from starkres.formfactor import Term
+from starkres.resolvent import _airy_panels
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -69,6 +73,26 @@ def test_free_element_far_from_the_window_matches_oracle(phi, z):
 def test_evaluator_rejects_nonfinite_field(coupling, f):
     with pytest.raises(ValueError, match="field strength"):
         ResolventEvaluator(coupling, f)
+
+
+@pytest.mark.parametrize("z", [
+    complex(math.nan), complex(1.0, math.inf),
+    np.array([1.0 - 0.01j, complex(math.inf, 0.0), 0.95 - 0.02j]),
+], ids=("nan", "inf-imag", "array-with-inf"))
+@pytest.mark.parametrize("f", (0.0, 0.01))
+def test_evaluator_rejects_nonfinite_points(coupling, f, z):
+    # at f > 0 such a point used to reach the time ray, whose step
+    # 4/|z| is then 0, so the evaluation never returned
+    ev = ResolventEvaluator(coupling, f)
+    entries = [ev.F_value,
+               ev.free_continued if f == 0.0 else ev.stark_matrix_element]
+    if np.ndim(z) == 0:
+        entries.append(ev.F_derivative)
+        if f > 0.0:
+            entries.append(ev.stark_time_ray)
+    for entry in entries:
+        with pytest.raises(ValueError, match="finite"):
+            entry(z)
 
 
 def test_continuity_across_positive_axis(ev0):
@@ -284,6 +308,64 @@ def test_stark_F_derivative_matches_cauchy_ring(coupling, f, mixed):
     for z in window + ray:
         ring = cauchy_derivative(ev.F_value, z, 1e-3)
         assert abs(ev.F_derivative(z) - ring) <= 1e-10 * abs(ring)
+
+
+@pytest.mark.parametrize("f", (0.005, 0.05, 0.5, 2.0))
+@pytest.mark.parametrize("phi", (FormFactor.gaussian(0.1, 1.0), TWO_TERMS),
+                         ids=("reference", "two-terms"))
+def test_airy_panels_match_special_airy(phi, f):
+    # Ai and Bi propagated from the panel centres along y'' = zeta y,
+    # against special.airy at the same float nodes, for window points
+    # and points of [-3, 6] x [-2, 0.5] that the growth guard keeps on
+    # the Airy route
+    ev = ResolventEvaluator(phi, f)
+    grid = ev._airy_grid
+    rng = np.random.RandomState(11)
+    window = 0.9 + 0.2 * rng.rand(8) - 0.05j * rng.rand(8)
+    wide = -3.0 + 9.0 * rng.rand(64) + 1j * (-2.0 + 2.5 * rng.rand(64))
+    assert ev._airy_safe(window).all()
+    wide = wide[ev._airy_safe(wide)]
+    assert wide.size >= 8
+    zf = np.concatenate((window, wide))
+    zeta_c = grid.centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
+    ai, bi = _airy_panels(zeta_c, grid.h)
+    ref_ai, _, ref_bi, _ = special.airy(zeta_c[..., None] + grid.h)
+    scale = np.abs(ref_ai) + np.abs(ref_bi)
+    assert np.max(np.abs(ai - ref_ai) / scale) <= 1e-12
+    assert np.max(np.abs(bi - ref_bi) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("z", (1e4, 1e10))
+def test_airy_route_refuses_unresolved_far_points(coupling, z):
+    # far along the axis the growth guard keeps z on the Airy route, but
+    # the Taylor sum about each panel centre would lose the tolerance
+    # (and the panels no longer resolve the oscillation): a loud error,
+    # not a value, and no series of ~|z|^{1/2} terms
+    ev = ResolventEvaluator(coupling, 0.01)
+    assert ev._airy_safe(np.array([z], dtype=complex)).all()
+    with pytest.raises(QuadratureError, match="Taylor"):
+        ev.F_value(z)
+
+
+def test_airy_route_evaluates_airy_once_per_panel(coupling, monkeypatch):
+    sizes = []
+    airy = special.airy
+
+    def counting(x):
+        sizes.append(np.size(x))
+        return airy(x)
+
+    monkeypatch.setattr(resolvent.special, "airy", counting)
+    ev = ResolventEvaluator(coupling, 0.01)
+    n_pan = ev._airy_grid.n_pan
+    # more points than one batch, all on the Airy route
+    z = 1.0 - 0.02j + 0.015 * np.exp(2j * np.pi * np.arange(200) / 200)
+    assert ev._airy_safe(z).all()
+    ev.F_value(z)
+    assert sum(sizes) == z.size * n_pan
+    sizes.clear()
+    ev.F_derivative(1.0 - 0.01j)
+    assert sum(sizes) == n_pan
 
 
 def test_stark_F_derivative_needs_no_F_values(coupling, monkeypatch):
