@@ -546,14 +546,15 @@ def _airy_panels(zeta_c: np.ndarray, h: np.ndarray):
     h_max = float(np.max(np.abs(h)))
     K = _taylor_terms(float(np.max(np.abs(zeta_c))), h_max)
     ai, aip, bi, bip = special.airy(zeta_c)
-    zh2 = np.concatenate((zeta_c.ravel(), zeta_c.ravel())) * h_max**2
+    zh2 = zeta_c.ravel() * h_max**2
     h3 = h_max**3
-    b = np.empty((K, zh2.size), dtype=complex)
-    b[0] = np.concatenate((ai.ravel(), bi.ravel()))
-    b[1] = h_max * np.concatenate((aip.ravel(), bip.ravel()))
+    b = np.empty((K, 2, zh2.size), dtype=complex)    # (term, Ai/Bi, centre)
+    b[0] = ai.ravel(), bi.ravel()
+    b[1] = h_max * aip.ravel(), h_max * bip.ravel()
     b[2] = 0.5 * zh2 * b[0]
     for n in range(3, K):
         b[n] = (zh2 * b[n - 2] + h3 * b[n - 3]) / (n * (n - 1))
     powers = (h / h_max)[None, :] ** np.arange(K)[:, None]
-    vals = (b.T @ powers).reshape((2,) + zeta_c.shape + h.shape)
+    vals = (b.reshape(K, -1).T @ powers).reshape(
+        (2,) + zeta_c.shape + h.shape)
     return vals[0], vals[1]
