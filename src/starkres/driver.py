@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import os
 import sys
 import traceback
 from dataclasses import dataclass, fields
@@ -76,18 +75,6 @@ class RunConfig:
 
     def coupling(self) -> FormFactor:
         return FormFactor.gaussian(self.amplitude, self.width)
-
-    def workers(self) -> int:
-        """Per-field worker threads: ``STARKRES_THREADS``, 1 when unset."""
-        env = os.environ.get("STARKRES_THREADS", "")
-        try:
-            n = int(env) if env else 1
-        except ValueError:
-            n = 0
-        if n < 1:
-            raise ValueError("STARKRES_THREADS must be a positive integer, "
-                             f"got {env!r}")
-        return n
 
 
 class _Option(NamedTuple):
@@ -304,7 +291,6 @@ def _base_manifest(config: RunConfig) -> dict:
             [config.target.real, config.target.imag],
             "quadrature": dict(QUADRATURE),
             "deterministic": True,
-            "workers": config.workers(),
         },
     }
 
@@ -333,8 +319,7 @@ def _run_dc(config: RunConfig, out: Path) -> tuple[str, ...]:
 
 def _run_sweep(config: RunConfig, out: Path) -> tuple[str, ...]:
     phi = config.coupling()
-    result = dc_sweep(phi, config.f_grid, config.window, tol=config.tol,
-                      workers=config.workers())
+    result = dc_sweep(phi, config.f_grid, config.window, tol=config.tol)
     traj_of = {}
     for tid, traj in enumerate(result.trajectories):
         for p in traj:
@@ -370,7 +355,7 @@ def _run_ac(config: RunConfig, out: Path) -> tuple[str, ...]:
                              1j * config.im_theta, config.n_fourier,
                              config.n_hermite, config.length_scale)
     result = ac_sweep(problem, config.f_grid, target=config.target,
-                      tol=config.tol, workers=config.workers())
+                      tol=config.tol)
     traj = result.points
     rows = [[p.f, config.omega, config.im_theta, config.n_fourier,
              config.n_hermite, p.z.real, p.z.imag, p.residual, s]
@@ -455,7 +440,6 @@ def run(config: RunConfig) -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 2
     try:
-        config.workers()        # reject a bad STARKRES_THREADS before any work
         errors = _RUNNERS[config.mode](config, out)
     except _RUN_ERRORS as exc:      # before ValueError: LinAlgError is one
         return _numeric_failure(

@@ -301,8 +301,9 @@ class _ShiftedSolve:
         S[nz:, nz:] = (np.diag(op.D - sigma)
                        - op.Ct @ (self.inv[:, None] * op.Bt))
         # scipy only warns on an exact zero pivot, which is inspected
-        # below; the lock keeps field threads from interleaving their
-        # changes to the process-wide warning filters
+        # below; the lock keeps callers that solve from several threads
+        # from interleaving their changes to the process-wide warning
+        # filters
         with _FILTERS_LOCK, warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
             self.lu = lu_factor(S, overwrite_a=True)

@@ -71,6 +71,10 @@ _BATCH = 128
 # double-precision machine epsilon; the Airy route's Taylor tail bound
 # stops below it
 _EPS = float(np.finfo(float).eps)
+# panel half-width times the Airy kernel's local oscillation rate
+# sqrt|z - f x| up to which the panels resolve the kernel: the panel-width
+# rule keeps window points within it, and the route refuses points past it
+_RESOLUTION = 3.0
 
 
 @dataclass(frozen=True)
@@ -290,7 +294,7 @@ class ResolventEvaluator:
     def _airy_grid(self) -> _AiryGrid:
         L = self._x_cutoff
         rate = math.sqrt(2.0 + self.f * L)  # local oscillation bound
-        pw = min(2.0 * QUADRATURE["panel_width"], 6.0 / rate)
+        pw = min(2.0 * QUADRATURE["panel_width"], 2.0 * _RESOLUTION / rate)
         n_pan = max(8, int(math.ceil(2.0 * L / pw)))
         nn = QUADRATURE["panel_nodes"]
         x, w, edges = panel_nodes(-L, L, n_pan, nn)
@@ -308,23 +312,31 @@ class ResolventEvaluator:
         dphi = FormFactor(_derivative(self.phi.terms))
         return dphi(x), dphi.conj_position()(x)
 
-    def _airy_safe(self, zf: np.ndarray) -> np.ndarray:
-        """Per z, whether the Airy route keeps its accuracy.
+    def _airy_safe(self, zf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per z, whether the Airy route takes it and whether the time ray
+        does; a point on neither is refused.
 
-        The growth exponent bounds log|Ai|, log|Ci| over the x grid.  Below
-        the axis the continued element itself grows with the kernel, so
-        relative accuracy survives up to the overflow guard; above the
-        axis the element stays small while the kernel factors grow, so
-        those points go to the decaying-envelope ray integral early.
+        Both bounds are closed forms in w = z - f x at the grid ends
+        x = +-L.  The growth exponent (2/3) |Im w^{3/2}| / f bounds log|Ai|
+        and log|Ci| over the grid: Im w^{3/2} is monotone along the
+        segment, so its ends give the exact maximum.  Below the axis the
+        continued element grows with the kernel, so relative accuracy
+        survives up to the overflow guard; above the axis the element stays
+        small while the kernel factors grow, so those points go to the
+        decaying-envelope ray integral early.  The resolution bound asks
+        that the panel half-width times the largest local rate sqrt|w| stay
+        within _RESOLUTION; past it the panels no longer resolve the
+        kernel's oscillation and the point is refused on either side of the
+        axis, never sent to the ray.
         """
-        x = self._airy_grid.x[::6]
-        zeta = self.f ** (1.0 / 3.0) * x[None, :] - zf[:, None] * self.f ** (
-            -2.0 / 3.0)
-        osc = (2.0 / 3.0) * np.abs(np.imag((-zeta) ** 1.5))
-        right = np.where(zeta.real > 0,
-                         (2.0 / 3.0) * np.real(zeta**1.5), 0.0)
-        growth = np.max(np.maximum(osc, right), axis=1)
-        return np.where(zf.imag > 0.0, growth < 3.0, growth < 660.0)
+        fL = self.f * self._x_cutoff
+        w = zf[:, None] - np.array([fL, -fL])
+        growth = (2.0 / (3.0 * self.f)) * np.max(np.abs(np.imag(w**1.5)),
+                                                 axis=1)
+        resolved = (np.max(np.abs(w), axis=1) * self._airy_grid.halves[0] ** 2
+                    <= _RESOLUTION ** 2)
+        ray = resolved & (zf.imag > 0.0) & (growth >= 3.0)
+        return resolved & ~ray & (growth < 660.0), ray
 
     def _stark_airy_batch(self, zf: np.ndarray,
                           derivative: bool = False) -> np.ndarray:
@@ -344,11 +356,6 @@ class ResolventEvaluator:
         zeta_c = g.centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
         ai, bi = (v.reshape(zf.size, g.x.size)
                   for v in _airy_panels(zeta_c, g.h))
-        if not np.all(np.isfinite(ai)) or not np.all(np.isfinite(bi)):
-            raise QuadratureError(
-                "Airy kernel overflowed double precision for this window",
-                math.inf,
-            )
         ci = bi + 1j * ai
 
         def running(right):
@@ -361,27 +368,34 @@ class ResolventEvaluator:
 
         P, Q = running(g.phi_r)
         if not derivative:
-            return np.pi * f ** (-1.0 / 3.0) * pair(g.phi_l, P, Q)
-        dphi_r, dphi_l = self._airy_grid_derivative
-        dP, dQ = running(dphi_r)
-        inner = pair(dphi_l, P, Q) + pair(g.phi_l, dP, dQ)
-        return np.pi * f ** (-4.0 / 3.0) * inner
+            r = np.pi * f ** (-1.0 / 3.0) * pair(g.phi_l, P, Q)
+        else:
+            dphi_r, dphi_l = self._airy_grid_derivative
+            dP, dQ = running(dphi_r)
+            inner = pair(dphi_l, P, Q) + pair(g.phi_l, dP, dQ)
+            r = np.pi * f ** (-4.0 / 3.0) * inner
+        if not np.all(np.isfinite(r)):
+            raise QuadratureError(
+                "Airy kernel overflowed double precision for this window",
+                math.inf)
+        return r
 
     def _stark(self, zc: np.ndarray, derivative: bool = False) -> np.ndarray:
         """r(z), or r'(z) when ``derivative``, at each point of the flat
-        array zc, routed by the growth guard: the Airy kernel where
-        :meth:`_airy_safe` allows it, else the time ray above the axis.
-        Below the axis no route keeps double precision, so it raises."""
+        array zc, on the route :meth:`_airy_safe` gives it: the Airy kernel
+        or the time ray.  A point that neither route takes raises
+        QuadratureError, and so does a non-finite Airy-kernel value."""
         res = np.empty_like(zc)
-        safe = self._airy_safe(zc)
-        if np.any(safe):
-            res[safe] = self._stark_airy_batch(zc[safe], derivative)
-        for j in np.nonzero(~safe)[0]:
+        airy, ray = self._airy_safe(zc)
+        if np.any(airy):
+            res[airy] = self._stark_airy_batch(zc[airy], derivative)
+        for j in np.nonzero(~airy)[0]:
             zj = complex(zc[j])
-            if zj.imag <= 0.0:
+            if not ray[j]:
                 raise QuadratureError(
-                    "matrix element exceeds double-precision range at "
-                    f"z={zj} for f={self.f}", math.inf)
+                    f"no route keeps the tolerance at z={zj} for f={self.f}: "
+                    "the Airy panels do not resolve the kernel there, or "
+                    "it exceeds double-precision range", math.inf)
             res[j] = self.stark_time_ray(zj, derivative=derivative)
         return res
 

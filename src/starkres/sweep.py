@@ -10,7 +10,6 @@ are fixed numeric predicates over those outputs, reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,19 +78,16 @@ def _validate_grid(f_grid) -> tuple[float, ...]:
     return grid
 
 
-def _per_field(compute, grid, workers: int) -> list[tuple]:
-    """(compute(f), None) per field value in grid order, on up to
-    ``workers`` threads.  A field that ends in a numeric error gives
-    (None, error line) and the sweep goes on."""
+def _per_field(compute, grid) -> list[tuple]:
+    """(compute(f), None) per field value, one after another in grid
+    order.  A field that ends in a numeric error gives (None, error line)
+    and the sweep goes on."""
     def one(f: float):
         try:
             return compute(f), None
         except _NUMERIC_ERRORS as exc:
             return None, f"f={f:.17g}: {type(exc).__name__}: {exc}"
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, grid))
     return [one(f) for f in grid]
 
 
@@ -152,8 +148,8 @@ def _gate_radius(zs: list[complex]) -> float:
     return 3.0 * float(np.median(nn))
 
 
-def dc_sweep(phi: FormFactor, f_grid, window: Window, tol: float = 1e-9,
-             workers: int = 1) -> SweepResult:
+def dc_sweep(phi: FormFactor, f_grid, window: Window,
+             tol: float = 1e-9) -> SweepResult:
     """Locate the resonance cloud per field value and test the
     instability predicates against the field-free resonance."""
     grid = _validate_grid(f_grid)
@@ -173,7 +169,7 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window, tol: float = 1e-9,
         return find_zeros(ev.F_value, window, tol=tol,
                           fprime=ev.F_derivative)
 
-    results = _per_field(zeros_at, grid, workers)
+    results = _per_field(zeros_at, grid)
     groups = tuple(tuple(zs or ()) for zs, _ in results)
     errors = tuple(err for _, err in results if err)
 
@@ -226,7 +222,7 @@ class FloquetTrack:
 
 
 def ac_sweep(problem: FloquetProblem, f_grid, target: complex | None = None,
-             tol: float = 1e-9, workers: int = 1) -> FloquetTrack:
+             tol: float = 1e-9) -> FloquetTrack:
     """Track the Floquet resonance eigenvalue along the descending f grid.
 
     ``problem`` is the f = 0 truncation; each field value solves a copy of
@@ -250,7 +246,7 @@ def ac_sweep(problem: FloquetProblem, f_grid, target: complex | None = None,
                            radius=_DISK_RADIUS)
         return pairs[0] if pairs else None
 
-    results = _per_field(nearest_at, grid, workers)
+    results = _per_field(nearest_at, grid)
     # a field without a pair either failed or found no eigenvalue
     errors = tuple(err or f"f={f:.17g}: no eigenvalue in the target disk"
                    for f, (pair, err) in zip(grid, results) if pair is None)

@@ -240,25 +240,6 @@ def test_cli_entry_point_runs():
     assert "--f-grid" in proc.stdout
 
 
-def test_threads_env_cap(monkeypatch):
-    monkeypatch.setenv("STARKRES_THREADS", "3")
-    assert RunConfig(mode="dc").workers() == 3
-    for bad in ("bogus", "0", "-2"):
-        monkeypatch.setenv("STARKRES_THREADS", bad)
-        with pytest.raises(ValueError, match="STARKRES_THREADS"):
-            RunConfig(mode="dc").workers()
-    monkeypatch.delenv("STARKRES_THREADS")
-    assert RunConfig(mode="dc").workers() == 1
-
-
-def test_bad_threads_env_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("STARKRES_THREADS", "0")
-    out = tmp_path / "x"
-    assert main(["dc", "--f", "0", "--out", str(out)]) == 2
-    assert "configuration error" in capsys.readouterr().err
-    assert not (out / "failure.log").exists()
-
-
 @pytest.mark.parametrize("args", [
     ["dc", "--f", "inf"],
     ["dc", "--f", "nan"],

@@ -303,8 +303,8 @@ def test_stark_F_derivative_matches_cauchy_ring(coupling, f, mixed):
     ev = ResolventEvaluator(phi, f)
     window = [1.0 - 0.01j, 0.93 - 0.04j, 1.08 - 0.002j]
     ray = [1.0 + 0.02j, 0.8 + 0.3j] if f == 0.5 else []
-    assert ev._airy_safe(np.array(window)).all()
-    assert not ev._airy_safe(np.array(ray, dtype=complex)).any()
+    assert ev._airy_safe(np.array(window))[0].all()
+    assert ev._airy_safe(np.array(ray, dtype=complex))[1].all()
     for z in window + ray:
         ring = cauchy_derivative(ev.F_value, z, 1e-3)
         assert abs(ev.F_derivative(z) - ring) <= 1e-10 * abs(ring)
@@ -316,15 +316,15 @@ def test_stark_F_derivative_matches_cauchy_ring(coupling, f, mixed):
 def test_airy_panels_match_special_airy(phi, f):
     # Ai and Bi propagated from the panel centres along y'' = zeta y,
     # against special.airy at the same float nodes, for window points
-    # and points of [-3, 6] x [-2, 0.5] that the growth guard keeps on
-    # the Airy route
+    # and points of [-3, 6] x [-2, 0.5] that the route rule keeps on the
+    # Airy kernel
     ev = ResolventEvaluator(phi, f)
     grid = ev._airy_grid
     rng = np.random.RandomState(11)
     window = 0.9 + 0.2 * rng.rand(8) - 0.05j * rng.rand(8)
     wide = -3.0 + 9.0 * rng.rand(64) + 1j * (-2.0 + 2.5 * rng.rand(64))
-    assert ev._airy_safe(window).all()
-    wide = wide[ev._airy_safe(wide)]
+    assert ev._airy_safe(window)[0].all()
+    wide = wide[ev._airy_safe(wide)[0]]
     assert wide.size >= 8
     zf = np.concatenate((window, wide))
     zeta_c = grid.centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
@@ -337,14 +337,49 @@ def test_airy_panels_match_special_airy(phi, f):
 
 @pytest.mark.parametrize("z", (1e4, 1e10))
 def test_airy_route_refuses_unresolved_far_points(coupling, z):
-    # far along the axis the growth guard keeps z on the Airy route, but
-    # the Taylor sum about each panel centre would lose the tolerance
-    # (and the panels no longer resolve the oscillation): a loud error,
-    # not a value, and no series of ~|z|^{1/2} terms
+    # far along the axis the panels no longer resolve the oscillation of
+    # the kernel, and the time ray does not take the point either: a loud
+    # error, not a value, and no series of ~|z|^{1/2} terms
     ev = ResolventEvaluator(coupling, 0.01)
-    assert ev._airy_safe(np.array([z], dtype=complex)).all()
-    with pytest.raises(QuadratureError, match="Taylor"):
+    airy, ray = ev._airy_safe(np.array([z], dtype=complex))
+    assert not airy.any() and not ray.any()
+    with pytest.raises(QuadratureError, match="do not resolve"):
         ev.F_value(z)
+
+
+@pytest.mark.parametrize("phi", (FormFactor.gaussian(0.1, 1.0), TWO_TERMS),
+                         ids=("reference", "two-terms"))
+def test_airy_route_bounds_the_panel_resolution(phi, monkeypatch):
+    # panel half-width times the kernel's rate sqrt|z - f x| at x = +-L:
+    # about 2.7 at z = 8 - 0.1i, where the value keeps the tolerance, and
+    # 4.2 to 4.4 at z = 20 - 0.1i, where the panels of f = 0.01 lose
+    # digits against 0.1-wide panels; the route refuses that point
+    ev = ResolventEvaluator(phi, 0.01)
+    z = np.array([8.0 - 0.1j, 20.0 - 0.1j])
+    airy, ray = ev._airy_safe(z)
+    assert airy.tolist() == [True, False] and not ray.any()
+    for fn in (ev.F_value, ev.F_derivative, ev.stark_matrix_element):
+        with pytest.raises(QuadratureError, match="do not resolve"):
+            fn(z[1])
+    monkeypatch.setattr(resolvent, "QUADRATURE",
+                        dict(resolvent.QUADRATURE, panel_width=0.05))
+    fine = ResolventEvaluator(phi, 0.01)
+    assert fine._airy_safe(z)[0].all()
+    ref = fine.stark_matrix_element(z)
+    err = np.abs(ev._stark_airy_batch(z) - ref) / np.abs(ref)
+    assert err[0] <= 1e-10 < err[1]
+
+
+@pytest.mark.parametrize("z", (4.0 - 1.0j, 6.0 - 1.0j))
+def test_airy_route_raises_on_a_nonfinite_value(coupling, z):
+    # below the axis at small f the kernel factors stay finite but their
+    # products overflow: every entry point raises instead of returning nan
+    ev = ResolventEvaluator(coupling, 0.005)
+    assert ev._airy_safe(np.array([z]))[0].all()
+    for fn in (ev.F_value, ev.F_derivative, ev.stark_matrix_element):
+        with pytest.raises(QuadratureError, match="overflowed"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                fn(z)
 
 
 def test_airy_route_evaluates_airy_once_per_panel(coupling, monkeypatch):
@@ -360,7 +395,7 @@ def test_airy_route_evaluates_airy_once_per_panel(coupling, monkeypatch):
     n_pan = ev._airy_grid.n_pan
     # more points than one batch, all on the Airy route
     z = 1.0 - 0.02j + 0.015 * np.exp(2j * np.pi * np.arange(200) / 200)
-    assert ev._airy_safe(z).all()
+    assert ev._airy_safe(z)[0].all()
     ev.F_value(z)
     assert sum(sizes) == z.size * n_pan
     sizes.clear()

@@ -62,14 +62,6 @@ def test_dc_sweep_small(coupling):
         == [(r.z, r.residual) for g in res2.resonances for r in g]
 
 
-def test_dc_sweep_workers_match_serial(coupling):
-    w = Window(0.95, 1.1, -0.05, -1e-6)
-    serial = dc_sweep(coupling, (0.05, 0.02), w, tol=1e-9, workers=1)
-    threaded = dc_sweep(coupling, (0.05, 0.02), w, tol=1e-9, workers=2)
-    assert [(r.z, r.residual) for g in serial.resonances for r in g] \
-        == [(r.z, r.residual) for g in threaded.resonances for r in g]
-
-
 def test_dc_sweep_grid_validation(coupling):
     with pytest.raises(ValueError):
         dc_sweep(coupling, (0.02, 0.05), Window(0.9, 1.1, -0.05, -1e-6))
