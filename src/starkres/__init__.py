@@ -2,8 +2,9 @@
 
 Public surface: the Hermite-Gaussian coupling family, resolvent and F
 evaluators with analytic continuation, certified window zero finding, the
-truncated dilated Floquet operator, field sweeps, and brute-force oracle
-references.
+truncated dilated Floquet operator and field sweeps.  The brute-force
+oracle references live in ``starkres.oracle``, which ``import starkres``
+does not load (it pulls in ``scipy.integrate``).
 """
 
 __version__ = "0.1.0"
@@ -38,17 +39,6 @@ from .floquet import (
     momentum_squared_matrix,
 )
 from .sweep import FloquetTrack, SweepResult, ac_sweep, dc_sweep
-from .oracle import (
-    PoleTestResult,
-    TaylorPathError,
-    erfc_closed_form,
-    erfc_free_element,
-    full_resolvent_pole_test,
-    grid_scan,
-    ode_resolvent_oracle,
-    taylor_continuation_oracle,
-    verify_report,
-)
 
 __all__ = [
     "__version__",
@@ -60,7 +50,4 @@ __all__ = [
     "FloquetEigenpair", "FloquetProblem", "eigen_near",
     "hermite_functions", "momentum_squared_matrix",
     "FloquetTrack", "SweepResult", "ac_sweep", "dc_sweep",
-    "PoleTestResult", "TaylorPathError", "erfc_closed_form",
-    "erfc_free_element", "full_resolvent_pole_test", "grid_scan",
-    "ode_resolvent_oracle", "taylor_continuation_oracle", "verify_report",
 ]

@@ -367,13 +367,15 @@ class ResolventEvaluator:
             return (left[None, :] * ai * P + left[None, :] * ci * Q) @ g.w
 
         P, Q = running(g.phi_r)
-        if not derivative:
-            r = np.pi * f ** (-1.0 / 3.0) * pair(g.phi_l, P, Q)
-        else:
-            dphi_r, dphi_l = self._airy_grid_derivative
-            dP, dQ = running(dphi_r)
-            inner = pair(dphi_l, P, Q) + pair(g.phi_l, dP, dQ)
-            r = np.pi * f ** (-4.0 / 3.0) * inner
+        # the products may overflow; the finite check below raises then
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not derivative:
+                r = np.pi * f ** (-1.0 / 3.0) * pair(g.phi_l, P, Q)
+            else:
+                dphi_r, dphi_l = self._airy_grid_derivative
+                dP, dQ = running(dphi_r)
+                inner = pair(dphi_l, P, Q) + pair(g.phi_l, dP, dQ)
+                r = np.pi * f ** (-4.0 / 3.0) * inner
         if not np.all(np.isfinite(r)):
             raise QuadratureError(
                 "Airy kernel overflowed double precision for this window",

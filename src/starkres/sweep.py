@@ -1,10 +1,11 @@
 """Field-strength sweeps: DC zero clouds and AC eigenvalue trajectories.
 
-The DC sweep locates all window zeros per field value, links them into
-trajectories by nearest-neighbor gating, and measures the instability
-envelope; the AC sweep follows the dilated Floquet eigenvalue toward its
-field-free limit as a ``FloquetTrack``.  The stability/instability flags
-are fixed numeric predicates over those outputs, reproducible bit for bit.
+The DC sweep locates all window zeros per field value, labels each by its
+period number k of the quantization rule (:func:`period_labels`), and
+measures the instability envelope; the AC sweep follows the dilated
+Floquet eigenvalue toward its field-free limit as a ``FloquetTrack``.
+The stability/instability flags are fixed numeric predicates over those
+outputs, reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ __all__ = [
     "FloquetTrack",
     "dc_sweep",
     "ac_sweep",
-    "link_trajectories",
+    "period_labels",
 ]
 
 # failures a field value may end in without stopping the sweep.  Anything
@@ -52,7 +53,7 @@ class SweepResult:
     f_grid: tuple[float, ...]
     resonances: tuple[tuple[Resonance, ...], ...]   # aligned with f_grid
     reference: complex                              # field-free resonance
-    trajectories: tuple[tuple[TrajectoryPoint, ...], ...]
+    labels: tuple[tuple[int, ...], ...]             # aligned with resonances
     max_im: tuple[float, ...]
     min_dist_reference: tuple[float, ...]
     mean_re: tuple[float, ...]
@@ -91,61 +92,30 @@ def _per_field(compute, grid) -> list[tuple]:
     return [one(f) for f in grid]
 
 
-def link_trajectories(f_grid, groups) -> tuple[tuple[TrajectoryPoint, ...], ...]:
-    """Greedy nearest-neighbor chains down the descending f grid.
+def period_labels(F0, f: float, zeros) -> tuple[int, ...]:
+    """Period number k of each DC zero, aligned with ``zeros``.
 
-    The gate is 3x the median nearest-neighbor spacing of the cloud at the
-    larger field value, so the link radius tightens as the cloud densifies.
-    Assignment is order-independent: candidates are processed sorted by
-    distance.
+    To leading order in f a zero of F_f at x = Re z solves
+    (4/3) x^{3/2} / f - arg F_0(x) = 2 pi k, with F_0 the field-free F:
+    (4/3) x^{3/2} / f is the round-trip phase of a wave that leaves the
+    coupling at energy x and turns at x / f.  k is that quotient rounded.
+    Where the golden-rule width is positive, Im F_0(x + i0) < 0, so
+    arg F_0 stays in (-pi, 0) and cannot move a label by one period.  The
+    zeros of a window hold consecutive periods; labels that are not
+    distinct and consecutive raise CertificateError.
     """
-    trajectories: list[list[TrajectoryPoint]] = []
-    open_ends: list[int] = []
-    prev_zs: list[complex] = []
-    for level, (f, group) in enumerate(zip(f_grid, groups)):
-        zs = sorted((r.z for r in group), key=lambda z: (z.real, z.imag))
-        res = {r.z: r.residual for r in group}
-        if level == 0 or not open_ends:
-            for z in zs:
-                trajectories.append([TrajectoryPoint(f, z, res[z])])
-            open_ends = list(range(len(trajectories)))
-        else:
-            gate = _gate_radius(prev_zs)
-            cands = []
-            for ti, t_idx in enumerate(open_ends):
-                tail = trajectories[t_idx][-1].z
-                for zi, z in enumerate(zs):
-                    d = abs(z - tail)
-                    if d <= gate:
-                        cands.append((d, ti, zi))
-            cands.sort(key=lambda c: (c[0], c[1], c[2]))
-            used_t: set[int] = set()
-            used_z: set[int] = set()
-            next_ends = []
-            for d, ti, zi in cands:
-                if ti in used_t or zi in used_z:
-                    continue
-                used_t.add(ti)
-                used_z.add(zi)
-                t_idx = open_ends[ti]
-                trajectories[t_idx].append(TrajectoryPoint(f, zs[zi], res[zs[zi]]))
-                next_ends.append(t_idx)
-            for zi, z in enumerate(zs):
-                if zi not in used_z:
-                    trajectories.append([TrajectoryPoint(f, z, res[z])])
-                    next_ends.append(len(trajectories) - 1)
-            open_ends = next_ends
-        prev_zs = zs
-    return tuple(tuple(t) for t in trajectories)
-
-
-def _gate_radius(zs: list[complex]) -> float:
-    if len(zs) < 2:
-        return math.inf
-    nn = []
-    for i, z in enumerate(zs):
-        nn.append(min(abs(z - w) for j, w in enumerate(zs) if j != i))
-    return 3.0 * float(np.median(nn))
+    if not zeros:
+        return ()
+    x = np.array([r.z.real for r in zeros])
+    if np.any(x <= 0.0):
+        raise CertificateError(f"no period label for a zero at Re z <= 0 "
+                               f"(f={f:.17g})")
+    q = ((4.0 / 3.0) * x ** 1.5 / f - np.angle(F0(x))) / (2.0 * np.pi)
+    k = [int(v) for v in np.rint(q)]
+    if sorted(k) != list(range(min(k), min(k) + len(k))):
+        raise CertificateError(f"period labels {k} at f={f:.17g} are not "
+                               "distinct and consecutive")
+    return tuple(k)
 
 
 def dc_sweep(phi: FormFactor, f_grid, window: Window,
@@ -166,11 +136,13 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window,
 
     def zeros_at(f: float):
         ev = ResolventEvaluator(phi, f)
-        return find_zeros(ev.F_value, window, tol=tol,
-                          fprime=ev.F_derivative)
+        zeros = find_zeros(ev.F_value, window, tol=tol,
+                           fprime=ev.F_derivative)
+        return tuple(zeros), period_labels(ev0.F_value, f, zeros)
 
     results = _per_field(zeros_at, grid)
-    groups = tuple(tuple(zs or ()) for zs, _ in results)
+    groups = tuple(res[0] if res else () for res, _ in results)
+    labels = tuple(res[1] if res else () for res, _ in results)
     errors = tuple(err for _, err in results if err)
 
     max_im, min_dist, mean_re, scat_re = [], [], [], []
@@ -187,7 +159,6 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window,
             mean_re.append(math.nan)
             scat_re.append(0.0)
 
-    trajectories = link_trajectories(grid, groups)
     c0_env = max((abs(r.z.imag) / f for f, g in zip(grid, groups)
                   for r in g), default=0.0)
     c0_top = max((abs(r.z.imag) / grid[0] for r in groups[0]), default=0.0)
@@ -203,7 +174,7 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window,
     flags["dc_unstable"] = flags["axis_approach"] and flags["r0_avoidance"]
     return SweepResult(
         f_grid=grid, resonances=groups, reference=reference,
-        trajectories=trajectories, max_im=tuple(max_im),
+        labels=labels, max_im=tuple(max_im),
         min_dist_reference=tuple(min_dist), mean_re=tuple(mean_re),
         scatter_re=tuple(scat_re), c0_envelope=c0_env, c0_largest_f=c0_top,
         flags=flags, errors=errors)

@@ -22,10 +22,9 @@ from starkres import (
     ac_sweep,
     dc_sweep,
     eigen_near,
-    erfc_closed_form,
     find_zeros,
-    ode_resolvent_oracle,
 )
+from starkres.oracle import erfc_closed_form, ode_resolvent_oracle
 from starkres.driver import main as cli_main
 
 REPORT = Path(__file__).with_name("acceptance_report.txt")

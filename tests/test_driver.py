@@ -160,6 +160,15 @@ def test_dc_field_free_single_row(tmp_path):
     assert "quadrature" in manifest["parameters"]
 
 
+def test_dc_field_labels_each_zero_by_its_period(tmp_path):
+    out = tmp_path / "run"
+    assert main(["dc", "--f", "0.02", "--im-max=-1e-6", "--out",
+                 str(out)]) == 0
+    with open(out / "resonances.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["trajectory_id"] for row in rows] == ["10", "11", "12"]
+
+
 def test_dc_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["dc", "--f", "0", "--out", str(a)]) == 0
@@ -186,6 +195,13 @@ def test_sweep_small_artifacts(tmp_path):
         assert (out / name).exists()
     header = (out / "sweep.csv").read_text().splitlines()[0]
     assert header == "f,re_z,im_z,residual,winding,trajectory_id"
+    # each field's zeros hold consecutive period numbers, which grow as f
+    # falls: a zero of fixed k moves out of the window
+    ids = {}
+    with open(out / "sweep.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            ids.setdefault(row["f"], []).append(int(row["trajectory_id"]))
+    assert ids == {"0.050000000000000003": [4, 5], "0.02": [10, 11, 12]}
 
 
 def test_plot_from_csv(tmp_path):
@@ -335,12 +351,36 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
          "pass": False},
         {"name": "free_vs_erfc_closed_form", "points": 24,
          "max_deviation": 1e-15, "pass": True}], "all_pass": False}
-    monkeypatch.setattr(driver, "verify_report", lambda: report)
+    monkeypatch.setattr("starkres.oracle.verify_report", lambda: report)
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out)]) == 3
     assert json.loads((out / "verify.json").read_text()) == report
     assert (out / "failure.log").read_text() == (
         "pole_term_jump: FAIL (max deviation 5.000e-01, 1 points)\n")
+
+
+def test_verify_taylor_path_error_exit_code(tmp_path, monkeypatch):
+    from starkres.oracle import TaylorPathError
+
+    def leaves_the_disk():
+        raise TaylorPathError("step left the convergence disk")
+
+    monkeypatch.setattr("starkres.oracle.verify_report", leaves_the_disk)
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out)]) == 3
+    assert (out / "failure.log").read_text() == (
+        "TaylorPathError: step left the convergence disk\n")
+
+
+def test_import_leaves_the_oracle_unloaded():
+    # the oracle and scipy.integrate load only for the verify mode
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, starkres.driver; print(sorted(m for m in "
+         "('scipy.integrate', 'starkres.oracle') if m in sys.modules))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_ac_subcommand_small(tmp_path):

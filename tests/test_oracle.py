@@ -6,12 +6,9 @@ import pytest
 
 import starkres.oracle as oracle
 from conftest import R0
-from starkres import (
-    FormFactor,
-    QuadratureError,
-    ResolventEvaluator,
+from starkres import FormFactor, QuadratureError, ResolventEvaluator, Window
+from starkres.oracle import (
     TaylorPathError,
-    Window,
     erfc_closed_form,
     erfc_free_element,
     full_resolvent_pole_test,

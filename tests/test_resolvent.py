@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +12,11 @@ from starkres import (
     FormFactor,
     QuadratureError,
     ResolventEvaluator,
-    erfc_closed_form,
-    erfc_free_element,
-    ode_resolvent_oracle,
 )
 from starkres._gauss import cauchy_derivative
 from starkres.formfactor import Term
+from starkres.oracle import (erfc_closed_form, erfc_free_element,
+                             ode_resolvent_oracle)
 from starkres.resolvent import _airy_panels
 
 SQRT_PI = math.sqrt(math.pi)
@@ -373,12 +373,14 @@ def test_airy_route_bounds_the_panel_resolution(phi, monkeypatch):
 @pytest.mark.parametrize("z", (4.0 - 1.0j, 6.0 - 1.0j))
 def test_airy_route_raises_on_a_nonfinite_value(coupling, z):
     # below the axis at small f the kernel factors stay finite but their
-    # products overflow: every entry point raises instead of returning nan
+    # products overflow: every entry point raises instead of returning nan,
+    # and numpy prints no warning before the error
     ev = ResolventEvaluator(coupling, 0.005)
     assert ev._airy_safe(np.array([z]))[0].all()
-    for fn in (ev.F_value, ev.F_derivative, ev.stark_matrix_element):
-        with pytest.raises(QuadratureError, match="overflowed"):
-            with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (ev.F_value, ev.F_derivative, ev.stark_matrix_element):
+            with pytest.raises(QuadratureError, match="overflowed"):
                 fn(z)
 
 

@@ -10,10 +10,10 @@ from starkres import (
     ResolventEvaluator,
     Window,
     find_zeros,
-    grid_scan,
     rootfind,
     winding_number,
 )
+from starkres.oracle import grid_scan
 from starkres.rootfind import _counted_window
 
 

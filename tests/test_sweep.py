@@ -9,42 +9,40 @@ from starkres import (
     FloquetProblem,
     FormFactor,
     QuadratureError,
+    ResolventEvaluator,
     Window,
     ac_sweep,
     dc_sweep,
 )
 from starkres import sweep
 from starkres.rootfind import Resonance
-from starkres.sweep import link_trajectories
+from starkres.sweep import period_labels
+
+# the three zeros of the f = 0.02 cloud on [0.9, 1.1]x[-0.05, -1e-6]
+ZEROS_F002 = (0.961908 - 0.015862j, 1.013531 - 0.000588j,
+              1.054779 - 0.011890j)
 
 
-def _groups(per_f):
-    return tuple(
-        tuple(Resonance(z, 1e-12, 1, 3) for z in zs)
-        for f, zs in per_f
-    )
+def _zeros(zs):
+    return [Resonance(z, 1e-16, 1, 3) for z in zs]
 
 
-def test_link_trajectories_permutation_invariant():
-    per_f = [
-        (0.05, [1.00 - 0.030j, 1.06 - 0.010j]),
-        (0.02, [0.995 - 0.013j, 1.055 - 0.004j, 0.95 - 0.012j]),
-        (0.01, [0.992 - 0.006j, 1.052 - 0.002j, 0.948 - 0.006j]),
-    ]
-    grid = tuple(f for f, _ in per_f)
-    base = link_trajectories(grid, _groups(per_f))
-    shuffled = [(f, list(reversed(zs))) for f, zs in per_f]
-    again = link_trajectories(grid, _groups(shuffled))
-    def canon(trajs):
-        return sorted((tuple((p.f, p.z.real, p.z.imag) for p in t)
-                       for t in trajs))
-    assert canon(base) == canon(again)
-    # chains are monotone along the grid and disjoint
-    for t in base:
-        fs = [p.f for p in t]
-        assert fs == sorted(fs, reverse=True)
-    all_pts = [(p.f, p.z) for t in base for p in t]
-    assert len(all_pts) == len(set(all_pts)) == 8
+def test_period_labels_of_the_f002_cloud(coupling):
+    F0 = ResolventEvaluator(coupling, 0.0).F_value
+    assert period_labels(F0, 0.02, _zeros(ZEROS_F002)) == (10, 11, 12)
+    assert period_labels(F0, 0.02, []) == ()
+
+
+@pytest.mark.parametrize("zs, match", (
+    ((ZEROS_F002[0], ZEROS_F002[2]), "distinct and consecutive"),
+    ((ZEROS_F002[0], ZEROS_F002[1], ZEROS_F002[1]),
+     "distinct and consecutive"),
+    ((-0.1 - 0.01j,), r"Re z <= 0"),
+), ids=("gap", "duplicate", "negative-energy"))
+def test_period_labels_refuse_a_broken_cloud(coupling, zs, match):
+    F0 = ResolventEvaluator(coupling, 0.0).F_value
+    with pytest.raises(CertificateError, match=match):
+        period_labels(F0, 0.02, _zeros(zs))
 
 
 def test_dc_sweep_small(coupling):
@@ -55,6 +53,8 @@ def test_dc_sweep_small(coupling):
     assert res.c0_envelope > 0
     assert res.flags["r0_avoidance"]
     assert all(r.residual < 1e-9 for g in res.resonances for r in g)
+    # each zero carries its period number, aligned with the resonances
+    assert res.labels == ((4, 5), (10, 11, 12))
     # deterministic repetition
     res2 = dc_sweep(coupling, (0.05, 0.02), Window(0.9, 1.1, -0.05, -1e-6),
                     tol=1e-9)
@@ -92,7 +92,7 @@ def test_dc_sweep_records_numeric_failures(coupling, monkeypatch):
                                                         1e-3))
     res = dc_sweep(coupling, (0.05, 0.02), Window(0.9, 1.1, -0.05, -1e-6))
     assert abs(res.reference - R0) < 1e-8
-    assert res.resonances == ((), ())
+    assert res.resonances == res.labels == ((), ())
     assert res.errors == tuple(
         f"f={f:.17g}: QuadratureError: no convergence "
         "(achieved error ~1.000e-03)"
@@ -111,6 +111,23 @@ def test_dc_sweep_records_certificate_errors(coupling, monkeypatch):
     res = dc_sweep(coupling, (0.05,), Window(0.9, 1.1, -0.05, -1e-6))
     assert res.errors == ("f=0.050000000000000003: CertificateError: "
                           "undersampled",)
+
+
+def test_dc_sweep_records_label_failures(coupling, monkeypatch):
+    # a field whose zeros skip a period fails that field alone
+    real = sweep.find_zeros
+
+    def find_zeros(F, window, tol=1e-10, *, fprime):
+        if F.__self__.f == 0.02:
+            return _zeros((ZEROS_F002[0], ZEROS_F002[2]))
+        return real(F, window, tol=tol, fprime=fprime)
+
+    monkeypatch.setattr(sweep, "find_zeros", find_zeros)
+    res = dc_sweep(coupling, (0.05, 0.02), Window(0.9, 1.1, -0.05, -1e-6))
+    assert res.labels == ((4, 5), ())
+    assert res.resonances[1] == ()
+    assert res.errors == ("f=0.02: CertificateError: period labels [10, 12] "
+                          "at f=0.02 are not distinct and consecutive",)
 
 
 def test_dc_sweep_propagates_plain_runtime_errors(coupling, monkeypatch):
