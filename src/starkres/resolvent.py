@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -61,7 +61,8 @@ QUADRATURE = MappingProxyType({
     "derivative_radius": 1e-3,       # f = 0 Cauchy ring
     "derivative_nodes": 32,
     "panel_nodes": 24,
-    "panel_width": 1.0,
+    "panel_width": 1.0,              # caps the panel half-width
+                                     # (panels are 2 x panel_width wide)
 })
 # relative distance to the branch cut (-inf, 0] below which f = 0
 # evaluation is refused
@@ -102,7 +103,18 @@ class _AiryGrid(NamedTuple):
     n_pan: int
     nn: int
     centres: np.ndarray      # f^{1/3} times the panel midpoints
-    h: np.ndarray            # f^{1/3} times the node offsets, every panel
+    step: float              # f^{1/3} times the panel half-width
+
+    def groups(self, span: int) -> tuple[np.ndarray, int]:
+        """Centres of consecutive groups of ``span`` panels, f^{1/3}
+        times their midpoints, and how many nodes the last group repeats:
+        where span does not divide n_pan it ends at x = L and overlaps
+        the group before, so no node lies past the grid."""
+        starts = np.minimum(np.arange(0, self.n_pan, span),
+                            self.n_pan - span)
+        centres = 0.5 * (self.centres[starts]
+                         + self.centres[starts + span - 1])
+        return centres, (starts.size * span - self.n_pan) * self.nn
 
 
 @dataclass(frozen=True)
@@ -303,7 +315,7 @@ class ResolventEvaluator:
         return _AiryGrid(
             x, w, 0.5 * (edges[1:] - edges[:-1]), cumulative_matrix(nn),
             gauss_w, self.phi(x), self.phi.conj_position()(x), n_pan, nn,
-            cbrt * 0.5 * (edges[1:] + edges[:-1]), cbrt * (L / n_pan) * xg)
+            cbrt * 0.5 * (edges[1:] + edges[:-1]), cbrt * (L / n_pan))
 
     @cached_property
     def _airy_grid_derivative(self):
@@ -311,6 +323,11 @@ class ResolventEvaluator:
         x = self._airy_grid.x
         dphi = FormFactor(_derivative(self.phi.terms))
         return dphi(x), dphi.conj_position()(x)
+
+    def _grid_ends(self, zf: np.ndarray) -> np.ndarray:
+        """w = z - f x at the grid ends x = +-L, one row per point."""
+        fL = self.f * self._x_cutoff
+        return zf[:, None] - np.array([fL, -fL])
 
     def _airy_safe(self, zf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per z, whether the Airy route takes it and whether the time ray
@@ -329,14 +346,24 @@ class ResolventEvaluator:
         kernel's oscillation and the point is refused on either side of the
         axis, never sent to the ray.
         """
-        fL = self.f * self._x_cutoff
-        w = zf[:, None] - np.array([fL, -fL])
+        w = self._grid_ends(zf)
         growth = (2.0 / (3.0 * self.f)) * np.max(np.abs(np.imag(w**1.5)),
                                                  axis=1)
         resolved = (np.max(np.abs(w), axis=1) * self._airy_grid.halves[0] ** 2
                     <= _RESOLUTION ** 2)
         ray = resolved & (zf.imag > 0.0) & (growth >= 3.0)
         return resolved & ~ray & (growth < 660.0), ray
+
+    def _airy_span(self, zf: np.ndarray) -> int:
+        """Panels per ``special.airy`` centre for the batch zf: the largest
+        span whose group half-width times the batch's largest rate
+        sqrt|z - f x| at x = +-L stays within _RESOLUTION.  That is the
+        bound :meth:`_airy_safe` asks of one panel, so the Taylor reach
+        about a group centre never grows past the one-panel worst case;
+        batches at the route's edge take span 1."""
+        g = self._airy_grid
+        rate = math.sqrt(float(np.max(np.abs(self._grid_ends(zf)))))
+        return min(g.n_pan, max(1, int(_RESOLUTION / (g.halves[0] * rate))))
 
     def _stark_airy_batch(self, zf: np.ndarray,
                           derivative: bool = False) -> np.ndarray:
@@ -347,15 +374,24 @@ class ResolventEvaluator:
         phi Ai from the right.  Translation covariance of p^2 + f x gives
         f r'(z) = (phi', R phi) + (phi, R phi'), so the derivative reuses
         the same Airy values and P, Q, plus the running integrals of phi'.
-        Ai and Bi take the argument zeta = f^{1/3} x - z f^{-2/3}; they
-        come from one ``special.airy`` call per panel, at its centre, and
-        reach the panel's nodes by :func:`_airy_panels`.
+        Ai and Bi take the argument zeta = f^{1/3} x - z f^{-2/3}.  They
+        come from one ``special.airy`` call per group of
+        :meth:`_airy_span` consecutive panels, at its centre, and reach
+        the group's nodes by :func:`_airy_panels`.
         """
         g = self._airy_grid
         f = self.f
-        zeta_c = g.centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
-        ai, bi = (v.reshape(zf.size, g.x.size)
-                  for v in _airy_panels(zeta_c, g.h))
+        span = self._airy_span(zf)
+        centres, repeated = g.groups(span)
+        zeta_c = centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
+
+        def nodes(v):
+            v = v.reshape(zf.size, -1)
+            head = (centres.size - 1) * span * g.nn
+            return (np.delete(v, np.s_[head:head + repeated], axis=1)
+                    if repeated else v)
+
+        ai, bi = (nodes(v) for v in _airy_panels(zeta_c, g.step, span, g.nn))
         ci = bi + 1j * ai
 
         def running(right):
@@ -532,45 +568,96 @@ def _taylor_terms(zeta_max: float, h_max: float) -> int:
     The rounding error of the sum is about machine epsilon times the sum
     of the beta; where that exceeds the evaluator tolerance (|z| in the
     hundreds, where the panels no longer resolve the oscillation either)
-    it raises QuadratureError.
+    it raises QuadratureError.  :func:`_airy_panels` calls it once per
+    batch, on the largest |zeta_c| of the group centres and the group's
+    largest offset; the table of :func:`_taylor_table` regroups the same
+    terms by powers of zeta_c h_max^2 with nonnegative coefficients, so
+    both bounds hold for the regrouped sum.
     """
     c, d = zeta_max * h_max * h_max, h_max ** 3
-    beta = [1.0, 1.0, 0.5 * c]
+    b3, b2, b1 = 1.0, 1.0, 0.5 * c      # beta_{n-3}, beta_{n-2}, beta_{n-1}
+    total = b3 + b2 + b1                 # sum of the beta so far
+    n = 3
     while True:
-        n = len(beta)
-        rounding = _EPS * sum(beta)
+        rounding = _EPS * total
         if not rounding <= QUADRATURE["tol"]:
             raise QuadratureError(
                 "Taylor propagation of the Airy kernel loses the tolerance "
                 "at this distance from the window", rounding)
         q = (c + d) / (n * (n - 1))
-        if q < 0.5 and 3.0 * q * max(beta[-3:]) / (1.0 - q) <= _EPS:
+        if q < 0.5 and 3.0 * q * max(b3, b2, b1) / (1.0 - q) <= _EPS:
             return n
-        beta.append((c * beta[-2] + d * beta[-3]) / (n * (n - 1)))
+        b3, b2, b1 = b2, b1, (c * b2 + d * b3) / (n * (n - 1))
+        total += b1
+        n += 1
 
 
-def _airy_panels(zeta_c: np.ndarray, h: np.ndarray):
-    """Ai and Bi at zeta_c[..., None] + h, shape zeta_c.shape + h.shape.
+@lru_cache(maxsize=32)
+def _group_offsets(step: float, span: int, nn: int) -> tuple[np.ndarray, float]:
+    """Offsets t from a group's centre of the Gauss-Legendre nodes of its
+    ``span`` panels, in zeta, for panel half-width ``step`` in zeta, and
+    the largest |t|."""
+    xg = gauss_legendre(nn)[0]
+    t = (np.arange(1 - span, span, 2)[:, None] + xg).ravel() * step
+    t.setflags(write=False)
+    return t, float(np.max(np.abs(t)))
+
+
+@lru_cache(maxsize=32)
+def _taylor_table(step: float, span: int, nn: int, K: int) -> np.ndarray:
+    """The K-term Taylor sums of U and V at the offsets t of a group, as
+    one read-only (2 J, span nn) array, J = (K + 1) // 2.
+
+    With h = max|t|, c = zeta_c h^2 and s = t/h, the scaled coefficients
+    b_n = a_n h^n of y(zeta_c + t) obey b_n = (c b_{n-2} + h^3 b_{n-3})
+    / (n (n-1)), so each is a polynomial in c, linear in b_0 = y and
+    b_1 = h y': b_n = sum_j (u_{n,j} b_0 + v_{n,j} b_1) c^j.  Row j holds
+    U_j(s) = (2j)! sum_{n<K} u_{n,j} s^n and row J + j holds V_j(s), so
+    y(zeta_c + t) = sum_j c^j/(2j)! (U_j y + V_j h y'); the (2j)! keeps
+    the powers of c as small as the series terms.  The u and v are
+    nonnegative, so the rounding of the regrouped sum is that of the
+    series in n that :func:`_taylor_terms` bounds.
+    """
+    t, h = _group_offsets(step, span, nn)
+    J = (K + 1) // 2
+    uv = np.zeros((K, 2, J))             # (term, y or h y', power of c)
+    uv[0, 0, 0] = uv[1, 1, 0] = 1.0
+    for n in range(2, K):
+        uv[n, :, 1:] = uv[n - 2, :, :-1]
+        if n >= 3:
+            uv[n] += h ** 3 * uv[n - 3]
+        uv[n] /= n * (n - 1)
+    uv *= [float(math.factorial(2 * j)) for j in range(J)]
+    powers = (t / h)[None, :] ** np.arange(K)[:, None]
+    table = np.tensordot(uv, powers, axes=(0, 0)).reshape(2 * J, t.size)
+    table.setflags(write=False)
+    return table
+
+
+def _airy_panels(zeta_c: np.ndarray, step: float, span: int, nn: int):
+    """Ai and Bi at zeta_c[..., None] + _group_offsets(step, span, nn),
+    shape zeta_c.shape + (span nn,).
 
     One ``special.airy`` call at the centres gives y and y' for both
-    functions; the Airy recurrence (n+2)(n+1) a_{n+2} = zeta_c a_n +
-    a_{n-1} continues their Taylor coefficients, scaled by powers of
-    max|h|, and one matrix product with the powers (h/max|h|)^n sums the
-    series at every offset.  The term count comes from
-    :func:`_taylor_terms`.
+    functions.  The Taylor series about each centre is summed as
+    sum_j c^j/(2j)! (U_j y + V_j h y') with the table of
+    :func:`_taylor_table`: a cumulative product gives the c^j/(2j)! for
+    c = zeta_c h^2, and one matrix product with the table sums every
+    centre at every offset.  The term count comes from
+    :func:`_taylor_terms` on the largest |zeta_c| and offset.
     """
-    h_max = float(np.max(np.abs(h)))
-    K = _taylor_terms(float(np.max(np.abs(zeta_c))), h_max)
+    h = _group_offsets(step, span, nn)[1]
+    K = _taylor_terms(float(np.max(np.abs(zeta_c))), h)
+    table = _taylor_table(step, span, nn, K)
+    J = table.shape[0] // 2
+    k = np.arange(2, 2 * J, 2)
+    powers = np.empty(zeta_c.shape + (J,), dtype=complex)
+    powers[..., 0] = 1.0
+    powers[..., 1:] = (zeta_c * (h * h))[..., None] / (k * (k - 1))
+    np.cumprod(powers, axis=-1, out=powers)
     ai, aip, bi, bip = special.airy(zeta_c)
-    zh2 = zeta_c.ravel() * h_max**2
-    h3 = h_max**3
-    b = np.empty((K, 2, zh2.size), dtype=complex)    # (term, Ai/Bi, centre)
-    b[0] = ai.ravel(), bi.ravel()
-    b[1] = h_max * aip.ravel(), h_max * bip.ravel()
-    b[2] = 0.5 * zh2 * b[0]
-    for n in range(3, K):
-        b[n] = (zh2 * b[n - 2] + h3 * b[n - 3]) / (n * (n - 1))
-    powers = (h / h_max)[None, :] ** np.arange(K)[:, None]
-    vals = (b.reshape(K, -1).T @ powers).reshape(
-        (2,) + zeta_c.shape + h.shape)
-    return vals[0], vals[1]
+    y = np.empty((2,) + zeta_c.shape + (2, 1), dtype=complex)  # Ai/Bi, y/hy'
+    y[0, ..., 0, 0], y[0, ..., 1, 0] = ai, h * aip
+    y[1, ..., 0, 0], y[1, ..., 1, 0] = bi, h * bip
+    vals = (y * powers[..., None, :]).reshape(-1, 2 * J) @ table
+    return vals.reshape((2,) + zeta_c.shape + (table.shape[1],))

@@ -17,7 +17,7 @@ from starkres._gauss import cauchy_derivative
 from starkres.formfactor import Term
 from starkres.oracle import (erfc_closed_form, erfc_free_element,
                              ode_resolvent_oracle)
-from starkres.resolvent import _airy_panels
+from starkres.resolvent import _airy_panels, _group_offsets
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -314,10 +314,11 @@ def test_stark_F_derivative_matches_cauchy_ring(coupling, f, mixed):
 @pytest.mark.parametrize("phi", (FormFactor.gaussian(0.1, 1.0), TWO_TERMS),
                          ids=("reference", "two-terms"))
 def test_airy_panels_match_special_airy(phi, f):
-    # Ai and Bi propagated from the panel centres along y'' = zeta y,
-    # against special.airy at the same float nodes, for window points
-    # and points of [-3, 6] x [-2, 0.5] that the route rule keeps on the
-    # Airy kernel
+    # Ai and Bi propagated from the group centres along y'' = zeta y,
+    # against special.airy at the same float nodes, on the groups the
+    # route picks: for the window as one batch, and for each point of
+    # [-3, 6] x [-2, 0.5] that the route rule keeps on the Airy kernel,
+    # alone, as a Newton step evaluates it
     ev = ResolventEvaluator(phi, f)
     grid = ev._airy_grid
     rng = np.random.RandomState(11)
@@ -326,13 +327,52 @@ def test_airy_panels_match_special_airy(phi, f):
     assert ev._airy_safe(window)[0].all()
     wide = wide[ev._airy_safe(wide)[0]]
     assert wide.size >= 8
-    zf = np.concatenate((window, wide))
-    zeta_c = grid.centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
-    ai, bi = _airy_panels(zeta_c, grid.h)
-    ref_ai, _, ref_bi, _ = special.airy(zeta_c[..., None] + grid.h)
-    scale = np.abs(ref_ai) + np.abs(ref_bi)
-    assert np.max(np.abs(ai - ref_ai) / scale) <= 1e-12
-    assert np.max(np.abs(bi - ref_bi) / scale) <= 1e-12
+    spans = set()
+    for zf in [window] + [wide[i:i + 1] for i in range(wide.size)]:
+        span = ev._airy_span(zf)
+        spans.add(span)
+        centres = grid.groups(span)[0]
+        zeta_c = centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
+        ai, bi = _airy_panels(zeta_c, grid.step, span, grid.nn)
+        offsets, reach = _group_offsets(grid.step, span, grid.nn)
+        # every node within the resolution bound of the batch
+        rate = np.max(np.abs(ev._grid_ends(zf)))
+        assert reach * math.sqrt(rate) <= (
+            resolvent._RESOLUTION * f ** (1.0 / 3.0))
+        ref_ai, _, ref_bi, _ = special.airy(zeta_c[..., None] + offsets)
+        scale = np.abs(ref_ai) + np.abs(ref_bi)
+        assert np.max(np.abs(ai - ref_ai) / scale) <= 1e-12
+        assert np.max(np.abs(bi - ref_bi) / scale) <= 1e-12
+    # at f = 0.5 and 2 the panel-width rule already meets the bound on
+    # these points, so each group is one panel
+    assert f > 0.05 or max(spans) >= 3
+
+
+def test_airy_route_groups_panels_within_the_resolution_bound(coupling):
+    # two panels per centre on the README window at every field; one at
+    # 8 - 0.1i and f = 0.01, where a single panel is at 2.7 of the bound 3
+    for f in (0.05, 0.02, 0.01, 0.005):
+        ev = ResolventEvaluator(coupling, f)
+        assert ev._airy_span(np.array([0.9 - 0.05j, 1.1 - 1e-6j])) == 2
+    ev = ResolventEvaluator(coupling, 0.01)
+    assert ev._airy_span(np.array([8.0 - 0.1j])) == 1
+
+
+@pytest.mark.parametrize("z", (0.5, -0.5 - 0.1j, 0.2 - 0.01j, 0.1 - 0.01j,
+                               0.05 - 0.01j, 0.02 - 0.001j))
+def test_airy_route_grouped_panels_match_single_panels(coupling, z,
+                                                       monkeypatch):
+    # near z = 0 the route groups 3 to 8 of the 12 panels; where the span
+    # does not divide 12 the last group ends at x = L and overlaps the one
+    # before.  Values and derivatives agree with one centre per panel
+    ev = ResolventEvaluator(coupling, 0.01)
+    zf = np.array([z], dtype=complex)
+    assert ev._airy_safe(zf)[0].all() and ev._airy_span(zf) >= 3
+    grouped = [ev._stark_airy_batch(zf, d) for d in (False, True)]
+    monkeypatch.setattr(ResolventEvaluator, "_airy_span", lambda self, zf: 1)
+    for d, value in zip((False, True), grouped):
+        single = ev._stark_airy_batch(zf, d)
+        assert abs(value[0] - single[0]) <= 1e-12 * abs(single[0])
 
 
 @pytest.mark.parametrize("z", (1e4, 1e10))
@@ -384,7 +424,7 @@ def test_airy_route_raises_on_a_nonfinite_value(coupling, z):
                 fn(z)
 
 
-def test_airy_route_evaluates_airy_once_per_panel(coupling, monkeypatch):
+def test_airy_route_evaluates_airy_once_per_centre(coupling, monkeypatch):
     sizes = []
     airy = special.airy
 
@@ -394,15 +434,16 @@ def test_airy_route_evaluates_airy_once_per_panel(coupling, monkeypatch):
 
     monkeypatch.setattr(resolvent.special, "airy", counting)
     ev = ResolventEvaluator(coupling, 0.01)
-    n_pan = ev._airy_grid.n_pan
-    # more points than one batch, all on the Airy route
+    assert ev._airy_grid.n_pan == 12
+    # more points than one batch, all on the Airy route; each batch takes
+    # one centre per two panels
     z = 1.0 - 0.02j + 0.015 * np.exp(2j * np.pi * np.arange(200) / 200)
     assert ev._airy_safe(z)[0].all()
     ev.F_value(z)
-    assert sum(sizes) == z.size * n_pan
+    assert sum(sizes) == 200 * 6
     sizes.clear()
     ev.F_derivative(1.0 - 0.01j)
-    assert sum(sizes) == n_pan
+    assert sum(sizes) == 6
 
 
 def test_stark_F_derivative_needs_no_F_values(coupling, monkeypatch):
