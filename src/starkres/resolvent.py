@@ -100,8 +100,11 @@ class _AiryGrid(NamedTuple):
     gauss_w: np.ndarray      # Gauss-Legendre weights on [-1, 1]
     phi_r: np.ndarray        # phi at x
     phi_l: np.ndarray        # conj(phi(conj x)) at x
+    dphi_r: np.ndarray       # phi' at x
+    dphi_l: np.ndarray       # conj(phi'(conj x)) at x
     n_pan: int
     nn: int
+    L: float                 # the grid is [-L, L]
     centres: np.ndarray      # f^{1/3} times the panel midpoints
     step: float              # f^{1/3} times the panel half-width
 
@@ -148,17 +151,6 @@ class ResolventEvaluator:
     def _G(self) -> FormFactor:
         """Entire momentum-space product equal to |phihat|^2 on the real axis."""
         return self._psi_hat.product(self._phi_hat)
-
-    @cached_property
-    def _x_cutoff(self) -> float:
-        L = max(8.0, self.phi.width_extent(1e-24))
-        if self.f > 0:
-            # keep the Gaussian decay ahead of the Ci growth past the
-            # turning region for large f
-            wmin = min(t.width.real for t in self.phi.terms) if self.phi.terms else 1.0
-            while 0.5 * wmin * L * L - (2.0 / 3.0) * math.sqrt(self.f) * L**1.5 < 60.0:
-                L *= 1.1
-        return L
 
     def _check_off_cut(self, z: np.ndarray) -> None:
         zc = np.atleast_1d(z)
@@ -304,68 +296,65 @@ class ResolventEvaluator:
 
     @cached_property
     def _airy_grid(self) -> _AiryGrid:
-        L = self._x_cutoff
+        # half-length L: past the coupling's 1e-24 tail, and far enough
+        # that its Gaussian decay 0.5 wmin L^2 leads the Ci growth
+        # (2/3) sqrt(f) L^{3/2} by ln 1e24.  The smallest such L is the
+        # fixed point of L = sqrt(2 (ln 1e24 + (2/3) sqrt(f) L^{3/2}) / wmin),
+        # which the iteration approaches from below (its slope there is
+        # under 3/4)
+        tail = 1e-24
+        L = max(8.0, self.phi.width_extent(tail))
+        wmin = min((t.width.real for t in self.phi.terms), default=1.0)
+        growth = (2.0 / 3.0) * math.sqrt(self.f)
+        while (nxt := math.sqrt(2.0 * (growth * L**1.5 - math.log(tail))
+                                / wmin)) > L:
+            L = nxt
         rate = math.sqrt(2.0 + self.f * L)  # local oscillation bound
         pw = min(2.0 * QUADRATURE["panel_width"], 2.0 * _RESOLUTION / rate)
         n_pan = max(8, int(math.ceil(2.0 * L / pw)))
         nn = QUADRATURE["panel_nodes"]
         x, w, edges = panel_nodes(-L, L, n_pan, nn)
         xg, gauss_w = gauss_legendre(nn)
+        dphi = FormFactor(_derivative(self.phi.terms))
         cbrt = self.f ** (1.0 / 3.0)
         return _AiryGrid(
             x, w, 0.5 * (edges[1:] - edges[:-1]), cumulative_matrix(nn),
-            gauss_w, self.phi(x), self.phi.conj_position()(x), n_pan, nn,
+            gauss_w, self.phi(x), self.phi.conj_position()(x), dphi(x),
+            dphi.conj_position()(x), n_pan, nn, L,
             cbrt * 0.5 * (edges[1:] + edges[:-1]), cbrt * (L / n_pan))
 
-    @cached_property
-    def _airy_grid_derivative(self):
-        """phi' on the Airy grid (right side) and its conjugate (left)."""
-        x = self._airy_grid.x
-        dphi = FormFactor(_derivative(self.phi.terms))
-        return dphi(x), dphi.conj_position()(x)
-
-    def _grid_ends(self, zf: np.ndarray) -> np.ndarray:
-        """w = z - f x at the grid ends x = +-L, one row per point."""
-        fL = self.f * self._x_cutoff
-        return zf[:, None] - np.array([fL, -fL])
-
-    def _airy_safe(self, zf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _route(self, zf: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Per z, whether the Airy route takes it and whether the time ray
-        does; a point on neither is refused.
+        does (a point on neither is refused), and the panels per
+        ``special.airy`` centre that the Airy points share.
 
-        Both bounds are closed forms in w = z - f x at the grid ends
-        x = +-L.  The growth exponent (2/3) |Im w^{3/2}| / f bounds log|Ai|
-        and log|Ci| over the grid: Im w^{3/2} is monotone along the
-        segment, so its ends give the exact maximum.  Below the axis the
-        continued element grows with the kernel, so relative accuracy
-        survives up to the overflow guard; above the axis the element stays
-        small while the kernel factors grow, so those points go to the
-        decaying-envelope ray integral early.  The resolution bound asks
-        that the panel half-width times the largest local rate sqrt|w| stay
-        within _RESOLUTION; past it the panels no longer resolve the
-        kernel's oscillation and the point is refused on either side of the
-        axis, never sent to the ray.
+        All three are closed forms in w = z - f x at the grid ends x = +-L.
+        The growth exponent (2/3) |Im w^{3/2}| / f bounds log|Ai| and
+        log|Ci| over the grid: Im w^{3/2} is monotone along the segment,
+        so its ends give the exact maximum.  Below the axis the continued
+        element grows with the kernel, so relative accuracy survives up to
+        the overflow guard; above the axis the element stays small while
+        the kernel factors grow, so those points go to the decaying-envelope
+        ray integral early.  The reach _RESOLUTION / (h sqrt(max|w|)), h the
+        panel half-width, is how many panels a group may span before its
+        half-width times the kernel's largest local rate sqrt|w| passes
+        _RESOLUTION.  A point with reach below 1 is one the panels no longer
+        resolve, refused on either side of the axis and never sent to the
+        ray.  The Airy points share the floor of their smallest reach, at
+        most n_pan, so the Taylor reach about a group centre never grows
+        past the one-panel bound.
         """
-        w = self._grid_ends(zf)
+        g = self._airy_grid
+        fL = self.f * g.L
+        w = zf[:, None] - np.array([fL, -fL])
         growth = (2.0 / (3.0 * self.f)) * np.max(np.abs(np.imag(w**1.5)),
                                                  axis=1)
-        resolved = (np.max(np.abs(w), axis=1) * self._airy_grid.halves[0] ** 2
-                    <= _RESOLUTION ** 2)
-        ray = resolved & (zf.imag > 0.0) & (growth >= 3.0)
-        return resolved & ~ray & (growth < 660.0), ray
+        reach = _RESOLUTION / (g.halves[0] * np.sqrt(np.max(np.abs(w), axis=1)))
+        ray = (reach >= 1.0) & (zf.imag > 0.0) & (growth >= 3.0)
+        airy = (reach >= 1.0) & ~ray & (growth < 660.0)
+        return airy, ray, int(reach[airy].min(initial=g.n_pan))
 
-    def _airy_span(self, zf: np.ndarray) -> int:
-        """Panels per ``special.airy`` centre for the batch zf: the largest
-        span whose group half-width times the batch's largest rate
-        sqrt|z - f x| at x = +-L stays within _RESOLUTION.  That is the
-        bound :meth:`_airy_safe` asks of one panel, so the Taylor reach
-        about a group centre never grows past the one-panel worst case;
-        batches at the route's edge take span 1."""
-        g = self._airy_grid
-        rate = math.sqrt(float(np.max(np.abs(self._grid_ends(zf)))))
-        return min(g.n_pan, max(1, int(_RESOLUTION / (g.halves[0] * rate))))
-
-    def _stark_airy_batch(self, zf: np.ndarray,
+    def _stark_airy_batch(self, zf: np.ndarray, span: int,
                           derivative: bool = False) -> np.ndarray:
         """r(z), or r'(z) when ``derivative``, on the Airy route.
 
@@ -375,21 +364,20 @@ class ResolventEvaluator:
         f r'(z) = (phi', R phi) + (phi, R phi'), so the derivative reuses
         the same Airy values and P, Q, plus the running integrals of phi'.
         Ai and Bi take the argument zeta = f^{1/3} x - z f^{-2/3}.  They
-        come from one ``special.airy`` call per group of
-        :meth:`_airy_span` consecutive panels, at its centre, and reach
-        the group's nodes by :func:`_airy_panels`.
+        come from one ``special.airy`` call per group of ``span``
+        consecutive panels, at its centre, and reach the group's nodes by
+        :func:`_airy_panels`; :meth:`_route` gives the span.
         """
         g = self._airy_grid
         f = self.f
-        span = self._airy_span(zf)
         centres, repeated = g.groups(span)
         zeta_c = centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
 
         def nodes(v):
             v = v.reshape(zf.size, -1)
             head = (centres.size - 1) * span * g.nn
-            return (np.delete(v, np.s_[head:head + repeated], axis=1)
-                    if repeated else v)
+            return (np.concatenate((v[:, :head], v[:, head + repeated:]),
+                                   axis=1) if repeated else v)
 
         ai, bi = (nodes(v) for v in _airy_panels(zeta_c, g.step, span, g.nn))
         ci = bi + 1j * ai
@@ -408,9 +396,8 @@ class ResolventEvaluator:
             if not derivative:
                 r = np.pi * f ** (-1.0 / 3.0) * pair(g.phi_l, P, Q)
             else:
-                dphi_r, dphi_l = self._airy_grid_derivative
-                dP, dQ = running(dphi_r)
-                inner = pair(dphi_l, P, Q) + pair(g.phi_l, dP, dQ)
+                dP, dQ = running(g.dphi_r)
+                inner = pair(g.dphi_l, P, Q) + pair(g.phi_l, dP, dQ)
                 r = np.pi * f ** (-4.0 / 3.0) * inner
         if not np.all(np.isfinite(r)):
             raise QuadratureError(
@@ -420,13 +407,13 @@ class ResolventEvaluator:
 
     def _stark(self, zc: np.ndarray, derivative: bool = False) -> np.ndarray:
         """r(z), or r'(z) when ``derivative``, at each point of the flat
-        array zc, on the route :meth:`_airy_safe` gives it: the Airy kernel
-        or the time ray.  A point that neither route takes raises
+        array zc, on the route :meth:`_route` gives it: the Airy kernel or
+        the time ray.  A point that neither route takes raises
         QuadratureError, and so does a non-finite Airy-kernel value."""
         res = np.empty_like(zc)
-        airy, ray = self._airy_safe(zc)
+        airy, ray, span = self._route(zc)
         if np.any(airy):
-            res[airy] = self._stark_airy_batch(zc[airy], derivative)
+            res[airy] = self._stark_airy_batch(zc[airy], span, derivative)
         for j in np.nonzero(~airy)[0]:
             zj = complex(zc[j])
             if not ray[j]:
@@ -442,12 +429,16 @@ class ResolventEvaluator:
 
         Built from the Airy Green's kernel of the constant-field operator;
         valid on the whole plane covered by the evaluation window and free
-        of the exp(c/f) cancellation of the time-ray route.
+        of the exp(c/f) cancellation of the time-ray route.  Points are
+        evaluated in consecutive batches of _BATCH.
         """
         if self.f <= 0:
             raise ValueError("stark_matrix_element requires f > 0")
         z_in, zf = _points(z)
-        return _restore_shape(_in_batches(self._stark, zf), z_in)
+        out = np.empty_like(zf)
+        for i in range(0, zf.size, _BATCH):
+            out[i:i + _BATCH] = self._stark(zf[i:i + _BATCH])
+        return _restore_shape(out, z_in)
 
     # ------------------------------------------------------------------
     # F and its derivative
@@ -518,15 +509,6 @@ class ResolventEvaluator:
 # ----------------------------------------------------------------------
 
 
-def _in_batches(body, zf: np.ndarray) -> np.ndarray:
-    """body(zc) on consecutive _BATCH-point slices zc of the flat array
-    zf, gathered in order."""
-    out = np.empty_like(zf)
-    for i in range(0, zf.size, _BATCH):
-        out[i:i + _BATCH] = body(zf[i:i + _BATCH])
-    return out
-
-
 def _points(z):
     """z as a complex array and as a flat array of points; raises
     ValueError unless every point is finite."""
@@ -593,20 +575,11 @@ def _taylor_terms(zeta_max: float, h_max: float) -> int:
 
 
 @lru_cache(maxsize=32)
-def _group_offsets(step: float, span: int, nn: int) -> tuple[np.ndarray, float]:
-    """Offsets t from a group's centre of the Gauss-Legendre nodes of its
-    ``span`` panels, in zeta, for panel half-width ``step`` in zeta, and
-    the largest |t|."""
-    xg = gauss_legendre(nn)[0]
-    t = (np.arange(1 - span, span, 2)[:, None] + xg).ravel() * step
-    t.setflags(write=False)
-    return t, float(np.max(np.abs(t)))
-
-
-@lru_cache(maxsize=32)
 def _taylor_table(step: float, span: int, nn: int, K: int) -> np.ndarray:
-    """The K-term Taylor sums of U and V at the offsets t of a group, as
-    one read-only (2 J, span nn) array, J = (K + 1) // 2.
+    """The K-term Taylor sums of U and V at the offsets t from a group's
+    centre of the Gauss-Legendre nodes of its ``span`` panels, in zeta,
+    for panel half-width ``step`` in zeta, as one read-only (2 J, span nn)
+    array, J = (K + 1) // 2.
 
     With h = max|t|, c = zeta_c h^2 and s = t/h, the scaled coefficients
     b_n = a_n h^n of y(zeta_c + t) obey b_n = (c b_{n-2} + h^3 b_{n-3})
@@ -618,7 +591,9 @@ def _taylor_table(step: float, span: int, nn: int, K: int) -> np.ndarray:
     nonnegative, so the rounding of the regrouped sum is that of the
     series in n that :func:`_taylor_terms` bounds.
     """
-    t, h = _group_offsets(step, span, nn)
+    xg = gauss_legendre(nn)[0]
+    t = (np.arange(1 - span, span, 2)[:, None] + xg).ravel() * step
+    h = t[-1]                            # the nodes are symmetric about 0
     J = (K + 1) // 2
     uv = np.zeros((K, 2, J))             # (term, y or h y', power of c)
     uv[0, 0, 0] = uv[1, 1, 0] = 1.0
@@ -635,8 +610,9 @@ def _taylor_table(step: float, span: int, nn: int, K: int) -> np.ndarray:
 
 
 def _airy_panels(zeta_c: np.ndarray, step: float, span: int, nn: int):
-    """Ai and Bi at zeta_c[..., None] + _group_offsets(step, span, nn),
-    shape zeta_c.shape + (span nn,).
+    """Ai and Bi at the nodes of groups of ``span`` panels of half-width
+    ``step`` in zeta about the centres zeta_c, shape zeta_c.shape +
+    (span nn,).
 
     One ``special.airy`` call at the centres gives y and y' for both
     functions.  The Taylor series about each centre is summed as
@@ -644,9 +620,11 @@ def _airy_panels(zeta_c: np.ndarray, step: float, span: int, nn: int):
     :func:`_taylor_table`: a cumulative product gives the c^j/(2j)! for
     c = zeta_c h^2, and one matrix product with the table sums every
     centre at every offset.  The term count comes from
-    :func:`_taylor_terms` on the largest |zeta_c| and offset.
+    :func:`_taylor_terms` on the largest |zeta_c| and the group's largest
+    offset h = (span - 1 + x_max) step, x_max the largest Gauss-Legendre
+    node.
     """
-    h = _group_offsets(step, span, nn)[1]
+    h = float((span - 1 + gauss_legendre(nn)[0][-1]) * step)
     K = _taylor_terms(float(np.max(np.abs(zeta_c))), h)
     table = _taylor_table(step, span, nn, K)
     J = table.shape[0] // 2

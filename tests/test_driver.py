@@ -1,8 +1,10 @@
 import argparse
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,10 +250,17 @@ def test_svg_scatter_degenerate_inputs(tmp_path):
     assert (tmp_path / "one.svg").read_text().count("<circle") == 1
 
 
+def _python(*args):
+    """A child interpreter that imports starkres from this working tree's
+    src, not from whichever copy is installed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_cli_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "starkres.driver", "dc", "--help"],
-        capture_output=True, text=True)
+    proc = _python("-m", "starkres.driver", "dc", "--help")
     assert proc.returncode == 0
     assert "--f-grid" in proc.stdout
 
@@ -374,11 +383,9 @@ def test_verify_taylor_path_error_exit_code(tmp_path, monkeypatch):
 
 def test_import_leaves_the_oracle_unloaded():
     # the oracle and scipy.integrate load only for the verify mode
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, starkres.driver; print(sorted(m for m in "
-         "('scipy.integrate', 'starkres.oracle') if m in sys.modules))"],
-        capture_output=True, text=True)
+    proc = _python(
+        "-c", "import sys, starkres.driver; print(sorted(m for m in "
+        "('scipy.integrate', 'starkres.oracle') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

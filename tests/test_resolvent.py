@@ -13,11 +13,11 @@ from starkres import (
     QuadratureError,
     ResolventEvaluator,
 )
-from starkres._gauss import cauchy_derivative
+from starkres._gauss import cauchy_derivative, gauss_legendre
 from starkres.formfactor import Term
 from starkres.oracle import (erfc_closed_form, erfc_free_element,
                              ode_resolvent_oracle)
-from starkres.resolvent import _airy_panels, _group_offsets
+from starkres.resolvent import _airy_panels
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -303,8 +303,8 @@ def test_stark_F_derivative_matches_cauchy_ring(coupling, f, mixed):
     ev = ResolventEvaluator(phi, f)
     window = [1.0 - 0.01j, 0.93 - 0.04j, 1.08 - 0.002j]
     ray = [1.0 + 0.02j, 0.8 + 0.3j] if f == 0.5 else []
-    assert ev._airy_safe(np.array(window))[0].all()
-    assert ev._airy_safe(np.array(ray, dtype=complex))[1].all()
+    assert ev._route(np.array(window))[0].all()
+    assert ev._route(np.array(ray, dtype=complex))[1].all()
     for z in window + ray:
         ring = cauchy_derivative(ev.F_value, z, 1e-3)
         assert abs(ev.F_derivative(z) - ring) <= 1e-10 * abs(ring)
@@ -324,19 +324,24 @@ def test_airy_panels_match_special_airy(phi, f):
     rng = np.random.RandomState(11)
     window = 0.9 + 0.2 * rng.rand(8) - 0.05j * rng.rand(8)
     wide = -3.0 + 9.0 * rng.rand(64) + 1j * (-2.0 + 2.5 * rng.rand(64))
-    assert ev._airy_safe(window)[0].all()
-    wide = wide[ev._airy_safe(wide)[0]]
+    assert ev._route(window)[0].all()
+    wide = wide[ev._route(wide)[0]]
     assert wide.size >= 8
     spans = set()
+    xg = gauss_legendre(grid.nn)[0]
     for zf in [window] + [wide[i:i + 1] for i in range(wide.size)]:
-        span = ev._airy_span(zf)
+        span = ev._route(zf)[2]
         spans.add(span)
         centres = grid.groups(span)[0]
         zeta_c = centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
         ai, bi = _airy_panels(zeta_c, grid.step, span, grid.nn)
-        offsets, reach = _group_offsets(grid.step, span, grid.nn)
-        # every node within the resolution bound of the batch
-        rate = np.max(np.abs(ev._grid_ends(zf)))
+        offsets = grid.step * (np.arange(1 - span, span, 2)[:, None]
+                               + xg).ravel()
+        reach = np.max(np.abs(offsets))
+        # every node within the resolution bound of the batch, with
+        # w = z - f x at the grid ends x = +-L
+        fL = f * grid.L
+        rate = np.max(np.abs(zf[:, None] - np.array([fL, -fL])))
         assert reach * math.sqrt(rate) <= (
             resolvent._RESOLUTION * f ** (1.0 / 3.0))
         ref_ai, _, ref_bi, _ = special.airy(zeta_c[..., None] + offsets)
@@ -350,28 +355,41 @@ def test_airy_panels_match_special_airy(phi, f):
 
 def test_airy_route_groups_panels_within_the_resolution_bound(coupling):
     # two panels per centre on the README window at every field; one at
-    # 8 - 0.1i and f = 0.01, where a single panel is at 2.7 of the bound 3
+    # 8 - 0.1i and f = 0.01, where a single panel is at 2.8 of the bound 3
     for f in (0.05, 0.02, 0.01, 0.005):
         ev = ResolventEvaluator(coupling, f)
-        assert ev._airy_span(np.array([0.9 - 0.05j, 1.1 - 1e-6j])) == 2
+        assert ev._route(np.array([0.9 - 0.05j, 1.1 - 1e-6j]))[2] == 2
     ev = ResolventEvaluator(coupling, 0.01)
-    assert ev._airy_span(np.array([8.0 - 0.1j])) == 1
+    assert ev._route(np.array([8.0 - 0.1j]))[2] == 1
+
+
+def test_airy_route_batch_shares_its_smallest_reach(coupling):
+    # a window point alone groups 2 panels, 8 - 0.1i only 1; together
+    # they take span 1, and each value matches the point evaluated alone
+    ev = ResolventEvaluator(coupling, 0.01)
+    z = np.array([1.0 - 0.01j, 8.0 - 0.1j])
+    assert ev._route(z[:1])[2] == 2
+    airy, ray, span = ev._route(z)
+    assert airy.all() and not ray.any() and span == 1
+    together = ev.F_value(z)
+    for zj, value in zip(z, together):
+        alone = ev.F_value(zj)
+        assert abs(value - alone) <= 1e-12 * abs(alone)
 
 
 @pytest.mark.parametrize("z", (0.5, -0.5 - 0.1j, 0.2 - 0.01j, 0.1 - 0.01j,
                                0.05 - 0.01j, 0.02 - 0.001j))
-def test_airy_route_grouped_panels_match_single_panels(coupling, z,
-                                                       monkeypatch):
-    # near z = 0 the route groups 3 to 8 of the 12 panels; where the span
-    # does not divide 12 the last group ends at x = L and overlaps the one
+def test_airy_route_grouped_panels_match_single_panels(coupling, z):
+    # near z = 0 the route groups 3 to 8 of the 11 panels; where the span
+    # does not divide 11 the last group ends at x = L and overlaps the one
     # before.  Values and derivatives agree with one centre per panel
     ev = ResolventEvaluator(coupling, 0.01)
     zf = np.array([z], dtype=complex)
-    assert ev._airy_safe(zf)[0].all() and ev._airy_span(zf) >= 3
-    grouped = [ev._stark_airy_batch(zf, d) for d in (False, True)]
-    monkeypatch.setattr(ResolventEvaluator, "_airy_span", lambda self, zf: 1)
-    for d, value in zip((False, True), grouped):
-        single = ev._stark_airy_batch(zf, d)
+    airy, _, span = ev._route(zf)
+    assert airy.all() and span >= 3
+    for d in (False, True):
+        value = ev._stark_airy_batch(zf, span, d)
+        single = ev._stark_airy_batch(zf, 1, d)
         assert abs(value[0] - single[0]) <= 1e-12 * abs(single[0])
 
 
@@ -381,7 +399,7 @@ def test_airy_route_refuses_unresolved_far_points(coupling, z):
     # the kernel, and the time ray does not take the point either: a loud
     # error, not a value, and no series of ~|z|^{1/2} terms
     ev = ResolventEvaluator(coupling, 0.01)
-    airy, ray = ev._airy_safe(np.array([z], dtype=complex))
+    airy, ray, _ = ev._route(np.array([z], dtype=complex))
     assert not airy.any() and not ray.any()
     with pytest.raises(QuadratureError, match="do not resolve"):
         ev.F_value(z)
@@ -391,12 +409,12 @@ def test_airy_route_refuses_unresolved_far_points(coupling, z):
                          ids=("reference", "two-terms"))
 def test_airy_route_bounds_the_panel_resolution(phi, monkeypatch):
     # panel half-width times the kernel's rate sqrt|z - f x| at x = +-L:
-    # about 2.7 at z = 8 - 0.1i, where the value keeps the tolerance, and
+    # 2.7 to 2.8 at z = 8 - 0.1i, where the value keeps the tolerance, and
     # 4.2 to 4.4 at z = 20 - 0.1i, where the panels of f = 0.01 lose
     # digits against 0.1-wide panels; the route refuses that point
     ev = ResolventEvaluator(phi, 0.01)
     z = np.array([8.0 - 0.1j, 20.0 - 0.1j])
-    airy, ray = ev._airy_safe(z)
+    airy, ray, _ = ev._route(z)
     assert airy.tolist() == [True, False] and not ray.any()
     for fn in (ev.F_value, ev.F_derivative, ev.stark_matrix_element):
         with pytest.raises(QuadratureError, match="do not resolve"):
@@ -404,9 +422,9 @@ def test_airy_route_bounds_the_panel_resolution(phi, monkeypatch):
     monkeypatch.setattr(resolvent, "QUADRATURE",
                         dict(resolvent.QUADRATURE, panel_width=0.05))
     fine = ResolventEvaluator(phi, 0.01)
-    assert fine._airy_safe(z)[0].all()
+    assert fine._route(z)[0].all()
     ref = fine.stark_matrix_element(z)
-    err = np.abs(ev._stark_airy_batch(z) - ref) / np.abs(ref)
+    err = np.abs(ev._stark_airy_batch(z, 1) - ref) / np.abs(ref)
     assert err[0] <= 1e-10 < err[1]
 
 
@@ -416,7 +434,7 @@ def test_airy_route_raises_on_a_nonfinite_value(coupling, z):
     # products overflow: every entry point raises instead of returning nan,
     # and numpy prints no warning before the error
     ev = ResolventEvaluator(coupling, 0.005)
-    assert ev._airy_safe(np.array([z]))[0].all()
+    assert ev._route(np.array([z]))[0].all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn in (ev.F_value, ev.F_derivative, ev.stark_matrix_element):
@@ -434,11 +452,11 @@ def test_airy_route_evaluates_airy_once_per_centre(coupling, monkeypatch):
 
     monkeypatch.setattr(resolvent.special, "airy", counting)
     ev = ResolventEvaluator(coupling, 0.01)
-    assert ev._airy_grid.n_pan == 12
+    assert ev._airy_grid.n_pan == 11
     # more points than one batch, all on the Airy route; each batch takes
     # one centre per two panels
     z = 1.0 - 0.02j + 0.015 * np.exp(2j * np.pi * np.arange(200) / 200)
-    assert ev._airy_safe(z)[0].all()
+    assert ev._route(z)[0].all()
     ev.F_value(z)
     assert sum(sizes) == 200 * 6
     sizes.clear()
