@@ -10,13 +10,13 @@ dilated coupling is a finite Hermite-Gaussian sum, and its Hermite
 overlaps follow from a three-term recurrence in closed form, so no
 position grid is involved.
 
-Eigenvalues are found without forming the truncated operator: its field
-sector is a Kronecker sum of two real symmetric matrices, diagonal in the
-product of their eigenbases, and the discrete sector borders it with
-2N+1 rows and columns.  A shifted solve is then two small basis changes,
-a diagonal scaling and one (2N+1)-square Schur complement.  The dense
-``FloquetProblem.matrix`` is kept as the oracle view the tests compare
-against.
+Eigenvalues are found without forming the truncated operator K: its
+field sector is a Kronecker sum of two real symmetric matrices, bordered
+by the discrete sector's 2N+1 rows and columns.  The solver works on
+U^T K U, U the real orthogonal change to the product of their
+eigenbases, so a shifted solve is a diagonal scaling and one
+(2N+1)-square Schur complement.  The dense ``FloquetProblem.matrix`` is
+K in the original basis, the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_triangular
 
+from ._gauss import gaussian_poly_integral
 from .formfactor import FormFactor, dilate, translate_modulate
 
 __all__ = [
@@ -83,8 +84,8 @@ def _hermite_overlaps(phis, n_max: int, length_scale: float) -> np.ndarray:
 
     A term c x^d exp(-w x^2/2 + b x) becomes c ell^(d+1/2) y^d
     exp(-w ell^2 y^2/2 + b ell y) at unit scale.  There its Gaussian
-    overlaps start from o_0 = pi^{-1/4} sqrt(2 pi/(1+w)) e^{b^2/(2(1+w))}
-    and o_1 = sqrt(2) b o_0/(1+w), and obey
+    overlaps start from o_0 = pi^{-1/4} int exp(-(1+w) y^2/2 + b y) dy
+    (``gaussian_poly_integral``) and o_1 = sqrt(2) b o_0/(1+w), and obey
 
         (1+w) sqrt((j+1)/2) o_{j+1} = b o_j + (1-w) sqrt(j/2) o_{j-1};
 
@@ -102,8 +103,7 @@ def _hermite_overlaps(phis, n_max: int, length_scale: float) -> np.ndarray:
     c = c * length_scale ** (d + 0.5)
     top = n_max + int(d.max())
     o = np.empty((top + 1, c.size), dtype=complex)
-    o[0] = (np.pi ** -0.25 * np.sqrt(2.0 * np.pi / (1.0 + w))
-            * np.exp(b * b / (2.0 * (1.0 + w))))
+    o[0] = np.pi ** -0.25 * gaussian_poly_integral([1.0], (1.0 + w) / 2.0, b)
     o[1] = math.sqrt(2.0) * b * o[0] / (1.0 + w)
     for j in range(1, top):
         o[j + 1] = ((b * o[j] + (1.0 - w) * math.sqrt(j / 2.0) * o[j - 1])
@@ -205,11 +205,11 @@ class FloquetProblem:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense truncation of K(f, theta), the oracle view of the operator
-        ``eigen_near`` solves with: the Kronecker-sum field sector
-        T (x) I + I (x) e^{-2 theta} p^2, bordered by coupling blocks that
-        are Toeplitz in the Fourier index.  At f = 0 the matrix is exactly
-        block diagonal over the Fourier index."""
+        """Dense truncation of K(f, theta) in the Fourier (x) Hermite basis,
+        the oracle for ``eigen_near``, which solves with U^T K U: the
+        Kronecker-sum field sector T (x) I + I (x) e^{-2 theta} p^2,
+        bordered by coupling blocks that are Toeplitz in the Fourier
+        index.  At f = 0 it is exactly block diagonal over that index."""
         T, P, D, B, C = self._factors()
         nb, nh = T.shape[0], P.shape[0]
         nf = nb * nh
@@ -240,46 +240,43 @@ class FloquetEigenpair:
 
 
 class _BorderedKroneckerSum:
-    """K through the eigenbases of its Kronecker-sum field sector.
+    """K~ = U^T K U with the real orthogonal U = (Q (x) W) (+) I, where
+    T = Q diag(tau) Q^T and p^2 = W diag(mu) W^T.
 
-    With T = Q diag(tau) Q^T and p^2 = W diag(mu) W^T, the field sector is
-    diag(Lambda), Lambda[i, k] = tau_i + e^{-2 theta} mu_k, in the basis
-    Q (x) W, bordered by B~ = (Q (x) W)^T B and C~ = C (Q (x) W).  A shift
-    then costs one (2N+1)-square Schur complement; K itself is never
-    formed."""
+    The field sector of K~ is diag(Lambda), Lambda[i, k] = tau_i +
+    e^{-2 theta} mu_k, bordered by B~ = (Q (x) W)^T B, C~ = C (Q (x) W)
+    and the discrete diagonal D.  U is real orthogonal, so K~ has the
+    eigenvalues, Rayleigh quotients and residual norms of K, and no vector
+    is mapped back.  A shift costs one (2N+1)-square Schur complement; K
+    itself is never formed."""
 
     def __init__(self, problem: FloquetProblem):
-        self.T, P, self.D, self.B, self.C = problem._factors()
-        nb, nh = self.T.shape[0], P.shape[0]
+        T, P, self.D, B, C = problem._factors()
+        nb, nh = T.shape[0], P.shape[0]
         self.nf = nb * nh
         self.dim = self.nf + nb
-        rot = np.exp(-2.0 * problem.theta)
-        self.p2 = rot * P
-        tau, self.Q = np.linalg.eigh(self.T)
-        mu, self.W = np.linalg.eigh(P)
-        self.lam = (tau[:, None] + rot * mu[None, :]).ravel()
+        tau, Q = np.linalg.eigh(T)
+        mu, W = np.linalg.eigh(P)
+        self.lam = (tau[:, None]
+                    + np.exp(-2.0 * problem.theta) * mu[None, :]).ravel()
         # each column (row) of the border is an (n, j) field vector,
         # carried to the eigenbasis by two matmuls
-        Bt = self.Q.T @ self.B.transpose(2, 0, 1) @ self.W
+        Bt = Q.T @ B.transpose(2, 0, 1) @ W
         self.Bt = np.ascontiguousarray(Bt.reshape(nb, self.nf).T)
-        self.Ct = (self.Q.T @ self.C @ self.W).reshape(nb, self.nf)
+        self.Ct = (Q.T @ C @ W).reshape(nb, self.nf)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """K v = (T X + X e^{-2 theta} p^2 + B y, C x + D y)."""
-        nb = self.D.size
-        X = v[:self.nf].reshape(nb, -1)
-        y = v[self.nf:]
-        field = self.T @ X + X @ self.p2 + self.B @ y
-        return np.concatenate([field.ravel(),
-                               self.C.reshape(nb, -1) @ v[:self.nf]
-                               + self.D * y])
+        """K~ v = (Lambda x + B~ y, C~ x + D y)."""
+        x, y = v[:self.nf], v[self.nf:]
+        return np.concatenate([self.lam * x + self.Bt @ y,
+                               self.Ct @ x + self.D * y])
 
     def shift(self, sigma: complex) -> "_ShiftedSolve":
         return _ShiftedSolve(self, complex(sigma))
 
 
 class _ShiftedSolve:
-    """K - sigma factored through the Schur complement of its field sector.
+    """K~ - sigma factored through the Schur complement of its field sector.
 
     S(sigma) = D - sigma - C~ diag(1/(Lambda - sigma)) B~.  Field modes with
     Lambda == sigma exactly are moved into the bordered block, so nothing
@@ -311,21 +308,21 @@ class _ShiftedSolve:
         self.zero_pivot = int(zero[0]) if zero.size else None
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """(K - sigma)^{-1} b, raising on an exact zero pivot."""
+        """(K~ - sigma)^{-1} b, raising on an exact zero pivot."""
         if self.zero_pivot is not None:
             raise np.linalg.LinAlgError(
                 "singular shifted matrix: exact zero pivot at row "
                 f"{self.zero_pivot} of the Schur complement")
         op = self.op
-        bt = (op.Q.T @ b[:op.nf].reshape(op.D.size, -1) @ op.W).ravel()
-        rhs = np.concatenate([bt[self.moved],
-                              b[op.nf:] - op.Ct @ (self.inv * bt)])
-        return self._field_back(bt, lu_solve(self.lu, rhs))
+        bx = b[:op.nf]
+        rhs = np.concatenate([bx[self.moved],
+                              b[op.nf:] - op.Ct @ (self.inv * bx)])
+        return self._field_back(bx, lu_solve(self.lu, rhs))
 
     def null_vector(self) -> np.ndarray:
-        """A null vector of K - sigma from the first zero pivot k of S: the
+        """A null vector of K~ - sigma from the first zero pivot k of S: the
         bordered unknowns u = (moved field modes, y) solve U u = 0 with
-        u_k = 1, and the other field modes are x~ = -(Lambda - sigma)^{-1}
+        u_k = 1, and the other field modes are x = -(Lambda - sigma)^{-1}
         B~ y."""
         k = self.zero_pivot
         U = self.lu[0]
@@ -334,15 +331,13 @@ class _ShiftedSolve:
         u[:k] = solve_triangular(U[:k, :k], -U[:k, k])
         return self._field_back(np.zeros(self.op.nf, dtype=complex), u)
 
-    def _field_back(self, bt: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Full vector from the transformed field right-hand side and the
-        bordered unknowns u = (moved field modes, discrete part)."""
-        op = self.op
+    def _field_back(self, bx: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Full vector from the field right-hand side bx and the bordered
+        unknowns u = (moved field modes, discrete part)."""
         y = u[self.moved.size:]
-        xt = self.inv * (bt - op.Bt @ y)
-        xt[self.moved] = u[:self.moved.size]
-        X = op.Q @ xt.reshape(op.D.size, -1) @ op.W.T
-        return np.concatenate([X.ravel(), y])
+        x = self.inv * (bx - self.op.Bt @ y)
+        x[self.moved] = u[:self.moved.size]
+        return np.concatenate([x, y])
 
 
 def _arnoldi_candidates(shifted: _ShiftedSolve, target: complex, m: int
@@ -420,7 +415,7 @@ def _solve_near(op: _BorderedKroneckerSum, target: complex, tol: float,
 
 
 def _inverse_iterate(op: _BorderedKroneckerSum, lam0: complex, tol: float):
-    """(lambda, unit v, |K v - lambda v|) polished from a candidate to a
+    """(lambda, unit v, |K~ v - lambda v|) polished from a candidate to a
     residual below tol, or LinAlgError.  An exactly singular S makes the
     shift an eigenvalue of the truncation; its null vector is the iterate."""
     lam = complex(lam0)

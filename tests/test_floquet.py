@@ -30,6 +30,17 @@ def sectors(prob):
             np.diagonal(K[nf:, nf:]))
 
 
+def eigenbasis_matrix(prob):
+    """U^T K U with K = prob.matrix and U = (Q (x) W) (+) I, Q and W the
+    eigenvectors of the factors T and p^2: the operator the structured
+    solver works on, which has the spectrum of K."""
+    T, P = prob._factors()[:2]
+    nf = T.shape[0] * P.shape[0]
+    U = np.eye(prob.dimension)
+    U[:nf, :nf] = np.kron(np.linalg.eigh(T)[1], np.linalg.eigh(P)[1])
+    return U.T @ prob.matrix @ U
+
+
 @pytest.fixture(scope="module")
 def small_problem(coupling):
     return FloquetProblem(coupling, 0.0, 1.0, 0.3j, n_fourier=3,
@@ -295,7 +306,7 @@ def test_zero_pivot_raises():
 def test_structured_operator_matches_dense(phi, f, rng):
     prob = FloquetProblem(phi, f, 1.0, 0.3j, n_fourier=3, n_hermite=20)
     op = prob._operator
-    K = prob.matrix
+    K = eigenbasis_matrix(prob)
     v = rng.standard_normal(prob.dimension) + 1j * rng.standard_normal(
         prob.dimension)
     Kv = K @ v
@@ -332,7 +343,7 @@ def test_shift_on_a_field_eigenvalue_solves(coupling, f, rng):
     # block instead of being divided by zero; the solve is backward stable
     prob = FloquetProblem(coupling, f, 1.0, 0.3j, n_fourier=3, n_hermite=20)
     op = prob._operator
-    A = prob.matrix - op.lam[37] * np.eye(prob.dimension)
+    A = eigenbasis_matrix(prob) - op.lam[37] * np.eye(prob.dimension)
     v = rng.standard_normal(prob.dimension) + 1j * rng.standard_normal(
         prob.dimension)
     x = op.shift(op.lam[37]).solve(v)
@@ -354,8 +365,28 @@ def test_inverse_iteration_at_a_singular_schur_complement(field_mode):
     assert op.shift(sigma).zero_pivot is not None
     lam, vec, _ = _inverse_iterate(op, sigma, 1e-12)
     assert abs(lam - sigma) < 1e-14
-    K = prob.matrix
+    K = eigenbasis_matrix(prob)
     assert np.linalg.norm(K @ vec - lam * vec) < 1e-12 * np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("offsets, target, radius, want", [
+    ((1e-7, -1e-7j), 0.0, 0.1, 1),      # two Ritz values, one eigenvalue
+    ((1.1e-4,), 2e-4, 1e-4, 0),         # polishes to outside the disk
+], ids=["clustered", "outside"])
+def test_solve_near_skips(coupling, monkeypatch, offsets, target, radius,
+                          want):
+    # candidates placed around a converged eigenvalue lambda: clustered
+    # ones polish to one pair, and one that polishes to lambda outside the
+    # disk is dropped, though it lay inside
+    prob = FloquetProblem(coupling, 0.0, 1.0, 0.3j, 3, 20)
+    lam = _solve_near(prob._operator, R0, 1e-10, 0.05)[0][0]
+    monkeypatch.setattr(floquet, "_arnoldi_candidates", lambda *a: np.array(
+        [lam + d for d in offsets]))
+    pairs = _solve_near(prob._operator, lam + target, 1e-10, radius)
+    assert len(pairs) == want
+    for got, res in pairs:
+        assert abs(got - lam) < 1e-12
+        assert res < 1e-10
 
 
 def test_eigen_near_leaves_the_dense_matrix_unbuilt(coupling):

@@ -442,6 +442,15 @@ def test_airy_route_raises_on_a_nonfinite_value(coupling, z):
                 fn(z)
 
 
+def test_taylor_terms_refuse_a_sum_that_loses_the_tolerance():
+    # the second guard: where the rounding of the Taylor sum about a far
+    # centre alone exceeds the evaluator tolerance, the term count raises
+    # instead of returning
+    assert resolvent._taylor_terms(100.0, 0.5) == 37
+    with pytest.raises(QuadratureError, match="loses the tolerance"):
+        resolvent._taylor_terms(1000.0, 0.5)
+
+
 def test_airy_route_evaluates_airy_once_per_centre(coupling, monkeypatch):
     sizes = []
     airy = special.airy

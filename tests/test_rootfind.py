@@ -219,6 +219,29 @@ def test_find_zeros_subdivides_the_jittered_window(eps):
         assert r.residual < 1e-9
 
 
+def test_find_zeros_reports_an_unresolved_cluster():
+    # two zeros 1.4e-10 apart cannot be separated above 50 tol: one record
+    # of winding 2 whose cluster radius covers both; 1e-7 apart they are
+    # resolved into two simple zeros
+    a = 1.23 - 0.61j
+    window = Window(1.0, 1.4, -0.8, -0.4)
+    roots = [a, a + 1e-10 * (1 + 1j)]
+    out = find_zeros(poly_from_roots(roots), window, tol=1e-9,
+                     fprime=poly_derivative(roots))
+    assert len(out) == 1
+    r = out[0]
+    assert r.winding == 2
+    assert 0.0 < r.cluster_radius <= 2.5e-8
+    assert all(abs(r.z - z) <= r.cluster_radius for z in roots)
+    roots = [a, a + 1e-7]
+    out = find_zeros(poly_from_roots(roots), window, tol=1e-9,
+                     fprime=poly_derivative(roots))
+    assert [r.winding for r in out] == [1, 1]
+    for r, expect in zip(out, roots):
+        assert abs(r.z - expect) < 1e-9
+        assert r.cluster_radius == 0.0
+
+
 # the default dc window, where the zero cloud of the reference Gaussian
 # grows like 0.065/f
 DC_WINDOW = Window(0.9, 1.1, -0.05, -1e-6)
