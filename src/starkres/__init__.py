@@ -35,7 +35,6 @@ from .floquet import (
     FloquetEigenpair,
     FloquetProblem,
     eigen_near,
-    hermite_functions,
     momentum_squared_matrix,
 )
 from .sweep import FloquetTrack, SweepResult, ac_sweep, dc_sweep
@@ -48,6 +47,6 @@ __all__ = [
     "BoundaryZeroError", "CertificateError", "Resonance", "Window",
     "find_zeros", "winding_number",
     "FloquetEigenpair", "FloquetProblem", "eigen_near",
-    "hermite_functions", "momentum_squared_matrix",
+    "momentum_squared_matrix",
     "FloquetTrack", "SweepResult", "ac_sweep", "dc_sweep",
 ]

@@ -354,8 +354,8 @@ def _run_ac(config: RunConfig, out: Path) -> tuple[str, ...]:
                       tol=config.tol)
     traj = result.points
     rows = [[p.f, config.omega, config.im_theta, config.n_fourier,
-             config.n_hermite, p.z.real, p.z.imag, p.residual, s]
-            for p, s in zip(traj, result.sensitivities)]
+             config.n_hermite, p.z.real, p.z.imag, p.residual, p.sensitivity]
+            for p in traj]
     write_csv(out / "eigenvalues.csv",
               ["f", "omega", "im_theta", "N", "J", "re_lambda", "im_lambda",
                "residual", "sensitivity"], rows)
@@ -368,7 +368,7 @@ def _run_ac(config: RunConfig, out: Path) -> tuple[str, ...]:
         "reference": [result.reference.real, result.reference.imag],
         "trajectory": [[p.f, p.z.real, p.z.imag] for p in traj],
         "distances": list(result.distances),
-        "sensitivities": list(result.sensitivities),
+        "sensitivities": [p.sensitivity for p in traj],
         "flags": result.flags,
         "errors": list(result.errors),
     }

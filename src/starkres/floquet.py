@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -37,7 +36,6 @@ from .formfactor import FormFactor, dilate, translate_modulate
 __all__ = [
     "FloquetProblem",
     "FloquetEigenpair",
-    "hermite_functions",
     "momentum_squared_matrix",
     "eigen_near",
 ]
@@ -48,22 +46,6 @@ _KRYLOV_DIM = 36
 _INVERSE_ITERATIONS = 8
 # samples of the drive period per Fourier mode in the coupling blocks
 _T_SAMPLES_PER_MODE = 8
-_FILTERS_LOCK = threading.Lock()
-
-
-def hermite_functions(n_max: int, x: np.ndarray, length_scale: float = 1.0
-                      ) -> np.ndarray:
-    """Orthonormal Hermite functions h_0..h_n at the points x (stable
-    three-term recurrence), for the basis scale ell."""
-    y = np.asarray(x, dtype=float) / length_scale
-    H = np.zeros((n_max + 1, y.size))
-    H[0] = np.pi ** -0.25 * np.exp(-0.5 * y * y)
-    if n_max >= 1:
-        H[1] = math.sqrt(2.0) * y * H[0]
-    for j in range(1, n_max):
-        H[j + 1] = (math.sqrt(2.0 / (j + 1)) * y * H[j]
-                    - math.sqrt(j / (j + 1)) * H[j - 1])
-    return H / math.sqrt(length_scale)
 
 
 def momentum_squared_matrix(n_max: int, length_scale: float = 1.0
@@ -271,12 +253,10 @@ class _BorderedKroneckerSum:
         return np.concatenate([self.lam * x + self.Bt @ y,
                                self.Ct @ x + self.D * y])
 
-    def shift(self, sigma: complex) -> "_ShiftedSolve":
-        return _ShiftedSolve(self, complex(sigma))
-
 
 class _ShiftedSolve:
-    """K~ - sigma factored through the Schur complement of its field sector.
+    """K~ - sigma factored through the Schur complement of its field sector,
+    built once per shift as ``_ShiftedSolve(op, sigma)``.
 
     S(sigma) = D - sigma - C~ diag(1/(Lambda - sigma)) B~.  Field modes with
     Lambda == sigma exactly are moved into the bordered block, so nothing
@@ -297,11 +277,8 @@ class _ShiftedSolve:
         S[nz:, :nz] = op.Ct[:, self.moved]
         S[nz:, nz:] = (np.diag(op.D - sigma)
                        - op.Ct @ (self.inv[:, None] * op.Bt))
-        # scipy only warns on an exact zero pivot, which is inspected
-        # below; the lock keeps callers that solve from several threads
-        # from interleaving their changes to the process-wide warning
-        # filters
-        with _FILTERS_LOCK, warnings.catch_warnings():
+        # scipy only warns on an exact zero pivot, which is inspected below
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
             self.lu = lu_factor(S, overwrite_a=True)
         zero = np.flatnonzero(np.diagonal(self.lu[0]) == 0)
@@ -367,37 +344,27 @@ def _arnoldi_candidates(shifted: _ShiftedSolve, target: complex, m: int
 
 
 def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
-               radius: float = 0.1,
-               with_sensitivity: bool = True) -> list[FloquetEigenpair]:
-    """Eigenvalues of the truncated K(f, theta) within ``radius`` of target.
+               radius: float = 0.1) -> list[FloquetEigenpair]:
+    """Eigenvalues of the truncated K(f, theta) within ``radius`` of target,
+    nearest first, each with its residual and truncation sensitivity.
 
     Shift-inverted Arnoldi locates the candidates (this doubles as
     deflation for clustered eigenvalues); each is polished by inverse
     iteration and certified by its residual, and a candidate that does not
-    reach ``tol`` raises LinAlgError.  Every shifted solve goes through the
-    eigenbases of the Kronecker-sum field sector and a (2N+1)-square Schur
-    complement of the coupling border; the dense ``problem.matrix`` is
-    never formed.  Pairs come nearest first.  The sensitivity of an
+    reach ``tol`` raises LinAlgError.  A candidate that polishes outside
+    the disk, or onto an eigenvalue already found, is dropped.  Every
+    shifted solve goes through the eigenbases of the Kronecker-sum field
+    sector and a (2N+1)-square Schur complement of the coupling border;
+    the dense ``problem.matrix`` is never formed, and an exact zero pivot
+    at the Arnoldi shift raises LinAlgError.  The sensitivity of an
     eigenvalue lambda is |lambda - mu|, mu being where inverse iteration
     from lambda converges on the (N+4, J+16) truncation (a follow that
     misses ``tol`` raises LinAlgError); discretized-continuum artifacts
     carry a large sensitivity while true resonances are stable.
     """
-    pairs = _solve_near(problem._operator, target, tol, radius)
-    if with_sensitivity and pairs:
-        bigger = replace(problem, n_fourier=problem.n_fourier + 4,
-                         n_hermite=problem.n_hermite + 16)._operator
-        return [FloquetEigenpair(
-            lam, res, abs(lam - _inverse_iterate(bigger, lam, tol)[0]))
-            for lam, res in pairs]
-    return [FloquetEigenpair(lam, res, math.nan) for lam, res in pairs]
-
-
-def _solve_near(op: _BorderedKroneckerSum, target: complex, tol: float,
-                radius: float) -> list[tuple[complex, float]]:
-    """(eigenvalue, residual) pairs within radius of target, nearest first."""
+    op = problem._operator
     target = complex(target)
-    cands = _arnoldi_candidates(op.shift(target), target,
+    cands = _arnoldi_candidates(_ShiftedSolve(op, target), target,
                                 min(_KRYLOV_DIM, op.dim - 2))
     cands = cands[np.abs(cands - target) <= radius]
     cands = sorted(cands, key=lambda z: (abs(z - target), z.real, z.imag))
@@ -410,8 +377,14 @@ def _solve_near(op: _BorderedKroneckerSum, target: complex, tol: float,
         if any(abs(lam - l2) < 1e-8 for l2, _ in found):
             continue
         found.append((lam, res))
+    if not found:
+        return []
     found.sort(key=lambda t: (abs(t[0] - target), t[0].real, t[0].imag))
-    return found
+    bigger = replace(problem, n_fourier=problem.n_fourier + 4,
+                     n_hermite=problem.n_hermite + 16)._operator
+    return [FloquetEigenpair(
+        lam, res, abs(lam - _inverse_iterate(bigger, lam, tol)[0]))
+        for lam, res in found]
 
 
 def _inverse_iterate(op: _BorderedKroneckerSum, lam0: complex, tol: float):
@@ -421,7 +394,7 @@ def _inverse_iterate(op: _BorderedKroneckerSum, lam0: complex, tol: float):
     lam = complex(lam0)
     v = np.ones(op.dim, dtype=complex) / math.sqrt(op.dim)
     for _ in range(_INVERSE_ITERATIONS):
-        shifted = op.shift(lam)
+        shifted = _ShiftedSolve(op, lam)
         if shifted.zero_pivot is None:
             for _ in range(2):
                 v = shifted.solve(v)

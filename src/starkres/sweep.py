@@ -41,9 +41,13 @@ _DISK_RADIUS = 0.05
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
+    """One AC track point: the Floquet eigenvalue z found at field f, its
+    residual and its truncation sensitivity."""
+
     f: float
     z: complex
     residual: float
+    sensitivity: float
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,6 @@ class FloquetTrack:
 
     reference: complex
     points: tuple[TrajectoryPoint, ...]   # grid fields found, then f = 0
-    sensitivities: tuple[float, ...]      # aligned with points
     distances: tuple[float, ...]          # to reference per grid field
     flags: dict[str, bool]
     errors: tuple[str, ...]
@@ -197,10 +200,15 @@ def ac_sweep(problem: FloquetProblem, f_grid, target: complex | None = None,
     """Track the Floquet resonance eigenvalue along the descending f grid.
 
     ``problem`` is the f = 0 truncation; each field value solves a copy of
-    it with only f changed.  The track starts at the f = 0 eigenvalue;
-    distances are recorded against ``target`` (the field-free resonance
-    from a DC run) when given, else against the f = 0 eigenvalue itself,
-    and are infinite at a field that found no eigenvalue.
+    it with only f changed.  The track starts at the f = 0 eigenvalue of
+    least truncation sensitivity (the nearer one to the seed on a tie) and
+    keeps, per field, the eigenvalue nearest it.  Each point carries the
+    residual and sensitivity that ``eigen_near`` gave it.  Distances are
+    recorded against ``target`` (the field-free resonance from a DC run)
+    when given, else against the f = 0 eigenvalue itself, and are infinite
+    at a field that found no eigenvalue.  The track counts as converged
+    (``ac_stable``) when the last three distances decrease and the last
+    is within 10 times that point's sensitivity.
     """
     if problem.f != 0:
         raise ValueError("ac_sweep starts from the f = 0 problem")
@@ -228,9 +236,8 @@ def ac_sweep(problem: FloquetProblem, f_grid, target: complex | None = None,
     found.append((0.0, lam0))
     return FloquetTrack(
         reference=reference,
-        points=tuple(TrajectoryPoint(f, p.eigenvalue, p.residual)
-                     for f, p in found),
-        sensitivities=tuple(p.sensitivity for _, p in found),
+        points=tuple(TrajectoryPoint(f, p.eigenvalue, p.residual,
+                                     p.sensitivity) for f, p in found),
         distances=tuple(abs(pair.eigenvalue - reference) if pair else math.inf
                         for pair, _ in results),
         flags={"converging_to_reference": decreasing,

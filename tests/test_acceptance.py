@@ -256,7 +256,7 @@ def test_criterion_08_ac_stability(coupling, located_r0, floquet_zero,
     copy_dev = 0.0
     for n in (-2, -1, 1, 2):
         shifted = eigen_near(prob0, lam0.eigenvalue + n * 1.0, tol=1e-10,
-                             radius=0.02, with_sensitivity=False)
+                             radius=0.02)
         dev = min((abs(p.eigenvalue - (lam0.eigenvalue + n))
                    for p in shifted), default=math.inf)
         copy_dev = max(copy_dev, dev)

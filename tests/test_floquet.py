@@ -8,12 +8,26 @@ from starkres import (
     FloquetProblem,
     FormFactor,
     eigen_near,
-    hermite_functions,
     momentum_squared_matrix,
 )
 from starkres import floquet
 from starkres._gauss import panel_nodes
-from starkres.floquet import _inverse_iterate, _solve_near
+from starkres.floquet import _inverse_iterate, _ShiftedSolve
+
+
+def hermite_functions(n_max, x, length_scale=1.0):
+    """Orthonormal Hermite functions h_0..h_n at the points x (stable
+    three-term recurrence), for the basis scale ell: the grid reference
+    for the closed-form overlaps and for p^2."""
+    y = np.asarray(x, dtype=float) / length_scale
+    H = np.zeros((n_max + 1, y.size))
+    H[0] = np.pi ** -0.25 * np.exp(-0.5 * y * y)
+    if n_max >= 1:
+        H[1] = math.sqrt(2.0) * y * H[0]
+    for j in range(1, n_max):
+        H[j + 1] = (math.sqrt(2.0 / (j + 1)) * y * H[j]
+                    - math.sqrt(j / (j + 1)) * H[j - 1])
+    return H / math.sqrt(length_scale)
 
 
 def sectors(prob):
@@ -171,16 +185,15 @@ def test_unconverged_refinement_raises(small_problem):
     # a candidate in the disk that inverse iteration cannot bring below
     # tol is a failure, not a silently dropped eigenvalue
     with pytest.raises(np.linalg.LinAlgError, match="inverse iteration"):
-        eigen_near(small_problem, R0, tol=1e-300, radius=0.05,
-                   with_sensitivity=False)
+        eigen_near(small_problem, R0, tol=1e-300, radius=0.05)
 
 
 def test_block_shift_exact_at_f_zero(small_problem):
-    base = eigen_near(small_problem, R0, tol=1e-10, radius=0.05,
-                      with_sensitivity=False)[0].eigenvalue
+    base = eigen_near(small_problem, R0, tol=1e-10,
+                      radius=0.05)[0].eigenvalue
     for n in (-1, 1, 2):
         shifted = eigen_near(small_problem, R0 + n * 1.0, tol=1e-10,
-                             radius=0.05, with_sensitivity=False)
+                             radius=0.05)
         assert shifted
         assert abs(shifted[0].eigenvalue - (base + n)) < 1e-10
 
@@ -188,12 +201,10 @@ def test_block_shift_exact_at_f_zero(small_problem):
 def test_spectrum_shift_symmetry_with_field(coupling):
     prob = FloquetProblem(coupling, 0.05, 1.0, 0.3j, n_fourier=6,
                           n_hermite=40)
-    lam0 = eigen_near(prob, R0, tol=1e-10, radius=0.05,
-                      with_sensitivity=False)[0]
-    lam1 = eigen_near(prob, R0 + 1.0, tol=1e-10, radius=0.05,
-                      with_sensitivity=False)[0]
+    lam0 = eigen_near(prob, R0, tol=1e-10, radius=0.05)[0]
+    lam1 = eigen_near(prob, R0 + 1.0, tol=1e-10, radius=0.05)[0]
     mismatch = abs(lam1.eigenvalue - (lam0.eigenvalue + 1.0))
-    sens = eigen_near(prob, R0, tol=1e-10, radius=0.05)[0].sensitivity
+    sens = lam0.sensitivity
     assert mismatch < 10.0 * max(sens, 1e-9)
 
 
@@ -202,8 +213,8 @@ def test_eigenvalue_trajectory_toward_field_free(coupling):
     for f in (0.1, 0.05, 0.02, 0.0):
         prob = FloquetProblem(coupling, f, 1.0, 0.3j, n_fourier=4,
                               n_hermite=40)
-        lam[f] = eigen_near(prob, R0, tol=1e-10, radius=0.05,
-                            with_sensitivity=False)[0].eigenvalue
+        lam[f] = eigen_near(prob, R0, tol=1e-10,
+                            radius=0.05)[0].eigenvalue
     d = {f: abs(lam[f] - lam[0.0]) for f in (0.1, 0.05, 0.02)}
     assert d[0.1] > d[0.05] > d[0.02]
 
@@ -297,7 +308,7 @@ def test_zero_pivot_raises():
     prob = FloquetProblem(FormFactor.gaussian(0.0, 1.0), 0.0, n_fourier=2,
                           n_hermite=10)
     with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
-        _solve_near(prob._operator, 1.0, 1e-10, 0.1)
+        eigen_near(prob, 1.0, 1e-10, 0.1)
 
 
 @pytest.mark.parametrize("f", [0.0, 0.1])
@@ -312,7 +323,7 @@ def test_structured_operator_matches_dense(phi, f, rng):
     Kv = K @ v
     assert np.linalg.norm(op.matvec(v) - Kv) <= 1e-13 * np.linalg.norm(Kv)
     sigma = 1.02 - 0.01j
-    x = op.shift(sigma).solve(v)
+    x = _ShiftedSolve(op, sigma).solve(v)
     want = np.linalg.solve(K - sigma * np.eye(prob.dimension), v)
     assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -330,7 +341,7 @@ def test_eigen_near_finds_every_dense_eigenvalue_in_the_disk(
     dense = np.linalg.eigvals(prob.matrix)
     want = dense[np.abs(dense - R0) <= radius]
     got = np.array([p.eigenvalue for p in eigen_near(
-        prob, R0, tol=1e-10, radius=radius, with_sensitivity=False)])
+        prob, R0, tol=1e-10, radius=radius)])
     assert want.size == got.size
     for a, b in ((want, got), (got, want)):
         for lam in a:
@@ -346,7 +357,7 @@ def test_shift_on_a_field_eigenvalue_solves(coupling, f, rng):
     A = eigenbasis_matrix(prob) - op.lam[37] * np.eye(prob.dimension)
     v = rng.standard_normal(prob.dimension) + 1j * rng.standard_normal(
         prob.dimension)
-    x = op.shift(op.lam[37]).solve(v)
+    x = _ShiftedSolve(op, op.lam[37]).solve(v)
     assert np.all(np.isfinite(x))
     backward = np.linalg.norm(A @ x - v) / (
         np.linalg.norm(A, 2) * np.linalg.norm(x))
@@ -362,7 +373,7 @@ def test_inverse_iteration_at_a_singular_schur_complement(field_mode):
                           n_hermite=10)
     op = prob._operator
     sigma = op.lam[13] if field_mode else 2.0
-    assert op.shift(sigma).zero_pivot is not None
+    assert _ShiftedSolve(op, sigma).zero_pivot is not None
     lam, vec, _ = _inverse_iterate(op, sigma, 1e-12)
     assert abs(lam - sigma) < 1e-14
     K = eigenbasis_matrix(prob)
@@ -373,20 +384,20 @@ def test_inverse_iteration_at_a_singular_schur_complement(field_mode):
     ((1e-7, -1e-7j), 0.0, 0.1, 1),      # two Ritz values, one eigenvalue
     ((1.1e-4,), 2e-4, 1e-4, 0),         # polishes to outside the disk
 ], ids=["clustered", "outside"])
-def test_solve_near_skips(coupling, monkeypatch, offsets, target, radius,
+def test_eigen_near_skips(coupling, monkeypatch, offsets, target, radius,
                           want):
     # candidates placed around a converged eigenvalue lambda: clustered
     # ones polish to one pair, and one that polishes to lambda outside the
     # disk is dropped, though it lay inside
     prob = FloquetProblem(coupling, 0.0, 1.0, 0.3j, 3, 20)
-    lam = _solve_near(prob._operator, R0, 1e-10, 0.05)[0][0]
+    lam = eigen_near(prob, R0, 1e-10, 0.05)[0].eigenvalue
     monkeypatch.setattr(floquet, "_arnoldi_candidates", lambda *a: np.array(
         [lam + d for d in offsets]))
-    pairs = _solve_near(prob._operator, lam + target, 1e-10, radius)
+    pairs = eigen_near(prob, lam + target, 1e-10, radius)
     assert len(pairs) == want
-    for got, res in pairs:
-        assert abs(got - lam) < 1e-12
-        assert res < 1e-10
+    for p in pairs:
+        assert abs(p.eigenvalue - lam) < 1e-12
+        assert p.residual < 1e-10
 
 
 def test_eigen_near_leaves_the_dense_matrix_unbuilt(coupling):
@@ -407,8 +418,7 @@ def test_eigen_near_searches_its_disk_once(small_problem, monkeypatch):
         return search(*a, **k)
 
     monkeypatch.setattr(floquet, "_arnoldi_candidates", counting)
-    assert eigen_near(small_problem, R0, tol=1e-10, radius=0.05,
-                      with_sensitivity=True)
+    assert eigen_near(small_problem, R0, tol=1e-10, radius=0.05)
     assert calls == [small_problem.dimension]
 
 

@@ -155,8 +155,44 @@ def test_ac_sweep_small(coupling):
     assert dists[0] > dists[1] > dists[2]
     assert res.flags["converging_to_reference"]
     assert res.flags["ac_stable"]
-    assert len(res.sensitivities) == 4
+    # each point is the stable resonance, not a continuum artifact
+    assert all(0.0 < p.sensitivity < 1e-3 for p in traj)
     assert res.errors == ()
+
+
+@pytest.mark.parametrize("sensitivity, within", [(1.5e-5, False),
+                                                  (3e-5, True)])
+def test_ac_sweep_seed_choice_and_truncation_floor(coupling, monkeypatch,
+                                                   sensitivity, within):
+    # of the two f = 0 pairs, the one nearer the seed is the less stable:
+    # the track starts from the other.  The last field's distance, 2e-4,
+    # counts as converged only within 10 times its sensitivity.
+    from starkres.floquet import FloquetEigenpair
+
+    seed = 1.0 - 0.01j
+    stable = seed + 0.01
+    shifts = {0.1: 1e-3, 0.05: 5e-4, 0.02: 2e-4}
+    targets = []
+
+    def eigen_near(problem, target, tol=1e-10, radius=0.1):
+        targets.append((problem.f, target))
+        if problem.f == 0.0:
+            return [FloquetEigenpair(seed + 1e-3, 1e-12, 1e-2),
+                    FloquetEigenpair(stable, 1e-12, 1e-6)]
+        return [FloquetEigenpair(stable + shifts[problem.f], 1e-12,
+                                 sensitivity)]
+
+    monkeypatch.setattr(sweep, "eigen_near", eigen_near)
+    res = ac_sweep(_floquet_zero(coupling, 2, 24), (0.1, 0.05, 0.02))
+    assert targets == [(0.0, seed), (0.1, stable), (0.05, stable),
+                       (0.02, stable)]
+    assert res.reference == stable
+    assert res.points[-1].z == stable
+    assert res.distances == tuple(abs(stable + d - stable)
+                                  for d in shifts.values())
+    assert res.flags == {"converging_to_reference": True,
+                         "within_truncation_floor": within,
+                         "ac_stable": within}
 
 
 def test_ac_sweep_needs_the_field_free_problem(coupling):
