@@ -299,7 +299,7 @@ def _run_dc(config: RunConfig, out: Path) -> tuple[str, ...]:
     window = config.window
     ev = ResolventEvaluator(phi, config.f)
     zeros = find_zeros(ev.F_value, window, tol=config.tol,
-                       fprime=ev.F_derivative)
+                       pair=ev.F_pair)
     labels = (period_labels(ResolventEvaluator(phi, 0.0).F_value, config.f,
                             zeros) if config.f > 0 else (None,) * len(zeros))
     rows = [[config.f, r.z.real, r.z.imag, r.residual, r.winding, k]

@@ -356,7 +356,8 @@ class ResolventEvaluator:
 
     def _stark_airy_batch(self, zf: np.ndarray, span: int,
                           derivative: bool = False) -> np.ndarray:
-        """r(z), or r'(z) when ``derivative``, on the Airy route.
+        """r(z) on the Airy route, and r'(z) too when ``derivative``: an
+        array of shape (2, zf.size) that holds r and r'.
 
         r(z) = pi f^{-1/3} int conj(phi)(x) [Ai(x) P(x) + Ci(x) Q(x)] dx
         with P, Q the running integrals of phi Ci from the left and of
@@ -393,12 +394,11 @@ class ResolventEvaluator:
         P, Q = running(g.phi_r)
         # the products may overflow; the finite check below raises then
         with np.errstate(over="ignore", invalid="ignore"):
-            if not derivative:
-                r = np.pi * f ** (-1.0 / 3.0) * pair(g.phi_l, P, Q)
-            else:
+            r = np.pi * f ** (-1.0 / 3.0) * pair(g.phi_l, P, Q)
+            if derivative:
                 dP, dQ = running(g.dphi_r)
                 inner = pair(g.dphi_l, P, Q) + pair(g.phi_l, dP, dQ)
-                r = np.pi * f ** (-4.0 / 3.0) * inner
+                r = np.stack((r, np.pi * f ** (-4.0 / 3.0) * inner))
         if not np.all(np.isfinite(r)):
             raise QuadratureError(
                 "Airy kernel overflowed double precision for this window",
@@ -406,14 +406,16 @@ class ResolventEvaluator:
         return r
 
     def _stark(self, zc: np.ndarray, derivative: bool = False) -> np.ndarray:
-        """r(z), or r'(z) when ``derivative``, at each point of the flat
-        array zc, on the route :meth:`_route` gives it: the Airy kernel or
-        the time ray.  A point that neither route takes raises
-        QuadratureError, and so does a non-finite Airy-kernel value."""
-        res = np.empty_like(zc)
+        """r(z) at each point of the flat array zc, and r'(z) too when
+        ``derivative`` (an array of shape (2, zc.size) that holds r and
+        r'), on the route :meth:`_route` gives the point: the Airy kernel
+        or the time ray, where r' is one more ray integral.  A point that
+        neither route takes raises QuadratureError, and so does a
+        non-finite Airy-kernel value."""
+        res = np.empty((2, zc.size) if derivative else zc.size, dtype=complex)
         airy, ray, span = self._route(zc)
         if np.any(airy):
-            res[airy] = self._stark_airy_batch(zc[airy], span, derivative)
+            res[..., airy] = self._stark_airy_batch(zc[airy], span, derivative)
         for j in np.nonzero(~airy)[0]:
             zj = complex(zc[j])
             if not ray[j]:
@@ -421,7 +423,9 @@ class ResolventEvaluator:
                     f"no route keeps the tolerance at z={zj} for f={self.f}: "
                     "the Airy panels do not resolve the kernel there, or "
                     "it exceeds double-precision range", math.inf)
-            res[j] = self.stark_time_ray(zj, derivative=derivative)
+            res[..., j] = ((self.stark_time_ray(zj),
+                            self.stark_time_ray(zj, derivative=True))
+                           if derivative else self.stark_time_ray(zj))
         return res
 
     def stark_matrix_element(self, z):
@@ -450,18 +454,37 @@ class ResolventEvaluator:
              else self.stark_matrix_element(z_in))
         return 1.0 - z_in - np.asarray(r)
 
+    def F_pair(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """F(z) and F'(z) at each point of the 1-d array z.
+
+        For f > 0 one Airy pass per batch of _BATCH points gives both: the
+        Airy values and the running integrals P, Q that r needs are the
+        ones r' reuses (:meth:`_stark_airy_batch`), and a time-ray point
+        takes both ray integrals.  At f = 0, :meth:`F_value` on the array
+        and the Cauchy ring of :meth:`F_derivative` at each point.
+        """
+        zf = _points(z)[1]
+        if self.f == 0.0:
+            return (self.F_value(zf),
+                    np.array([self.F_derivative(zj) for zj in zf]))
+        r = np.empty((2, zf.size), dtype=complex)
+        for i in range(0, zf.size, _BATCH):
+            r[:, i:i + _BATCH] = self._stark(zf[i:i + _BATCH], True)
+        return 1.0 - zf - r[0], -1.0 - r[1]
+
     def F_derivative(self, z: complex) -> complex:
         """F'(z) = -1 - r'(z).
 
-        For f > 0, analytic on the route that :meth:`stark_matrix_element`
-        takes at z: by translation covariance on the Airy kernel,
-        r' = (1/f)[(phi', R phi) + (phi, R phi')], and on the time ray the
-        same integral with one more factor i s.  At f = 0, a spectrally
-        accurate Cauchy circle around z that keeps off the branch cut.
+        For f > 0, the F' of :meth:`F_pair`: analytic on the route that
+        :meth:`stark_matrix_element` takes at z, by translation covariance
+        on the Airy kernel, r' = (1/f)[(phi', R phi) + (phi, R phi')], and
+        on the time ray the same integral with one more factor i s.  At
+        f = 0, a spectrally accurate Cauchy circle around z that keeps off
+        the branch cut.
         """
         z = complex(_points(z)[0])
         if self.f > 0.0:
-            return complex(-1.0 - self._stark(np.array([z]), True)[0])
+            return complex(self.F_pair(np.array([z]))[1][0])
         dist = abs(z) if z.real >= 0.0 else abs(z.imag)
         rho = min(QUADRATURE["derivative_radius"], 0.45 * dist)
         return cauchy_derivative(self.F_value, z, rho,
@@ -536,6 +559,7 @@ def _cumulative_left(vals: np.ndarray, g: _AiryGrid) -> np.ndarray:
     return (within + offsets[:, :, None]).reshape(nz, g.n_pan * g.nn)
 
 
+@lru_cache(maxsize=256)
 def _taylor_terms(zeta_max: float, h_max: float) -> int:
     """Terms that the Taylor series of a solution of y'' = zeta y needs
     about centres |zeta_c| <= zeta_max, for steps |t| <= h_max.
@@ -551,8 +575,11 @@ def _taylor_terms(zeta_max: float, h_max: float) -> int:
     of the beta; where that exceeds the evaluator tolerance (|z| in the
     hundreds, where the panels no longer resolve the oscillation either)
     it raises QuadratureError.  :func:`_airy_panels` calls it once per
-    batch, on the largest |zeta_c| of the group centres and the group's
-    largest offset; the table of :func:`_taylor_table` regroups the same
+    batch, on the ceiling of the largest |zeta_c| of the group centres and
+    on the group's largest offset, and the count is cached on those two:
+    the ceiling only adds terms and raises the rounding estimate, so both
+    bounds stay at least as strict, and the batches of one field share a
+    few keys.  The table of :func:`_taylor_table` regroups the same
     terms by powers of zeta_c h_max^2 with nonnegative coefficients, so
     both bounds hold for the regrouped sum.
     """
@@ -620,12 +647,12 @@ def _airy_panels(zeta_c: np.ndarray, step: float, span: int, nn: int):
     :func:`_taylor_table`: a cumulative product gives the c^j/(2j)! for
     c = zeta_c h^2, and one matrix product with the table sums every
     centre at every offset.  The term count comes from
-    :func:`_taylor_terms` on the largest |zeta_c| and the group's largest
-    offset h = (span - 1 + x_max) step, x_max the largest Gauss-Legendre
-    node.
+    :func:`_taylor_terms` on the ceiling of the largest |zeta_c| and the
+    group's largest offset h = (span - 1 + x_max) step, x_max the
+    largest Gauss-Legendre node.
     """
     h = float((span - 1 + gauss_legendre(nn)[0][-1]) * step)
-    K = _taylor_terms(float(np.max(np.abs(zeta_c))), h)
+    K = _taylor_terms(math.ceil(np.max(np.abs(zeta_c))), h)
     table = _taylor_table(step, span, nn, K)
     J = table.shape[0] // 2
     k = np.arange(2, 2 * J, 2)

@@ -4,7 +4,7 @@ The argument principle is evaluated by tracking the continuous phase of F
 along adaptively refined boundary samples, which yields exact integer
 winding numbers without numerically integrating F'/F.  Windows are split
 until each sub-box holds at most one zero, then Newton polishing with the
-caller's derivative produces residual-certified zeros.
+caller's (F, F') pair produces residual-certified zeros.
 """
 
 from __future__ import annotations
@@ -178,25 +178,50 @@ def winding_number(F, window: Window) -> int:
 # Newton polishing and certified subdivision
 
 
-def _newton(F, fprime, z0: complex, box: Window, tol: float):
-    """Polish a zero from z0; returns (z, residual, iterations) or None."""
-    z = complex(z0)
+def _newton(F, pair, boxes: list[Window], tol: float) -> list:
+    """Polish one zero per box, every box together: (z, residual,
+    iterations) per box, or None where its polish fails.
+
+    Each box starts from its centre.  A step is one ``pair`` call on the
+    boxes still iterating.  A box stops once its step is below
+    1e-14 (1 + |z|), or after _NEWTON_MAX_ITER steps.  It fails when F or
+    F' is not finite or F' is 0, and when a step leaves the box padded by
+    a quarter of its diameter.  One F call then gives the residuals: a
+    polished zero with a residual above tol, or outside its box, fails
+    too.
+    """
+    z: list[complex | None] = [box.center for box in boxes]
+    iterations = [0] * len(boxes)
+    active = list(range(len(boxes)))
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        fz = complex(np.asarray(F(np.array([z])), dtype=complex)[0])
-        dfz = complex(fprime(z))
-        if dfz == 0 or not np.isfinite(dfz) or not np.isfinite(fz):
-            return None
-        step = fz / dfz
-        z_new = z - step
-        if not box.contains(z_new, pad=0.25 * box.diameter):
-            return None
-        z = z_new
-        if abs(step) < 1e-14 * (1.0 + abs(z)):
+        if not active:
             break
-    res = abs(complex(np.asarray(F(np.array([z])), dtype=complex)[0]))
-    if res > tol or not box.contains(z):
-        return None
-    return z, res, it
+        fz, dfz = pair(np.array([z[i] for i in active]))
+        still = []
+        for i, fi, di in zip(active, fz, dfz):
+            fi, di = complex(fi), complex(di)
+            iterations[i] = it
+            if di == 0 or not np.isfinite(di) or not np.isfinite(fi):
+                z[i] = None
+                continue
+            step = fi / di
+            z_new = z[i] - step
+            if not boxes[i].contains(z_new, pad=0.25 * boxes[i].diameter):
+                z[i] = None
+                continue
+            z[i] = z_new
+            if abs(step) >= 1e-14 * (1.0 + abs(z_new)):
+                still.append(i)
+        active = still
+    out: list = [None] * len(boxes)
+    done = [i for i in range(len(boxes)) if z[i] is not None]
+    if done:
+        res = np.abs(np.asarray(F(np.array([z[i] for i in done])),
+                                dtype=complex))
+        for i, r in zip(done, res):
+            if r <= tol and boxes[i].contains(z[i]):
+                out[i] = (z[i], float(r), iterations[i])
+    return out
 
 
 def _split(window: Window, fraction: float = 0.5):
@@ -209,13 +234,39 @@ def _split(window: Window, fraction: float = 0.5):
             Window(window.re_min, window.re_max, cut, window.im_max))
 
 
+def _bisect(F, box: Window, wind: int) -> list[tuple[Window, int]]:
+    """The two halves of a box that counts ``wind`` zeros, with their
+    counts.  The cut is jittered if a zero sits on the split line; the
+    first half takes a strict winding (no window expansion), so that an
+    on-edge zero forces a different cut instead of double-counting, and
+    the second half takes the rest.  A first half counted above its
+    parent raises ``CertificateError``."""
+    for fraction in (0.5, 0.5 + 37.0 * _JITTER[0], 0.5 - 59.0 * _JITTER[1]):
+        halves = _split(box, fraction)
+        try:
+            w1 = _phase_winding(F, _rect_param(halves[0]))
+            break
+        except BoundaryZeroError:
+            continue
+    else:
+        raise BoundaryZeroError(
+            f"could not place a zero-free split line in {box}")
+    if w1 > wind:
+        raise CertificateError(
+            f"half {halves[0]} counts {w1} zeros, its parent {box} "
+            f"counts {wind}")
+    return [(halves[0], w1), (halves[1], wind - w1)]
+
+
 def find_zeros(F, window: Window, tol: float = 1e-10, *,
-               fprime) -> list[Resonance]:
+               pair) -> list[Resonance]:
     """All zeros of F in the window, each carried by a winding certificate.
 
-    Sub-boxes are bisected until they isolate single zeros; Newton polishes
-    from the box center with ``fprime(z)``, F' at a scalar point, falling
-    back to further bisection when it escapes its certified box.  The
+    ``pair(z)`` returns F and F' on a 1-d array of points.  The boxes are
+    bisected level by level until they isolate single zeros.  Every
+    winding-1 box of a level is polished by :func:`_newton` from its
+    centre, all of them in one ``pair`` call per Newton step; a box whose
+    polish escapes or fails its residual is bisected further.  The
     certificates of the returned zeros add up to the winding number of the
     full window; when a zero seems to sit on its contour, that is a window
     jittered slightly outward, and it is the one subdivided.  A split half
@@ -229,44 +280,27 @@ def find_zeros(F, window: Window, tol: float = 1e-10, *,
     min_box = max(50.0 * tol, 1e-12 * window.diameter)
     counted, total = _counted_window(F, window)
     found: list[Resonance] = []
-    stack: list[tuple[Window, int]] = [(counted, total)]
-    while stack:
-        box, wind = stack.pop()
-        if wind == 0:
-            continue
-        if box.diameter <= min_box:
-            # unresolved cluster: report its center with the cluster radius
-            center = box.center
-            res = abs(complex(np.asarray(F(np.array([center])),
-                                         dtype=complex)[0]))
-            found.append(Resonance(center, res, wind, 0,
-                                   cluster_radius=0.5 * box.diameter))
-            continue
-        if wind == 1:
-            polished = _newton(F, fprime, box.center, box, tol)
-            if polished is not None:
-                z, res, it = polished
-                found.append(Resonance(z, res, 1, it))
-                continue
-        # bisect, jittering the cut if a zero sits on the split line;
-        # the halves use strict windings (no window expansion) so that an
-        # on-edge zero forces a different cut instead of double-counting
-        for fraction in (0.5, 0.5 + 37.0 * _JITTER[0], 0.5 - 59.0 * _JITTER[1]):
-            halves = _split(box, fraction)
-            try:
-                w1 = _phase_winding(F, _rect_param(halves[0]))
-                break
-            except BoundaryZeroError:
-                continue
-        else:
-            raise BoundaryZeroError(
-                f"could not place a zero-free split line in {box}")
-        if w1 > wind:
-            raise CertificateError(
-                f"half {halves[0]} counts {w1} zeros, its parent {box} "
-                f"counts {wind}")
-        stack.append((halves[0], w1))
-        stack.append((halves[1], wind - w1))
+    level: list[tuple[Window, int]] = [(counted, total)]
+    while level:
+        # unresolved clusters: report their centres with the cluster radius
+        clusters = [(b, w) for b, w in level if w and b.diameter <= min_box]
+        if clusters:
+            centres = np.array([b.center for b, _ in clusters])
+            res = np.abs(np.asarray(F(centres), dtype=complex))
+            found += [Resonance(b.center, float(r), w, 0,
+                                cluster_radius=0.5 * b.diameter)
+                      for (b, w), r in zip(clusters, res)]
+        level = [(b, w) for b, w in level if w and b.diameter > min_box]
+        polished = iter(_newton(F, pair, [b for b, w in level if w == 1],
+                                tol))
+        deeper: list[tuple[Window, int]] = []
+        for box, wind in level:
+            zero = next(polished) if wind == 1 else None
+            if zero is None:
+                deeper += _bisect(F, box, wind)
+            else:
+                found.append(Resonance(zero[0], zero[1], 1, zero[2]))
+        level = deeper
 
     found = _merge_duplicates(found, radius=1e-9)
     if sum(r.winding for r in found) != total:

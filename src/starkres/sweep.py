@@ -133,7 +133,7 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window,
     ref_window = Window(window.re_min, window.re_max,
                         min(window.im_min, -1e-3), -1e-4)
     ref_zeros = find_zeros(ev0.F_value, ref_window, tol=1e-11,
-                           fprime=ev0.F_derivative)
+                           pair=ev0.F_pair)
     if not ref_zeros:
         raise ValueError("no field-free resonance found in the window")
     reference = min(ref_zeros, key=lambda r: abs(r.z - 1.0)).z
@@ -141,7 +141,7 @@ def dc_sweep(phi: FormFactor, f_grid, window: Window,
     def zeros_at(f: float):
         ev = ResolventEvaluator(phi, f)
         zeros = find_zeros(ev.F_value, window, tol=tol,
-                           fprime=ev.F_derivative)
+                           pair=ev.F_pair)
         return tuple(zeros), period_labels(ev0.F_value, f, zeros)
 
     results = _per_field(zeros_at, grid)

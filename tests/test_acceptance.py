@@ -53,7 +53,7 @@ def located_r0(coupling):
     t0 = time.monotonic()
     ev = ResolventEvaluator(coupling, 0.0)
     zeros = find_zeros(ev.F_value, Window(0.9, 1.1, -0.05, -1e-4),
-                       tol=1e-10, fprime=ev.F_derivative)
+                       tol=1e-10, pair=ev.F_pair)
     return zeros, time.monotonic() - t0
 
 

@@ -319,10 +319,10 @@ def test_sweep_failed_fields_exit_code(tmp_path, monkeypatch):
     from starkres import QuadratureError, sweep
     real = sweep.find_zeros
 
-    def find_zeros(F, window, tol=1e-10, *, fprime):
+    def find_zeros(F, window, tol=1e-10, *, pair):
         if F.__self__.f > 0:        # F is the evaluator's bound F_value
             raise QuadratureError("no convergence", 1e-3)
-        return real(F, window, tol=tol, fprime=fprime)
+        return real(F, window, tol=tol, pair=pair)
 
     monkeypatch.setattr(sweep, "find_zeros", find_zeros)
     out = tmp_path / "failed"

@@ -310,6 +310,28 @@ def test_stark_F_derivative_matches_cauchy_ring(coupling, f, mixed):
         assert abs(ev.F_derivative(z) - ring) <= 1e-10 * abs(ring)
 
 
+@pytest.mark.parametrize("f, z", [
+    (0.0, [1.0 - 0.01j, 0.93 - 0.04j]),
+    (0.01, [1.0 - 0.01j, 0.93 - 0.04j, 1.08 - 0.002j]),
+    (0.5, [1.0 + 0.02j]),
+    (0.5, [1.0 - 0.01j, 1.0 + 0.02j]),
+], ids=("free", "airy", "ray", "airy-and-ray"))
+def test_F_pair_matches_F_value_and_a_cauchy_ring(coupling, f, z):
+    # one pass gives both: F as F_value gives it on the same batch, and F'
+    # against a ring on F_value (F_derivative is F_pair's F' for f > 0)
+    ev = ResolventEvaluator(coupling, f)
+    z = np.array(z)
+    if f > 0:
+        airy, ray, _ = ev._route(z)
+        assert (airy | ray).all()
+        assert ray.tolist() == [zj.imag > 0 for zj in z]
+    F, dF = ev.F_pair(z)
+    assert np.array_equal(F, ev.F_value(z))
+    for zj, d in zip(z, dF):
+        ring = cauchy_derivative(ev.F_value, zj, 1e-3)
+        assert abs(d - ring) <= 1e-10 * abs(ring)
+
+
 @pytest.mark.parametrize("f", (0.005, 0.05, 0.5, 2.0))
 @pytest.mark.parametrize("phi", (FormFactor.gaussian(0.1, 1.0), TWO_TERMS),
                          ids=("reference", "two-terms"))
@@ -390,7 +412,7 @@ def test_airy_route_grouped_panels_match_single_panels(coupling, z):
     for d in (False, True):
         value = ev._stark_airy_batch(zf, span, d)
         single = ev._stark_airy_batch(zf, 1, d)
-        assert abs(value[0] - single[0]) <= 1e-12 * abs(single[0])
+        assert np.all(np.abs(value - single) <= 1e-12 * np.abs(single))
 
 
 @pytest.mark.parametrize("z", (1e4, 1e10))

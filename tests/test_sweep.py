@@ -79,10 +79,10 @@ def _fail_above_zero_field(monkeypatch, exc):
     search still runs."""
     real = sweep.find_zeros
 
-    def find_zeros(F, window, tol=1e-10, *, fprime):
+    def find_zeros(F, window, tol=1e-10, *, pair):
         if F.__self__.f > 0:        # F is the evaluator's bound F_value
             raise exc
-        return real(F, window, tol=tol, fprime=fprime)
+        return real(F, window, tol=tol, pair=pair)
 
     monkeypatch.setattr(sweep, "find_zeros", find_zeros)
 
@@ -117,10 +117,10 @@ def test_dc_sweep_records_label_failures(coupling, monkeypatch):
     # a field whose zeros skip a period fails that field alone
     real = sweep.find_zeros
 
-    def find_zeros(F, window, tol=1e-10, *, fprime):
+    def find_zeros(F, window, tol=1e-10, *, pair):
         if F.__self__.f == 0.02:
             return _zeros((ZEROS_F002[0], ZEROS_F002[2]))
-        return real(F, window, tol=tol, fprime=fprime)
+        return real(F, window, tol=tol, pair=pair)
 
     monkeypatch.setattr(sweep, "find_zeros", find_zeros)
     res = dc_sweep(coupling, (0.05, 0.02), Window(0.9, 1.1, -0.05, -1e-6))
