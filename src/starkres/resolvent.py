@@ -67,7 +67,8 @@ QUADRATURE = MappingProxyType({
 # relative distance to the branch cut (-inf, 0] below which f = 0
 # evaluation is refused
 _CUT_MARGIN = 1e-8
-# points evaluated together; bounds the (points x nodes) work arrays
+# points evaluated together; bounds the (groups x points x Taylor
+# coefficients) work arrays
 _BATCH = 128
 # double-precision machine epsilon; the Airy route's Taylor tail bound
 # stops below it
@@ -108,16 +109,16 @@ class _AiryGrid(NamedTuple):
     centres: np.ndarray      # f^{1/3} times the panel midpoints
     step: float              # f^{1/3} times the panel half-width
 
-    def groups(self, span: int) -> tuple[np.ndarray, int]:
+    def groups(self, span: int) -> tuple[np.ndarray, np.ndarray]:
         """Centres of consecutive groups of ``span`` panels, f^{1/3}
-        times their midpoints, and how many nodes the last group repeats:
-        where span does not divide n_pan it ends at x = L and overlaps
-        the group before, so no node lies past the grid."""
+        times their midpoints, and the first panel of each group: where
+        span does not divide n_pan the last group ends at x = L and starts
+        inside the group before, so no node lies past the grid."""
         starts = np.minimum(np.arange(0, self.n_pan, span),
                             self.n_pan - span)
         centres = 0.5 * (self.centres[starts]
                          + self.centres[starts + span - 1])
-        return centres, (starts.size * span - self.n_pan) * self.nn
+        return centres, starts
 
 
 @dataclass(frozen=True)
@@ -354,6 +355,76 @@ class ResolventEvaluator:
         airy = (reach >= 1.0) & ~ray & (growth < 660.0)
         return airy, ray, int(reach[airy].min(initial=g.n_pan))
 
+    @cached_property
+    def _forms(self) -> dict:
+        """The bilinear forms of :meth:`_airy_forms`, per (span, K).
+        Concurrent calls may build one form twice, with the same values."""
+        return {}
+
+    def _airy_forms(self, span: int, K: int) -> np.ndarray:
+        """The Airy route's bilinear forms on groups of ``span`` panels
+        with K-term Taylor sums, built once per evaluator: an array of
+        shape (G, 2J, 2 (2J + 2)) for G groups.
+
+        With T the :func:`_taylor_table`, the values at the nodes of group
+        g are a^T T and c^T T for the Taylor coefficients a of Ai and c of
+        Ci = Bi + i Ai about its centre.  Let C and D be the group's
+        running-integral matrices from its left edge and to its right
+        edge, built from the panel matrix M (D from M reversed in both
+        indices, the nodes being symmetric) and the Gauss weights.  For
+        weights l on the left and v on the right, the part of
+        int l (Ai P + Ci Q) with P and Q running within the group is
+        a^T N c, N = T diag(w l) C diag(v) T^T + (T diag(w l) D diag(v)
+        T^T)^T, and the rest needs the whole-group integrals, T (w l) and
+        T (w v) dotted with a and c.  The array holds N for
+        (phi_l, phi_r), then for r' the sum of N over (phi_l', phi_r) and
+        (phi_l, phi_r'), then T w phi_l, T w phi_r, T w phi_l' and
+        T w phi_r'.  The last group, which starts inside the one before,
+        has zero weights on the panels it repeats.
+        """
+        key = (span, K)
+        if key in self._forms:
+            return self._forms[key]
+        g = self._airy_grid
+        nn = g.nn
+        T = _taylor_table(g.step, span, nn, K)
+        starts = g.groups(span)[1]
+        panels = starts[:, None] + np.arange(span)
+        nodes = (panels[..., None] * nn + np.arange(nn)).reshape(
+            starts.size, -1)
+        keep = np.repeat(panels >= span * np.arange(starts.size)[:, None],
+                         nn, axis=1)
+        w = np.where(keep, g.w[nodes], 0.0)
+        h = g.halves[panels][:, None, None, :, None]
+
+        def running(M, whole):
+            # M on each panel's own nodes, the Gauss weights on the panels
+            # that ``whole`` marks as passed in full
+            blocks = (np.eye(span)[:, None, :, None] * M[:, None, :]
+                      + whole[:, None, :, None] * g.gauss_w)
+            return (h * blocks).reshape(starts.size, span * nn, span * nn)
+
+        before = np.tril(np.ones((span, span)), -1)
+        C = running(g.M, before)
+        D = running(g.M[::-1, ::-1], before.T)
+        left = [T * (w * v[nodes])[:, None, :] for v in (g.phi_l, g.dphi_l)]
+        right = [T * np.where(keep, v[nodes], 0.0)[:, None, :]
+                 for v in (g.phi_r, g.dphi_r)]
+
+        def form(lt, rt):
+            rt = rt.transpose(0, 2, 1)
+            return lt @ C @ rt + (lt @ D @ rt).transpose(0, 2, 1)
+
+        # T w phi_l, T w phi_r, T w phi_l', T w phi_r'
+        ends = [np.sum(v, axis=-1, keepdims=True) for lt, rt in
+                zip(left, right) for v in (lt, rt * w[:, None, :])]
+        forms = np.concatenate(
+            [form(left[0], right[0]),
+             form(left[1], right[0]) + form(left[0], right[1])] + ends,
+            axis=-1)
+        self._forms[key] = forms
+        return forms
+
     def _stark_airy_batch(self, zf: np.ndarray, span: int,
                           derivative: bool = False) -> np.ndarray:
         """r(z) on the Airy route, and r'(z) too when ``derivative``: an
@@ -362,43 +433,54 @@ class ResolventEvaluator:
         r(z) = pi f^{-1/3} int conj(phi)(x) [Ai(x) P(x) + Ci(x) Q(x)] dx
         with P, Q the running integrals of phi Ci from the left and of
         phi Ai from the right.  Translation covariance of p^2 + f x gives
-        f r'(z) = (phi', R phi) + (phi, R phi'), so the derivative reuses
-        the same Airy values and P, Q, plus the running integrals of phi'.
-        Ai and Bi take the argument zeta = f^{1/3} x - z f^{-2/3}.  They
-        come from one ``special.airy`` call per group of ``span``
-        consecutive panels, at its centre, and reach the group's nodes by
-        :func:`_airy_panels`; :meth:`_route` gives the span.
+        f r'(z) = (phi', R phi) + (phi, R phi'), the same integral with
+        phi' on either side.  Ai and Bi take the argument
+        zeta = f^{1/3} x - z f^{-2/3}.  One ``special.airy`` call per group
+        of ``span`` consecutive panels, at its centre, gives their Taylor
+        coefficients there (:func:`_airy_coefficients`); :meth:`_route`
+        gives the span.  No value at a node is formed: each is a fixed
+        linear map of the coefficients, so r and r' are sums of the
+        bilinear forms of :meth:`_airy_forms`, applied in one batched
+        matrix product.  Across groups, P at a group sums the whole-group
+        integrals of phi Ci over the groups to its left, and Q those of
+        phi Ai over the groups to its right, summed from the right.
         """
         g = self._airy_grid
         f = self.f
-        centres, repeated = g.groups(span)
-        zeta_c = centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
-
-        def nodes(v):
-            v = v.reshape(zf.size, -1)
-            head = (centres.size - 1) * span * g.nn
-            return (np.concatenate((v[:, :head], v[:, head + repeated:]),
-                                   axis=1) if repeated else v)
-
-        ai, bi = (nodes(v) for v in _airy_panels(zeta_c, g.step, span, g.nn))
-        ci = bi + 1j * ai
-
-        def running(right):
-            P = _cumulative_left(right[None, :] * ci, g)
-            cum_ai = _cumulative_left(right[None, :] * ai, g)
-            return P, cum_ai[:, -1:] - cum_ai
-
-        def pair(left, P, Q):
-            return (left[None, :] * ai * P + left[None, :] * ci * Q) @ g.w
-
-        P, Q = running(g.phi_r)
-        # the products may overflow; the finite check below raises then
+        zeta_c = g.groups(span)[0][:, None] - zf * f ** (-2.0 / 3.0)
+        coef, K = _airy_coefficients(zeta_c, g.step, span, g.nn)
+        forms = self._airy_forms(span, K)
+        m = coef.shape[-1]
+        ai, ci = coef[0], coef[1] + 1j * coef[0]
+        # the products may overflow; the finite check below raises then.
+        # The forms of r' are applied for r alone too, so that r comes out
+        # the same, bit for bit, with or without r'
         with np.errstate(over="ignore", invalid="ignore"):
-            r = np.pi * f ** (-1.0 / 3.0) * pair(g.phi_l, P, Q)
+            fa = ai @ forms
+            # whole-group integrals: [phi or phi'][left or right weight]
+            ends_a = fa[..., 2 * m:].reshape(zeta_c.shape + (2, 2))
+            ends_c = (ci @ forms[..., 2 * m:]).reshape(ends_a.shape)
+            # P sums those of Ci over the groups to the left, Q those of Ai
+            # over the groups to the right, from the right; last axis: phi
+            # (0) or phi' (1) as the right weight
+            P = np.zeros_like(ends_c[..., 1])
+            Q = np.zeros_like(P)
+            np.cumsum(ends_c[:-1, ..., 1], axis=0, out=P[1:])
+            Q[:-1] = np.cumsum(ends_a[:0:-1, ..., 1], axis=0)[::-1]
+
+            def within(k):
+                return np.einsum("gnk,gnk->n", fa[..., k * m:(k + 1) * m],
+                                 ci)
+
+            def across(k, j):
+                # phi (0) or phi' (1) on the left (k) and the right (j)
+                return np.sum(ends_a[..., k, 0] * P[..., j]
+                              + ends_c[..., k, 0] * Q[..., j], axis=0)
+
+            r = np.pi * f ** (-1.0 / 3.0) * (within(0) + across(0, 0))
             if derivative:
-                dP, dQ = running(g.dphi_r)
-                inner = pair(g.dphi_l, P, Q) + pair(g.phi_l, dP, dQ)
-                r = np.stack((r, np.pi * f ** (-4.0 / 3.0) * inner))
+                r = np.stack((r, np.pi * f ** (-4.0 / 3.0) * (
+                    within(1) + across(1, 0) + across(0, 1))))
         if not np.all(np.isfinite(r)):
             raise QuadratureError(
                 "Airy kernel overflowed double precision for this window",
@@ -458,9 +540,10 @@ class ResolventEvaluator:
         """F(z) and F'(z) at each point of the 1-d array z.
 
         For f > 0 one Airy pass per batch of _BATCH points gives both: the
-        Airy values and the running integrals P, Q that r needs are the
-        ones r' reuses (:meth:`_stark_airy_batch`), and a time-ray point
-        takes both ray integrals.  At f = 0, :meth:`F_value` on the array
+        Taylor coefficients that r needs are the ones r' takes, through
+        one matrix product with both sets of forms
+        (:meth:`_stark_airy_batch`), and a time-ray point takes both ray
+        integrals.  At f = 0, :meth:`F_value` on the array
         and the Cauchy ring of :meth:`F_derivative` at each point.
         """
         zf = _points(z)[1]
@@ -547,18 +630,6 @@ def _restore_shape(flat: np.ndarray, like: np.ndarray):
     return flat.reshape(like.shape)
 
 
-def _cumulative_left(vals: np.ndarray, g: _AiryGrid) -> np.ndarray:
-    """Running integral from the left edge, at every node of the grid g
-    (batched over the rows of vals)."""
-    nz = vals.shape[0]
-    v = vals.reshape(nz, g.n_pan, g.nn)
-    within = (v @ g.M.T) * g.halves[None, :, None]
-    # full panel integrals from the Gauss weights (nodes exclude the edges)
-    panel_totals = (v @ g.gauss_w) * g.halves[None, :]
-    offsets = np.cumsum(panel_totals, axis=1) - panel_totals
-    return (within + offsets[:, :, None]).reshape(nz, g.n_pan * g.nn)
-
-
 @lru_cache(maxsize=256)
 def _taylor_terms(zeta_max: float, h_max: float) -> int:
     """Terms that the Taylor series of a solution of y'' = zeta y needs
@@ -572,23 +643,28 @@ def _taylor_terms(zeta_max: float, h_max: float) -> int:
     the three before it, so the tail past n is at most 3 q max/(1 - q);
     the count stops when that falls below double-precision rounding.
     The rounding error of the sum is about machine epsilon times the sum
-    of the beta; where that exceeds the evaluator tolerance (|z| in the
-    hundreds, where the panels no longer resolve the oscillation either)
-    it raises QuadratureError.  :func:`_airy_panels` calls it once per
-    batch, on the ceiling of the largest |zeta_c| of the group centres and
-    on the group's largest offset, and the count is cached on those two:
-    the ceiling only adds terms and raises the rounding estimate, so both
+    of the beta, relative to max(|y|, h_max |y'|).  The Airy route never
+    forms the sum: r is a bilinear form in the coefficients of Ai and of
+    Ci (:meth:`ResolventEvaluator._airy_forms`), so each of its terms
+    carries the sum of the beta once per factor, and the rounding is about
+    machine epsilon times the square of that sum.  Where that exceeds the
+    evaluator tolerance (from |z| of about 55 at f = 0.01, where the
+    panels no longer resolve the oscillation either) it raises
+    QuadratureError.  :func:`_airy_coefficients` calls it once per batch,
+    on the ceiling of the largest |zeta_c| of the group centres and on
+    the group's largest offset, and the count is cached on those two: the
+    ceiling only adds terms and raises the rounding estimate, so both
     bounds stay at least as strict, and the batches of one field share a
-    few keys.  The table of :func:`_taylor_table` regroups the same
-    terms by powers of zeta_c h_max^2 with nonnegative coefficients, so
-    both bounds hold for the regrouped sum.
+    few keys.  The table of :func:`_taylor_table` regroups the same terms
+    by powers of zeta_c h_max^2 with nonnegative coefficients, so both
+    bounds hold for the regrouped sum, and for the forms built from it.
     """
     c, d = zeta_max * h_max * h_max, h_max ** 3
     b3, b2, b1 = 1.0, 1.0, 0.5 * c      # beta_{n-3}, beta_{n-2}, beta_{n-1}
     total = b3 + b2 + b1                 # sum of the beta so far
     n = 3
     while True:
-        rounding = _EPS * total
+        rounding = _EPS * total * total
         if not rounding <= QUADRATURE["tol"]:
             raise QuadratureError(
                 "Taylor propagation of the Airy kernel loses the tolerance "
@@ -616,7 +692,9 @@ def _taylor_table(step: float, span: int, nn: int, K: int) -> np.ndarray:
     y(zeta_c + t) = sum_j c^j/(2j)! (U_j y + V_j h y'); the (2j)! keeps
     the powers of c as small as the series terms.  The u and v are
     nonnegative, so the rounding of the regrouped sum is that of the
-    series in n that :func:`_taylor_terms` bounds.
+    series in n.  The Airy route applies the table only inside its
+    bilinear forms, whose two factors each carry that sum, and
+    :func:`_taylor_terms` bounds the rounding by the square of the sum.
     """
     xg = gauss_legendre(nn)[0]
     t = (np.arange(1 - span, span, 2)[:, None] + xg).ravel() * step
@@ -636,33 +714,31 @@ def _taylor_table(step: float, span: int, nn: int, K: int) -> np.ndarray:
     return table
 
 
-def _airy_panels(zeta_c: np.ndarray, step: float, span: int, nn: int):
-    """Ai and Bi at the nodes of groups of ``span`` panels of half-width
-    ``step`` in zeta about the centres zeta_c, shape zeta_c.shape +
-    (span nn,).
+def _airy_coefficients(zeta_c: np.ndarray, step: float, span: int,
+                       nn: int) -> tuple[np.ndarray, int]:
+    """Taylor coefficients of Ai and Bi about the centres zeta_c of groups
+    of ``span`` panels of half-width ``step`` in zeta, shape (2,) +
+    zeta_c.shape + (2 J,), and the term count K.
 
     One ``special.airy`` call at the centres gives y and y' for both
-    functions.  The Taylor series about each centre is summed as
-    sum_j c^j/(2j)! (U_j y + V_j h y') with the table of
-    :func:`_taylor_table`: a cumulative product gives the c^j/(2j)! for
-    c = zeta_c h^2, and one matrix product with the table sums every
-    centre at every offset.  The term count comes from
-    :func:`_taylor_terms` on the ceiling of the largest |zeta_c| and the
-    group's largest offset h = (span - 1 + x_max) step, x_max the
-    largest Gauss-Legendre node.
+    functions.  The coefficients are y c^j/(2j)! and then h y' c^j/(2j)!
+    for c = zeta_c h^2, from a cumulative product, so that their product
+    with the table of :func:`_taylor_table` for K is y at the group's
+    nodes.  The term count comes from :func:`_taylor_terms` on the ceiling
+    of the largest |zeta_c| and the group's largest offset
+    h = (span - 1 + x_max) step, x_max the largest Gauss-Legendre node.
     """
     h = float((span - 1 + gauss_legendre(nn)[0][-1]) * step)
     K = _taylor_terms(math.ceil(np.max(np.abs(zeta_c))), h)
-    table = _taylor_table(step, span, nn, K)
-    J = table.shape[0] // 2
+    J = (K + 1) // 2
     k = np.arange(2, 2 * J, 2)
     powers = np.empty(zeta_c.shape + (J,), dtype=complex)
     powers[..., 0] = 1.0
     powers[..., 1:] = (zeta_c * (h * h))[..., None] / (k * (k - 1))
     np.cumprod(powers, axis=-1, out=powers)
     ai, aip, bi, bip = special.airy(zeta_c)
-    y = np.empty((2,) + zeta_c.shape + (2, 1), dtype=complex)  # Ai/Bi, y/hy'
-    y[0, ..., 0, 0], y[0, ..., 1, 0] = ai, h * aip
-    y[1, ..., 0, 0], y[1, ..., 1, 0] = bi, h * bip
-    vals = (y * powers[..., None, :]).reshape(-1, 2 * J) @ table
-    return vals.reshape((2,) + zeta_c.shape + (table.shape[1],))
+    coef = np.empty((2,) + zeta_c.shape + (2, J), dtype=complex)
+    for i, (y, dy) in enumerate(((ai, aip), (bi, bip))):
+        coef[i, ..., 0, :] = y[..., None] * powers
+        coef[i, ..., 1, :] = (h * dy)[..., None] * powers
+    return coef.reshape(coef.shape[:-2] + (2 * J,)), K

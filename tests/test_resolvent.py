@@ -17,7 +17,7 @@ from starkres._gauss import cauchy_derivative, gauss_legendre
 from starkres.formfactor import Term
 from starkres.oracle import (erfc_closed_form, erfc_free_element,
                              ode_resolvent_oracle)
-from starkres.resolvent import _airy_panels
+from starkres.resolvent import _airy_coefficients, _taylor_table
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -356,7 +356,7 @@ def test_airy_panels_match_special_airy(phi, f):
         spans.add(span)
         centres = grid.groups(span)[0]
         zeta_c = centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
-        ai, bi = _airy_panels(zeta_c, grid.step, span, grid.nn)
+        ai, bi = _airy_nodes(zeta_c, grid.step, span, grid.nn)
         offsets = grid.step * (np.arange(1 - span, span, 2)[:, None]
                                + xg).ravel()
         reach = np.max(np.abs(offsets))
@@ -373,6 +373,121 @@ def test_airy_panels_match_special_airy(phi, f):
     # at f = 0.5 and 2 the panel-width rule already meets the bound on
     # these points, so each group is one panel
     assert f > 0.05 or max(spans) >= 3
+
+
+def _airy_nodes(zeta_c, step, span, nn):
+    # Ai and Bi at the nodes of each group: the Taylor coefficients about
+    # the group centres times the table of the series' polynomials
+    coef, K = _airy_coefficients(zeta_c, step, span, nn)
+    return coef @ _taylor_table(step, span, nn, K)
+
+
+def _cumulative_left(vals, g):
+    # running integral from the left edge at every node of the grid g,
+    # batched over the rows of vals
+    nz = vals.shape[0]
+    v = vals.reshape(nz, g.n_pan, g.nn)
+    within = (v @ g.M.T) * g.halves[None, :, None]
+    # full panel integrals from the Gauss weights (nodes exclude the edges)
+    panel_totals = (v @ g.gauss_w) * g.halves[None, :]
+    offsets = np.cumsum(panel_totals, axis=1) - panel_totals
+    return (within + offsets[:, :, None]).reshape(nz, g.n_pan * g.nn)
+
+
+def _node_level_batch(ev, zf, span, derivative=False):
+    # the Airy route summed at the nodes: Ai and Ci at every node of the
+    # grid, the running integrals P of phi Ci and Q of phi Ai there, and
+    # r = pi f^{-1/3} int conj(phi) (Ai P + Ci Q); r' from the same
+    # integral with phi' on either side
+    g = ev._airy_grid
+    f = ev.f
+    centres, starts = g.groups(span)
+    repeated = (starts.size * span - g.n_pan) * g.nn
+    zeta_c = centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
+
+    def nodes(v):
+        v = v.reshape(zf.size, -1)
+        head = (centres.size - 1) * span * g.nn
+        return (np.concatenate((v[:, :head], v[:, head + repeated:]),
+                               axis=1) if repeated else v)
+
+    ai, bi = (nodes(v) for v in _airy_nodes(zeta_c, g.step, span, g.nn))
+    ci = bi + 1j * ai
+
+    def running(right):
+        P = _cumulative_left(right[None, :] * ci, g)
+        cum_ai = _cumulative_left(right[None, :] * ai, g)
+        return P, cum_ai[:, -1:] - cum_ai
+
+    def pair(left, P, Q):
+        return (left[None, :] * ai * P + left[None, :] * ci * Q) @ g.w
+
+    P, Q = running(g.phi_r)
+    r = np.pi * f ** (-1.0 / 3.0) * pair(g.phi_l, P, Q)
+    if derivative:
+        dP, dQ = running(g.dphi_r)
+        inner = pair(g.dphi_l, P, Q) + pair(g.phi_l, dP, dQ)
+        r = np.stack((r, np.pi * f ** (-4.0 / 3.0) * inner))
+    return r
+
+
+@pytest.mark.parametrize("f", (0.05, 0.02, 0.01, 0.005))
+@pytest.mark.parametrize("phi", (FormFactor.gaussian(0.1, 1.0), TWO_TERMS),
+                         ids=("reference", "two-terms"))
+def test_airy_route_matches_the_node_level_sum(phi, f):
+    # the bilinear forms in the Taylor coefficients against the same
+    # integrals summed at the nodes, on a full batch of the README window:
+    # r alone and (r, r') together
+    ev = ResolventEvaluator(phi, f)
+    rng = np.random.RandomState(5)
+    zf = (0.9 + 0.2 * rng.rand(resolvent._BATCH)
+          - 1j * (1e-6 + (0.05 - 1e-6) * rng.rand(resolvent._BATCH)))
+    airy, _, span = ev._route(zf)
+    assert airy.all()
+    ref = _node_level_batch(ev, zf, span, True)
+    value = ev._stark_airy_batch(zf, span)
+    both = ev._stark_airy_batch(zf, span, True)
+    assert np.all(np.abs(value - ref[0]) <= 1e-12 * np.abs(ref[0]))
+    assert np.all(np.abs(both - ref) <= 1e-12 * np.abs(ref))
+
+
+@pytest.mark.parametrize("z", (0.5, -0.5 - 0.1j, 0.2 - 0.01j, 0.1 - 0.01j,
+                               0.05 - 0.01j, 0.02 - 0.001j))
+def test_airy_route_matches_the_node_level_sum_near_zero(coupling, z):
+    # the grouped-panel test's points, where 3 to 8 panels share a centre
+    # and the last group repeats panels of the one before
+    ev = ResolventEvaluator(coupling, 0.01)
+    zf = np.array([z], dtype=complex)
+    span = ev._route(zf)[2]
+    for d in (False, True):
+        ref = _node_level_batch(ev, zf, span, d)
+        value = ev._stark_airy_batch(zf, span, d)
+        assert np.all(np.abs(value - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_airy_forms_are_built_once_and_reused(coupling, monkeypatch):
+    # a second call on the same points builds no form (no Taylor table is
+    # even looked up) and returns the same bits
+    ev = ResolventEvaluator(coupling, 0.01)
+    rng = np.random.RandomState(8)
+    z = 0.9 + 0.2 * rng.rand(200) - 0.05j * rng.rand(200)
+    first = (ev.F_value(z), *ev.F_pair(z))
+    forms = dict(ev._forms)
+    assert forms
+    tables = []
+    table = resolvent._taylor_table
+
+    def counting(*args):
+        tables.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(resolvent, "_taylor_table", counting)
+    again = (ev.F_value(z), *ev.F_pair(z))
+    assert tables == []
+    assert ev._forms.keys() == forms.keys()
+    assert all(ev._forms[key] is forms[key] for key in forms)
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_airy_route_groups_panels_within_the_resolution_bound(coupling):
