@@ -7,7 +7,10 @@ Faddeeva-function values, one closed form that is also the continuation
 on the whole cut plane.  For f > 0 the element extends to an entire
 function; it is evaluated through the constant-field Green's kernel
 built from Airy functions, which stays numerically stable arbitrarily
-close to f = 0.
+close to f = 0.  Two ``special.airy`` arguments per point give Ai and its
+partner recessive to the left at the two ends of the grid; the Airy
+recurrence carries each across the grid in the direction in which it
+grows, and their Wronskian certifies the pair.
 A propagator time-integral representation along a rotated ray is kept as
 a secondary route (exact for moderate f, used for cross-checks).
 """
@@ -77,6 +80,18 @@ _EPS = float(np.finfo(float).eps)
 # sqrt|z - f x| up to which the panels resolve the kernel: the panel-width
 # rule keeps window points within it, and the route refuses points past it
 _RESOLUTION = 3.0
+# per sign s = +1, -1 of Im zeta on the Airy route: the rotation
+# e^{-2 pi i s/3} of the argument at the leftmost node, and i (1 + s) in
+# Ci = M + i (1 + s) Ai
+_SIGNED = np.array([[np.exp(-2j * np.pi / 3), 2j],
+                    [np.exp(2j * np.pi / 3), 0.0]])
+
+
+def _group_starts(n_pan: int, span: int) -> np.ndarray:
+    """First panel of each group of ``span`` consecutive panels: where span
+    does not divide n_pan the last group ends at the last panel and starts
+    inside the group before."""
+    return np.minimum(np.arange(0, n_pan, span), n_pan - span)
 
 
 @dataclass(frozen=True)
@@ -114,11 +129,22 @@ class _AiryGrid(NamedTuple):
         times their midpoints, and the first panel of each group: where
         span does not divide n_pan the last group ends at x = L and starts
         inside the group before, so no node lies past the grid."""
-        starts = np.minimum(np.arange(0, self.n_pan, span),
-                            self.n_pan - span)
+        starts = _group_starts(self.n_pan, span)
         centres = 0.5 * (self.centres[starts]
                          + self.centres[starts + span - 1])
         return centres, starts
+
+
+class _Carry(NamedTuple):
+    """The Airy route's carry across the group centres for one grid, span
+    and term count (:func:`_airy_carry`)."""
+
+    steps: np.ndarray        # (Ai leftward or M rightward, G steps, J, 4)
+    source: np.ndarray       # (2, G) centre whose c^j each step takes
+    ratios: np.ndarray       # h^2 / (2j (2j - 1)), j = 1 .. J - 1: from
+                             # c^{j-1}/(2j-2)! to c^j/(2j)! over zeta_c
+    start: np.ndarray        # (s = +1 or -1, Ai or M, 1, y or h y')
+                             # factors on the special.airy values
 
 
 @dataclass(frozen=True)
@@ -326,8 +352,8 @@ class ResolventEvaluator:
 
     def _route(self, zf: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Per z, whether the Airy route takes it and whether the time ray
-        does (a point on neither is refused), and the panels per
-        ``special.airy`` centre that the Airy points share.
+        does (a point on neither is refused), and the panels per group
+        centre that the Airy points share.
 
         All three are closed forms in w = z - f x at the grid ends x = +-L.
         The growth exponent (2/3) |Im w^{3/2}| / f bounds log|Ai| and
@@ -435,12 +461,13 @@ class ResolventEvaluator:
         phi Ai from the right.  Translation covariance of p^2 + f x gives
         f r'(z) = (phi', R phi) + (phi, R phi'), the same integral with
         phi' on either side.  Ai and Bi take the argument
-        zeta = f^{1/3} x - z f^{-2/3}.  One ``special.airy`` call per group
-        of ``span`` consecutive panels, at its centre, gives their Taylor
-        coefficients there (:func:`_airy_coefficients`); :meth:`_route`
-        gives the span.  No value at a node is formed: each is a fixed
-        linear map of the coefficients, so r and r' are sums of the
-        bilinear forms of :meth:`_airy_forms`, applied in one batched
+        zeta = f^{1/3} x - z f^{-2/3}.  Each group of ``span`` consecutive
+        panels (:meth:`_route` gives the span) takes the Taylor
+        coefficients of Ai and Ci about its centre, from two
+        ``special.airy`` arguments per point carried across the centres
+        (:func:`_airy_coefficients`).  No value at a node is formed: each
+        is a fixed linear map of the coefficients, so r and r' are sums of
+        the bilinear forms of :meth:`_airy_forms`, applied in one batched
         matrix product.  Across groups, P at a group sums the whole-group
         integrals of phi Ci over the groups to its left, and Q those of
         phi Ai over the groups to its right, summed from the right.
@@ -448,10 +475,10 @@ class ResolventEvaluator:
         g = self._airy_grid
         f = self.f
         zeta_c = g.groups(span)[0][:, None] - zf * f ** (-2.0 / 3.0)
-        coef, K = _airy_coefficients(zeta_c, g.step, span, g.nn)
+        coef, K = _airy_coefficients(zeta_c, g.step, span, g.n_pan, g.nn)
+        ai, ci = coef
         forms = self._airy_forms(span, K)
         m = coef.shape[-1]
-        ai, ci = coef[0], coef[1] + 1j * coef[0]
         # the products may overflow; the finite check below raises then.
         # The forms of r' are applied for r alone too, so that r comes out
         # the same, bit for bit, with or without r'
@@ -650,14 +677,19 @@ def _taylor_terms(zeta_max: float, h_max: float) -> int:
     machine epsilon times the square of that sum.  Where that exceeds the
     evaluator tolerance (from |z| of about 55 at f = 0.01, where the
     panels no longer resolve the oscillation either) it raises
-    QuadratureError.  :func:`_airy_coefficients` calls it once per batch,
-    on the ceiling of the largest |zeta_c| of the group centres and on
-    the group's largest offset, and the count is cached on those two: the
-    ceiling only adds terms and raises the rounding estimate, so both
-    bounds stay at least as strict, and the batches of one field share a
-    few keys.  The table of :func:`_taylor_table` regroups the same terms
-    by powers of zeta_c h_max^2 with nonnegative coefficients, so both
-    bounds hold for the regrouped sum, and for the forms built from it.
+    QuadratureError.  :func:`_airy_coefficients` calls it twice per
+    batch, on the ceiling of the largest |zeta_c| of the group centres and
+    on the group's largest offset (the node sums) or on the group width
+    (the steps of :func:`_airy_carry`, which bounds every gap), and the
+    count is cached on those two: the ceiling only adds terms and raises
+    the rounding estimate, so both bounds stay at least as strict, and the
+    batches of one field share a few keys.  The tables of
+    :func:`_taylor_table` and :func:`_airy_carry` regroup the same terms
+    by powers of zeta_c h^2 and enlarge none in absolute value, so both
+    bounds hold for the regrouped sums, and for the forms built from them.
+    A carry step forms its sum once, so the squared rounding bound holds
+    for it with room; its y' sums the terms times n < K, and the
+    Wronskian check at every centre sees what that loses.
     """
     c, d = zeta_max * h_max * h_max, h_max ** 3
     b3, b2, b1 = 1.0, 1.0, 0.5 * c      # beta_{n-3}, beta_{n-2}, beta_{n-1}
@@ -677,28 +709,17 @@ def _taylor_terms(zeta_max: float, h_max: float) -> int:
         n += 1
 
 
-@lru_cache(maxsize=32)
-def _taylor_table(step: float, span: int, nn: int, K: int) -> np.ndarray:
-    """The K-term Taylor sums of U and V at the offsets t from a group's
-    centre of the Gauss-Legendre nodes of its ``span`` panels, in zeta,
-    for panel half-width ``step`` in zeta, as one read-only (2 J, span nn)
-    array, J = (K + 1) // 2.
+def _taylor_uv(h: float, K: int) -> np.ndarray:
+    """The polynomials in c = zeta_c h^2 of the first K scaled Taylor
+    coefficients b_n = a_n h^n of a solution of y'' = zeta y about
+    zeta_c, as an array of shape (K, 2, J), J = (K + 1) // 2.
 
-    With h = max|t|, c = zeta_c h^2 and s = t/h, the scaled coefficients
-    b_n = a_n h^n of y(zeta_c + t) obey b_n = (c b_{n-2} + h^3 b_{n-3})
-    / (n (n-1)), so each is a polynomial in c, linear in b_0 = y and
-    b_1 = h y': b_n = sum_j (u_{n,j} b_0 + v_{n,j} b_1) c^j.  Row j holds
-    U_j(s) = (2j)! sum_{n<K} u_{n,j} s^n and row J + j holds V_j(s), so
-    y(zeta_c + t) = sum_j c^j/(2j)! (U_j y + V_j h y'); the (2j)! keeps
-    the powers of c as small as the series terms.  The u and v are
-    nonnegative, so the rounding of the regrouped sum is that of the
-    series in n.  The Airy route applies the table only inside its
-    bilinear forms, whose two factors each carry that sum, and
-    :func:`_taylor_terms` bounds the rounding by the square of the sum.
+    The b_n obey b_n = (c b_{n-2} + h^3 b_{n-3}) / (n (n-1)), so each is
+    linear in b_0 = y and b_1 = h y': b_n = sum_j (u_{n,j} b_0 +
+    v_{n,j} b_1) c^j.  Entry [n, 0, j] is (2j)! u_{n,j} and [n, 1, j] is
+    (2j)! v_{n,j}; the (2j)! keeps the powers c^j/(2j)! that multiply
+    them as small as the series terms.  All are nonnegative.
     """
-    xg = gauss_legendre(nn)[0]
-    t = (np.arange(1 - span, span, 2)[:, None] + xg).ravel() * step
-    h = t[-1]                            # the nodes are symmetric about 0
     J = (K + 1) // 2
     uv = np.zeros((K, 2, J))             # (term, y or h y', power of c)
     uv[0, 0, 0] = uv[1, 1, 0] = 1.0
@@ -708,37 +729,157 @@ def _taylor_table(step: float, span: int, nn: int, K: int) -> np.ndarray:
             uv[n] += h ** 3 * uv[n - 3]
         uv[n] /= n * (n - 1)
     uv *= [float(math.factorial(2 * j)) for j in range(J)]
+    return uv
+
+
+@lru_cache(maxsize=32)
+def _taylor_table(step: float, span: int, nn: int, K: int) -> np.ndarray:
+    """The K-term Taylor sums of U and V at the offsets t from a group's
+    centre of the Gauss-Legendre nodes of its ``span`` panels, in zeta,
+    for panel half-width ``step`` in zeta, as one read-only (2 J, span nn)
+    array, J = (K + 1) // 2.
+
+    With h = max|t| and s = t/h, row j holds
+    U_j(s) = sum_{n<K} (2j)! u_{n,j} s^n and row J + j holds V_j(s), the
+    u and v of :func:`_taylor_uv`, so y(zeta_c + t) = sum_j c^j/(2j)!
+    (U_j y + V_j h y') for c = zeta_c h^2.  The u and v are nonnegative,
+    so the rounding of the regrouped sum is that of the series in n.  The
+    Airy route applies the table only inside its bilinear forms, whose
+    two factors each carry that sum, and :func:`_taylor_terms` bounds the
+    rounding by the square of the sum.
+    """
+    xg = gauss_legendre(nn)[0]
+    t = (np.arange(1 - span, span, 2)[:, None] + xg).ravel() * step
+    h = t[-1]                            # the nodes are symmetric about 0
+    uv = _taylor_uv(h, K)
     powers = (t / h)[None, :] ** np.arange(K)[:, None]
-    table = np.tensordot(uv, powers, axes=(0, 0)).reshape(2 * J, t.size)
+    table = np.tensordot(uv, powers, axes=(0, 0)).reshape(-1, t.size)
     table.setflags(write=False)
     return table
 
 
 def _airy_coefficients(zeta_c: np.ndarray, step: float, span: int,
-                       nn: int) -> tuple[np.ndarray, int]:
-    """Taylor coefficients of Ai and Bi about the centres zeta_c of groups
-    of ``span`` panels of half-width ``step`` in zeta, shape (2,) +
-    zeta_c.shape + (2 J,), and the term count K.
+                       n_pan: int, nn: int) -> tuple[np.ndarray, int]:
+    """Taylor coefficients of Ai and Ci = Bi + i Ai about the centres
+    zeta_c, shape (G, n), of groups of ``span`` of n_pan panels of
+    half-width ``step`` in zeta, nn nodes each: an array of shape
+    (2, G, n, 2 J), and the term count K of the node sums.
 
-    One ``special.airy`` call at the centres gives y and y' for both
-    functions.  The coefficients are y c^j/(2j)! and then h y' c^j/(2j)!
-    for c = zeta_c h^2, from a cumulative product, so that their product
+    One ``special.airy`` call takes two arguments per point: Ai at the
+    rightmost node, a node reach h right of the last centre, and
+    Ai(zeta e^{-2 pi i s/3}) at the leftmost node, s the sign of
+    Im zeta (+1 on the axis), the same at every centre.  The latter
+    gives M = Bi - i s Ai = 2 e^{-i pi s/6} Ai(zeta e^{-2 pi i s/3}),
+    the solution that is recessive as Re zeta -> -inf.  Each is
+    carried to every centre in the direction in which it grows, Ai
+    leftward and M rightward, one gap at a time (:func:`_airy_carry`),
+    so the part along the other solution of any error, which the two
+    values from ``special.airy`` have too, dies out at every node.  The
+    Wronskian pi (Ai M' - Ai' M) = 1 certifies each carried pair at
+    every centre: past QUADRATURE["tol"] the route raises
+    QuadratureError.  Bi = M + i s Ai, so Ci = M + i (1 + s) Ai.
+    The coefficients are y c^j/(2j)! and then h y' c^j/(2j)! for
+    c = zeta_c h^2, from a cumulative product, so that their product
     with the table of :func:`_taylor_table` for K is y at the group's
-    nodes.  The term count comes from :func:`_taylor_terms` on the ceiling
-    of the largest |zeta_c| and the group's largest offset
-    h = (span - 1 + x_max) step, x_max the largest Gauss-Legendre node.
+    nodes.  K comes from :func:`_taylor_terms` on the ceiling of the
+    largest |zeta_c| and on h; the carry's count on the same ceiling
+    and on the group width 2 span step, which bounds every step.
     """
-    h = float((span - 1 + gauss_legendre(nn)[0][-1]) * step)
-    K = _taylor_terms(math.ceil(np.max(np.abs(zeta_c))), h)
+    G, n = zeta_c.shape
+    h = _node_reach(step, span, nn)
+    zeta_max = math.ceil(np.abs(zeta_c).max())
+    K = _taylor_terms(zeta_max, h)
+    carry = _airy_carry(step, span, n_pan, nn,
+                        _taylor_terms(zeta_max, 2.0 * span * step))
+    # the count grows with the step, and h < 2 span step, so J <= Jc
     J = (K + 1) // 2
-    k = np.arange(2, 2 * J, 2)
-    powers = np.empty(zeta_c.shape + (J,), dtype=complex)
+    powers = np.empty(zeta_c.shape + (carry.steps.shape[2],), dtype=complex)
     powers[..., 0] = 1.0
-    powers[..., 1:] = (zeta_c * (h * h))[..., None] / (k * (k - 1))
+    np.multiply(zeta_c[..., None], carry.ratios, out=powers[..., 1:])
     np.cumprod(powers, axis=-1, out=powers)
-    ai, aip, bi, bip = special.airy(zeta_c)
-    coef = np.empty((2,) + zeta_c.shape + (2, J), dtype=complex)
-    for i, (y, dy) in enumerate(((ai, aip), (bi, bip))):
-        coef[i, ..., 0, :] = y[..., None] * powers
-        coef[i, ..., 1, :] = (h * dy)[..., None] * powers
-    return coef.reshape(coef.shape[:-2] + (2 * J,)), K
+    below = (zeta_c[0].imag < 0.0)[:, None]          # s = -1
+    rot, sign = np.where(below, _SIGNED[1], _SIGNED[0]).T
+    ai, aip, _, _ = special.airy(np.concatenate((zeta_c[-1] + h,
+                                                 rot * (zeta_c[0] - h))))
+    # state[k]: (Ai, M) x (y, h y') after k steps, Ai at centre G - k
+    # and M at centre k - 1; at the outer nodes for k = 0
+    state = np.empty((G + 1, 2, n, 2, 1), dtype=complex)
+    state[0, ..., 0, 0] = ai.reshape(2, n)
+    state[0, ..., 1, 0] = aip.reshape(2, n)
+    state[0, ..., 0] *= np.where(below, carry.start[1], carry.start[0])
+    steps = (powers[carry.source] @ carry.steps).reshape(2, G, n, 2, 2)
+    for i in range(G):
+        np.matmul(steps[:, i], state[i], out=state[i + 1])
+    a, m = state[:0:-1, 0, ..., 0], state[1:, 1, ..., 0]
+    cross = a * m[..., ::-1]
+    wronskian = np.abs(cross[..., 0] - cross[..., 1] - h / np.pi).max()
+    if not wronskian * np.pi / h <= QUADRATURE["tol"]:
+        raise QuadratureError(
+            "the Airy pair carried across the group centres lost its "
+            "Wronskian", wronskian * np.pi / h)
+    coef = np.empty((2, G, n, 2, J), dtype=complex)
+    np.multiply(a[..., None], powers[..., None, :J], out=coef[0])
+    np.multiply((m + sign[:, None] * a)[..., None], powers[..., None, :J],
+                out=coef[1])
+    return coef.reshape(2, G, n, 2 * J), K
+
+
+@lru_cache(maxsize=64)
+def _airy_carry(step: float, span: int, n_pan: int, nn: int,
+                K: int) -> _Carry:
+    """The carry of :func:`_airy_coefficients` across the centres of
+    groups of ``span`` of n_pan panels of half-width ``step`` in zeta, nn
+    nodes each, with K-term Taylor steps.  It depends on the grid alone,
+    so evaluators of one field share it.
+
+    The centres lie 2 step apart per panel between group starts.  A
+    solution of y'' = zeta y moves from a centre zeta_c to a point a real
+    distance d to its right (s = 1) or left (s = -1) by the 2 x 2 matrix
+    [[U, d V], [U'/d, V']] on (y, y'), with U, V and their s-derivatives
+    the polynomials of :func:`_taylor_uv` for h = d, summed at s; on
+    (y, h y'), h the group's node reach, the off-diagonal entries take d/h
+    and h/d in place of d and 1/d.  Its inverse, the step from that point
+    back to the centre, is its adjugate, since the Wronskian is conserved.
+    Ai goes leftward: from the rightmost node, a node reach right of
+    centre G - 1, back to that centre, then from centre G - k to centre
+    G - 1 - k.  Its recessive partner M goes rightward: from the leftmost
+    node back to centre 0, then from centre k - 1 to k.  Each step holds
+    the matrix entries, row by row, as coefficients of c^j/(2j)! for
+    c = zeta_c h^2 at the centre it starts from (or, the first one,
+    returns to): the variable of the node coefficients.
+    """
+    gaps = 2.0 * step * np.diff(_group_starts(n_pan, span))
+    h = _node_reach(step, span, nn)
+    n = np.arange(K)
+    J = (K + 1) // 2
+
+    def forward(d, s):
+        uv = _taylor_uv(d, K) * (d / h) ** (2.0 * np.arange(J))
+        y, dy = s ** n, n * s ** (n - 1.0)
+        return np.stack((y @ uv[:, 0], d / h * (y @ uv[:, 1]),
+                         h / d * (dy @ uv[:, 0]), dy @ uv[:, 1]), axis=-1)
+
+    def back(d, s):
+        return forward(d, s)[:, [3, 1, 2, 0]] * [1.0, -1.0, -1.0, 1.0]
+
+    G = gaps.size + 1
+    rot = _SIGNED[:, 0]
+    kappa = 2.0 * rot ** 0.25               # 2 e^{-i pi s/6}
+    carry = _Carry(
+        np.array([[back(h, 1.0)] + [forward(d, -1.0) for d in gaps[::-1]],
+                  [back(h, -1.0)] + [forward(d, 1.0) for d in gaps]]),
+        np.array([np.minimum(np.arange(G, 0, -1), G - 1),
+                  np.maximum(np.arange(-1, G - 1), 0)]),
+        h * h / (np.arange(2, 2 * J, 2) * np.arange(1, 2 * J - 1, 2)),
+        np.stack((np.broadcast_to([1.0, h], (2, 2)),
+                  np.stack((kappa, h * kappa * rot), axis=-1)),
+                 axis=1)[:, :, None, :])
+    for a in carry:
+        a.setflags(write=False)
+    return carry
+
+
+def _node_reach(step: float, span: int, nn: int) -> float:
+    """The largest offset in zeta of a node from its group's centre,
+    (span - 1 + x_max) step for x_max the largest Gauss-Legendre node."""
+    return float((span - 1 + gauss_legendre(nn)[0][-1]) * step)

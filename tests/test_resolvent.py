@@ -17,7 +17,8 @@ from starkres._gauss import cauchy_derivative, gauss_legendre
 from starkres.formfactor import Term
 from starkres.oracle import (erfc_closed_form, erfc_free_element,
                              ode_resolvent_oracle)
-from starkres.resolvent import _airy_coefficients, _taylor_table
+from starkres.resolvent import (_airy_coefficients, _node_reach,
+                                _taylor_table, _taylor_terms)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -336,8 +337,9 @@ def test_F_pair_matches_F_value_and_a_cauchy_ring(coupling, f, z):
 @pytest.mark.parametrize("phi", (FormFactor.gaussian(0.1, 1.0), TWO_TERMS),
                          ids=("reference", "two-terms"))
 def test_airy_panels_match_special_airy(phi, f):
-    # Ai and Bi propagated from the group centres along y'' = zeta y,
-    # against special.airy at the same float nodes, on the groups the
+    # Ai and Bi carried to the group centres and propagated from there
+    # along y'' = zeta y, against special.airy at the same float nodes,
+    # on the groups the
     # route picks: for the window as one batch, and for each point of
     # [-3, 6] x [-2, 0.5] that the route rule keeps on the Airy kernel,
     # alone, as a Newton step evaluates it
@@ -355,8 +357,9 @@ def test_airy_panels_match_special_airy(phi, f):
         span = ev._route(zf)[2]
         spans.add(span)
         centres = grid.groups(span)[0]
-        zeta_c = centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
-        ai, bi = _airy_nodes(zeta_c, grid.step, span, grid.nn)
+        zeta_c = centres[:, None] - zf[None, :] * f ** (-2.0 / 3.0)
+        ai, ci = _airy_nodes(ev, zeta_c, span)
+        bi = ci - 1j * ai
         offsets = grid.step * (np.arange(1 - span, span, 2)[:, None]
                                + xg).ravel()
         reach = np.max(np.abs(offsets))
@@ -375,11 +378,34 @@ def test_airy_panels_match_special_airy(phi, f):
     assert f > 0.05 or max(spans) >= 3
 
 
-def _airy_nodes(zeta_c, step, span, nn):
-    # Ai and Bi at the nodes of each group: the Taylor coefficients about
-    # the group centres times the table of the series' polynomials
-    coef, K = _airy_coefficients(zeta_c, step, span, nn)
-    return coef @ _taylor_table(step, span, nn, K)
+def _airy_nodes(ev, zeta_c, span):
+    # Ai and Ci at the nodes of each group: the route's Taylor
+    # coefficients about the group centres times the table of the
+    # series' polynomials
+    g = ev._airy_grid
+    coef, K = _airy_coefficients(zeta_c, g.step, span, g.n_pan, g.nn)
+    return coef @ _taylor_table(g.step, span, g.nn, K)
+
+
+def _per_centre(zeta_c, step, span, n_pan, nn):
+    # the Taylor coefficients of Ai and Ci = Bi + i Ai about every group
+    # centre from one special.airy argument per centre: the reference for
+    # the carry, with the signature of resolvent._airy_coefficients
+    h = _node_reach(step, span, nn)
+    K = _taylor_terms(math.ceil(np.max(np.abs(zeta_c))), h)
+    J = (K + 1) // 2
+    k = np.arange(2, 2 * J, 2)
+    powers = np.empty(zeta_c.shape + (J,), dtype=complex)
+    powers[..., 0] = 1.0
+    powers[..., 1:] = (zeta_c * (h * h))[..., None] / (k * (k - 1))
+    np.cumprod(powers, axis=-1, out=powers)
+    ai, aip, bi, bip = special.airy(zeta_c)
+    coef = np.empty((2,) + zeta_c.shape + (2, J), dtype=complex)
+    for i, (y, dy) in enumerate(((ai, aip), (bi, bip))):
+        coef[i, ..., 0, :] = y[..., None] * powers
+        coef[i, ..., 1, :] = (h * dy)[..., None] * powers
+    coef = coef.reshape(coef.shape[:-2] + (2 * J,))
+    return np.stack((coef[0], coef[1] + 1j * coef[0])), K
 
 
 def _cumulative_left(vals, g):
@@ -396,23 +422,23 @@ def _cumulative_left(vals, g):
 
 def _node_level_batch(ev, zf, span, derivative=False):
     # the Airy route summed at the nodes: Ai and Ci at every node of the
-    # grid, the running integrals P of phi Ci and Q of phi Ai there, and
+    # grid from the route's own centre values, the running integrals P of
+    # phi Ci and Q of phi Ai there, and
     # r = pi f^{-1/3} int conj(phi) (Ai P + Ci Q); r' from the same
     # integral with phi' on either side
     g = ev._airy_grid
     f = ev.f
     centres, starts = g.groups(span)
     repeated = (starts.size * span - g.n_pan) * g.nn
-    zeta_c = centres[None, :] - zf[:, None] * f ** (-2.0 / 3.0)
+    zeta_c = centres[:, None] - zf[None, :] * f ** (-2.0 / 3.0)
 
     def nodes(v):
-        v = v.reshape(zf.size, -1)
+        v = v.swapaxes(0, 1).reshape(zf.size, -1)
         head = (centres.size - 1) * span * g.nn
         return (np.concatenate((v[:, :head], v[:, head + repeated:]),
                                axis=1) if repeated else v)
 
-    ai, bi = (nodes(v) for v in _airy_nodes(zeta_c, g.step, span, g.nn))
-    ci = bi + 1j * ai
+    ai, ci = (nodes(v) for v in _airy_nodes(ev, zeta_c, span))
 
     def running(right):
         P = _cumulative_left(right[None, :] * ci, g)
@@ -466,28 +492,115 @@ def test_airy_route_matches_the_node_level_sum_near_zero(coupling, z):
 
 
 def test_airy_forms_are_built_once_and_reused(coupling, monkeypatch):
-    # a second call on the same points builds no form (no Taylor table is
-    # even looked up) and returns the same bits
+    # a second call on the same points builds no form and no carry (no
+    # Taylor table is even looked up, no Taylor polynomial built) and
+    # returns the same bits; a second evaluator of the same field shares
+    # the carry, which depends on the grid alone
     ev = ResolventEvaluator(coupling, 0.01)
     rng = np.random.RandomState(8)
     z = 0.9 + 0.2 * rng.rand(200) - 0.05j * rng.rand(200)
     first = (ev.F_value(z), *ev.F_pair(z))
     forms = dict(ev._forms)
     assert forms
-    tables = []
-    table = resolvent._taylor_table
+    calls = []
 
-    def counting(*args):
-        tables.append(args)
-        return table(*args)
+    def counting(name):
+        fn = getattr(resolvent, name)
 
-    monkeypatch.setattr(resolvent, "_taylor_table", counting)
+        def count(*args):
+            calls.append(name)
+            return fn(*args)
+        return count
+
+    for name in ("_taylor_table", "_taylor_uv"):
+        monkeypatch.setattr(resolvent, name, counting(name))
     again = (ev.F_value(z), *ev.F_pair(z))
-    assert tables == []
+    assert calls == []
     assert ev._forms.keys() == forms.keys()
     assert all(ev._forms[key] is forms[key] for key in forms)
     for a, b in zip(first, again):
         assert a.tobytes() == b.tobytes()
+    ResolventEvaluator(coupling, 0.01).F_value(z)
+    assert "_taylor_uv" not in calls
+
+
+_CARRY_POINTS = [(f, "window") for f in (0.05, 0.02, 0.01, 0.005)] + [
+    (0.01, z) for z in (-1.0 - 2.0j, -0.5 - 2.0j, -1.0 - 3.0j, 8.0 - 0.1j,
+                        0.5, -0.5 - 0.1j, 0.2 - 0.01j, 0.1 - 0.01j,
+                        0.05 - 0.01j, 0.02 - 0.001j, 1.0, 1.0 + 1e-6j)] + [
+    (0.1, 0.86 + 0.2j)]
+
+
+@pytest.mark.parametrize("f, z", _CARRY_POINTS)
+def test_airy_carry_matches_special_airy_at_every_centre(coupling, f, z):
+    # Ai, Ci and their derivatives carried across the group centres from
+    # two special.airy arguments per point, against one argument per
+    # centre: the README window as one batch; points far below the axis,
+    # where Bi - i Ai cancels to 0 from |Bi| of 3.4e12; 8 - 0.1i, one
+    # panel per centre; the grouped points near 0; on and just above the
+    # axis; and above it near the growth where the time ray takes over,
+    # where the partner of s = +1 would lose 1.1e-11 (1.5e-14 with
+    # s = -1).  Worst measured: 5.3e-13 at 8 - 0.1i, within 1.2e-13
+    # elsewhere
+    ev = ResolventEvaluator(coupling, f)
+    if z == "window":
+        rng = np.random.RandomState(5)
+        zf = (0.9 + 0.2 * rng.rand(resolvent._BATCH)
+              - 1j * (1e-6 + (0.05 - 1e-6) * rng.rand(resolvent._BATCH)))
+    else:
+        zf = np.array([z], dtype=complex)
+    airy, _, span = ev._route(zf)
+    assert airy.all()
+    g = ev._airy_grid
+    zeta_c = g.groups(span)[0][:, None] - zf * f ** (-2.0 / 3.0)
+    coef, K = _airy_coefficients(zeta_c, g.step, span, g.n_pan, g.nn)
+    ref, K_ref = _per_centre(zeta_c, g.step, span, g.n_pan, g.nn)
+    assert K == K_ref
+    J = coef.shape[-1] // 2
+    for j in (0, J):                    # y, then h y'
+        ai, ci = ref[..., j]
+        scale = np.abs(ai) + np.abs(ci - 1j * ai)     # |Ai| + |Bi|
+        assert np.max(np.abs(coef[..., j] - ref[..., j]) / scale) <= 1e-12
+
+
+def test_airy_carry_refuses_a_partner_that_breaks_the_wronskian(
+        coupling, monkeypatch):
+    # a rotated-argument value off by 1e-6 relative leaves the Wronskian
+    # pi (Ai M' - Ai' M) off by as much at every centre: the route raises
+    airy = special.airy
+
+    def perturbed(x):
+        ai, aip, bi, bip = airy(x)
+        ai[x.size // 2:] *= 1.0 + 1e-6
+        return ai, aip, bi, bip
+
+    monkeypatch.setattr(resolvent.special, "airy", perturbed)
+    ev = ResolventEvaluator(coupling, 0.01)
+    for fn in (ev.F_value, ev.F_derivative):
+        with pytest.raises(QuadratureError, match="Wronskian"):
+            fn(1.0 - 0.01j)
+
+
+@pytest.mark.parametrize("f, z, least", ((0.01, 8.0 - 0.1j, 28.0),
+                                         (0.005, -3.0 - 1.35j, 659.0)))
+def test_airy_carry_refuses_no_point_the_route_takes(coupling, monkeypatch,
+                                                      f, z, least):
+    # one panel per centre at 8 - 0.1i, growth 28.5 and |zeta| up to 175;
+    # growth 659.8 of the route's 660 at -3 - 1.35i: the carry's term
+    # count and Wronskian accept both, and r and r' agree with one
+    # special.airy argument per centre
+    ev = ResolventEvaluator(coupling, f)
+    zf = np.array([z])
+    g = ev._airy_grid
+    w = z - np.array([f * g.L, -f * g.L])
+    growth = np.max(np.abs(np.imag(w ** 1.5))) / (1.5 * f)
+    assert least < growth < 660.0
+    airy, _, span = ev._route(zf)
+    assert airy.all() and span == 1
+    carried = ev._stark_airy_batch(zf, span, True)
+    monkeypatch.setattr(resolvent, "_airy_coefficients", _per_centre)
+    ref = ev._stark_airy_batch(zf, span, True)
+    assert np.all(np.abs(carried - ref) <= 1e-10 * np.abs(ref))
 
 
 def test_airy_route_groups_panels_within_the_resolution_bound(coupling):
@@ -548,7 +661,9 @@ def test_airy_route_bounds_the_panel_resolution(phi, monkeypatch):
     # panel half-width times the kernel's rate sqrt|z - f x| at x = +-L:
     # 2.7 to 2.8 at z = 8 - 0.1i, where the value keeps the tolerance, and
     # 4.2 to 4.4 at z = 20 - 0.1i, where the panels of f = 0.01 lose
-    # digits against 0.1-wide panels; the route refuses that point
+    # digits against 0.1-wide panels; the route refuses that point.  One
+    # special.airy argument per centre measures the panels alone there,
+    # since the carry's term count alone refuses 20 - 0.1i
     ev = ResolventEvaluator(phi, 0.01)
     z = np.array([8.0 - 0.1j, 20.0 - 0.1j])
     airy, ray, _ = ev._route(z)
@@ -561,6 +676,11 @@ def test_airy_route_bounds_the_panel_resolution(phi, monkeypatch):
     fine = ResolventEvaluator(phi, 0.01)
     assert fine._route(z)[0].all()
     ref = fine.stark_matrix_element(z)
+    carried = ev._stark_airy_batch(z[:1], 1)
+    assert abs(carried[0] - ref[0]) <= 1e-10 * abs(ref[0])
+    with pytest.raises(QuadratureError, match="loses the tolerance"):
+        ev._stark_airy_batch(z[1:], 1)
+    monkeypatch.setattr(resolvent, "_airy_coefficients", _per_centre)
     err = np.abs(ev._stark_airy_batch(z, 1) - ref) / np.abs(ref)
     assert err[0] <= 1e-10 < err[1]
 
@@ -588,7 +708,7 @@ def test_taylor_terms_refuse_a_sum_that_loses_the_tolerance():
         resolvent._taylor_terms(1000.0, 0.5)
 
 
-def test_airy_route_evaluates_airy_once_per_centre(coupling, monkeypatch):
+def test_airy_route_evaluates_airy_twice_per_point(coupling, monkeypatch):
     sizes = []
     airy = special.airy
 
@@ -599,15 +719,18 @@ def test_airy_route_evaluates_airy_once_per_centre(coupling, monkeypatch):
     monkeypatch.setattr(resolvent.special, "airy", counting)
     ev = ResolventEvaluator(coupling, 0.01)
     assert ev._airy_grid.n_pan == 11
-    # more points than one batch, all on the Airy route; each batch takes
-    # one centre per two panels
+    # more points than one batch, all on the Airy route, six centres each:
+    # Ai at one end and its recessive partner at the other, per point
     z = 1.0 - 0.02j + 0.015 * np.exp(2j * np.pi * np.arange(200) / 200)
-    assert ev._route(z)[0].all()
+    assert ev._route(z)[0].all() and ev._route(z)[2] == 2
     ev.F_value(z)
-    assert sum(sizes) == 200 * 6
-    sizes.clear()
-    ev.F_derivative(1.0 - 0.01j)
-    assert sum(sizes) == 6
+    assert sum(sizes) == 200 * 2
+    # at any span: one panel per centre (11 centres), and two (near 0)
+    for zj, span in ((1.0 - 0.01j, 2), (8.0 - 0.1j, 1), (0.02 - 0.001j, 8)):
+        assert ev._route(np.array([zj]))[2] == span
+        sizes.clear()
+        ev.F_derivative(zj)
+        assert sum(sizes) == 2
 
 
 def test_stark_F_derivative_needs_no_F_values(coupling, monkeypatch):
