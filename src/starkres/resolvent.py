@@ -7,10 +7,14 @@ Faddeeva-function values, one closed form that is also the continuation
 on the whole cut plane.  For f > 0 the element extends to an entire
 function; it is evaluated through the constant-field Green's kernel
 built from Airy functions, which stays numerically stable arbitrarily
-close to f = 0.  Two ``special.airy`` arguments per point give Ai and its
-partner recessive to the left at the two ends of the grid; the Airy
-recurrence carries each across the grid in the direction in which it
-grows, and their Wronskian certifies the pair.
+close to f = 0.  Two Airy arguments per point give Ai and its partner
+recessive to the left at the two ends of the grid; the Airy recurrence
+carries each across the grid in the direction in which it grows, and
+their Wronskian certifies the pair.  Where every argument of a batch has
+|zeta| >= R, about 8.9, Ai and Ai' there come from their large-|zeta|
+asymptotic series, with the term count from its remainder bound and the
+connection formula past |ph zeta| = 2 pi/3; a batch with an argument
+nearer 0 takes ``special.airy``.
 A propagator time-integral representation along a rotated ray is kept as
 a secondary route (exact for moderate f, used for cross-checks).
 """
@@ -85,6 +89,53 @@ _RESOLUTION = 3.0
 # Ci = M + i (1 + s) Ai
 _SIGNED = np.array([[np.exp(-2j * np.pi / 3), 2j],
                     [np.exp(2j * np.pi / 3), 0.0]])
+# omega = e^{2 pi i/3} of the connection formula
+# Ai(zeta) = -omega Ai(omega zeta) - omega^2 Ai(omega^2 zeta), and its
+# factors on Ai(omega zeta), Ai(omega^2 zeta), then on Ai'(omega zeta),
+# Ai'(omega^2 zeta) in Ai'(zeta)
+_OMEGA = np.exp(2j * np.pi / 3)
+_CONNECT = -np.array([[_OMEGA, _OMEGA ** 2], [_OMEGA ** 2, _OMEGA]])
+
+
+def _asymptotic_series(n_max: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """The large-|zeta| series of Ai and Ai' (DLMF 9.7.5-9.7.6) to n_max
+    terms, n_max even, split into even and odd powers of 1/xi: an array of
+    shape (n_max/2, 4, 1) whose row j holds u_{2j}, -u_{2j+1}, v_{2j} and
+    -v_{2j+1}, and per j the smallest |xi| at which the first 2j terms
+    reach double-precision rounding, an (n_max/2,) array.
+
+    u_0 = v_0 = 1, u_k = (6k-5)(6k-3)(6k-1) u_{k-1} / ((2k-1) 216 k) and
+    v_k = -(6k+1) u_k / (6k-1).  For |ph zeta| <= 2 pi/3 the remainder
+    after n terms is at most (chi(n) + 1) times the first omitted term in
+    absolute value, chi(n) = sqrt(pi) Gamma(n/2 + 1) / Gamma(n/2 + 1/2)
+    (DLMF 9.7.16-9.7.17; |v_n| > u_n bounds both series), so n terms
+    suffice from |xi| = ((chi(n) + 1) |v_n| / eps)^{1/n} on.
+    """
+    k = np.arange(1, n_max)
+    u = np.cumprod(np.concatenate(
+        ([1.0], (6 * k - 5) * (6 * k - 3) * (6 * k - 1)
+         / ((2 * k - 1) * 216.0 * k))))
+    n = np.arange(n_max)
+    v = -(6 * n + 1) / (6 * n - 1) * u
+    chi = math.sqrt(math.pi) * np.exp(special.gammaln(n / 2 + 1)
+                                      - special.gammaln(n / 2 + 0.5))
+    reach = np.full(n_max // 2, math.inf)
+    reach[1:] = ((chi[2::2] + 1.0) * np.abs(v[2::2]) / _EPS) ** (
+        1.0 / n[2::2])
+    table = (np.stack((u, v)) * (-1.0) ** n).reshape(2, -1, 2)
+    table = table.transpose(1, 0, 2).reshape(-1, 4, 1)
+    for a in (table, reach):
+        a.setflags(write=False)
+    return table, reach
+
+
+_SERIES, _SERIES_REACH = _asymptotic_series()
+# the smallest |xi| and |zeta| at which the series of Ai and Ai' reach
+# double-precision rounding (about 17.7 and 8.9, 36 terms); a call with
+# every argument at least _AIRY_R from 0 takes the series, any other
+# special.airy
+_AIRY_XI = float(_SERIES_REACH.min())
+_AIRY_R = (1.5 * _AIRY_XI) ** (2.0 / 3.0)
 
 
 def _group_starts(n_pan: int, span: int) -> np.ndarray:
@@ -144,7 +195,7 @@ class _Carry(NamedTuple):
     ratios: np.ndarray       # h^2 / (2j (2j - 1)), j = 1 .. J - 1: from
                              # c^{j-1}/(2j-2)! to c^j/(2j)! over zeta_c
     start: np.ndarray        # (s = +1 or -1, Ai or M, 1, y or h y')
-                             # factors on the special.airy values
+                             # factors on the values of _airy
 
 
 @dataclass(frozen=True)
@@ -464,7 +515,7 @@ class ResolventEvaluator:
         zeta = f^{1/3} x - z f^{-2/3}.  Each group of ``span`` consecutive
         panels (:meth:`_route` gives the span) takes the Taylor
         coefficients of Ai and Ci about its centre, from two
-        ``special.airy`` arguments per point carried across the centres
+        Airy arguments per point carried across the centres
         (:func:`_airy_coefficients`).  No value at a node is formed: each
         is a fixed linear map of the coefficients, so r and r' are sums of
         the bilinear forms of :meth:`_airy_forms`, applied in one batched
@@ -492,7 +543,7 @@ class ResolventEvaluator:
             # (0) or phi' (1) as the right weight
             P = np.zeros_like(ends_c[..., 1])
             Q = np.zeros_like(P)
-            np.cumsum(ends_c[:-1, ..., 1], axis=0, out=P[1:])
+            P[1:] = np.cumsum(ends_c[:-1, ..., 1], axis=0)
             Q[:-1] = np.cumsum(ends_a[:0:-1, ..., 1], axis=0)[::-1]
 
             def within(k):
@@ -758,6 +809,59 @@ def _taylor_table(step: float, span: int, nn: int, K: int) -> np.ndarray:
     return table
 
 
+def _airy(zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ai and Ai' at the 1-d complex array zeta.
+
+    Where every |zeta| is at least _AIRY_R, from the asymptotic series
+    (DLMF 9.7.5-9.7.6)
+
+        Ai = e^{-xi} S_u / (2 sqrt(pi) zeta^{1/4}),
+        Ai' = -zeta^{1/4} e^{-xi} S_v / (2 sqrt(pi)),
+
+    xi = (2/3) zeta^{3/2}, S_u and S_v the sums of (-1)^k u_k / xi^k and
+    (-1)^k v_k / xi^k, their even and odd powers each by Horner in
+    1/xi^2.  The term count is the first even one at which the remainder
+    bound of :func:`_asymptotic_series` on the smallest |xi| of the call
+    reaches double-precision rounding.  Past |ph zeta| = 2 pi/3, where
+    the bound does not hold, the connection formula
+    Ai(zeta) = -omega Ai(omega zeta) - omega^2 Ai(omega^2 zeta),
+    omega = e^{2 pi i/3}, takes two arguments within that sector.  A call
+    with any |zeta| below _AIRY_R takes ``special.airy``.  The values may
+    overflow; numpy warns of nothing, and the caller's checks see the
+    non-finite value.
+    """
+    least = float(np.abs(zeta).min())
+    if not least >= _AIRY_R:
+        return special.airy(zeta)[:2]
+    # max: (2/3) R^{3/2} may round below _AIRY_XI
+    pairs = int(np.argmax(
+        _SERIES_REACH <= max((2.0 / 3.0) * least ** 1.5, _AIRY_XI)))
+    # past |ph zeta| = 2 pi/3, Ai(omega zeta) and Ai(omega^2 zeta): the
+    # first in place of Ai(zeta), the second after all the points
+    far = zeta.real < -np.abs(zeta.imag) / math.sqrt(3.0)
+    w = np.concatenate((np.where(far, _OMEGA * zeta, zeta),
+                        _OMEGA ** 2 * zeta[far]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(w)
+        quarter = np.sqrt(root)                        # w^{1/4}
+        xi = (2.0 / 3.0) * w * root
+        t = 1.0 / xi
+        t2 = t * t
+        y = np.empty((4, w.size), dtype=complex)
+        y[:] = _SERIES[pairs - 1]
+        for c in _SERIES[:pairs - 1][::-1]:
+            y *= t2
+            y += c
+        s = y[::2] + t * y[1::2]                       # S_u, S_v
+        s[0] /= quarter
+        s[1] *= -quarter
+        s *= np.exp(-xi) / (2.0 * math.sqrt(math.pi))  # Ai, Ai' at w
+        out = s[:, :zeta.size]
+        out[:, far] *= _CONNECT[:, :1]
+        out[:, far] += _CONNECT[:, 1:] * s[:, zeta.size:]
+    return out[0], out[1]
+
+
 def _airy_coefficients(zeta_c: np.ndarray, step: float, span: int,
                        n_pan: int, nn: int) -> tuple[np.ndarray, int]:
     """Taylor coefficients of Ai and Ci = Bi + i Ai about the centres
@@ -765,19 +869,26 @@ def _airy_coefficients(zeta_c: np.ndarray, step: float, span: int,
     half-width ``step`` in zeta, nn nodes each: an array of shape
     (2, G, n, 2 J), and the term count K of the node sums.
 
-    One ``special.airy`` call takes two arguments per point: Ai at the
+    One :func:`_airy` call takes two arguments per point: Ai at the
     rightmost node, a node reach h right of the last centre, and
     Ai(zeta e^{-2 pi i s/3}) at the leftmost node, s the sign of
     Im zeta (+1 on the axis), the same at every centre.  The latter
     gives M = Bi - i s Ai = 2 e^{-i pi s/6} Ai(zeta e^{-2 pi i s/3}),
-    the solution that is recessive as Re zeta -> -inf.  Each is
-    carried to every centre in the direction in which it grows, Ai
-    leftward and M rightward, one gap at a time (:func:`_airy_carry`),
-    so the part along the other solution of any error, which the two
-    values from ``special.airy`` have too, dies out at every node.  The
-    Wronskian pi (Ai M' - Ai' M) = 1 certifies each carried pair at
-    every centre: past QUADRATURE["tol"] the route raises
-    QuadratureError.  Bi = M + i s Ai, so Ci = M + i (1 + s) Ai.
+    the solution that is recessive as Re zeta -> -inf.  Where all of
+    the call's arguments have |zeta| >= _AIRY_R, about 8.9, Ai and Ai'
+    come from their asymptotic series, with the term count at which
+    the DLMF 9.7(iv) remainder bound on the smallest |xi| of the call
+    reaches double-precision rounding, and from the connection formula
+    Ai(zeta) = -omega Ai(omega zeta) - omega^2 Ai(omega^2 zeta) for the
+    rightmost-node arguments near the negative axis; otherwise from
+    ``special.airy``.  Each is carried to every centre in the direction
+    in which it grows, Ai leftward and M rightward, one gap at a time
+    (:func:`_airy_carry`), so the part along the other solution of any
+    error, which the two starting values have too, dies out at every
+    node.  The Wronskian pi (Ai M' - Ai' M) = 1 certifies each carried
+    pair at every centre, whichever source gave the starting values:
+    past QUADRATURE["tol"] the route raises QuadratureError.
+    Bi = M + i s Ai, so Ci = M + i (1 + s) Ai.
     The coefficients are y c^j/(2j)! and then h y' c^j/(2j)! for
     c = zeta_c h^2, from a cumulative product, so that their product
     with the table of :func:`_taylor_table` for K is y at the group's
@@ -799,8 +910,7 @@ def _airy_coefficients(zeta_c: np.ndarray, step: float, span: int,
     np.cumprod(powers, axis=-1, out=powers)
     below = (zeta_c[0].imag < 0.0)[:, None]          # s = -1
     rot, sign = np.where(below, _SIGNED[1], _SIGNED[0]).T
-    ai, aip, _, _ = special.airy(np.concatenate((zeta_c[-1] + h,
-                                                 rot * (zeta_c[0] - h))))
+    ai, aip = _airy(np.concatenate((zeta_c[-1] + h, rot * (zeta_c[0] - h))))
     # state[k]: (Ai, M) x (y, h y') after k steps, Ai at centre G - k
     # and M at centre k - 1; at the outer nodes for k = 0
     state = np.empty((G + 1, 2, n, 2, 1), dtype=complex)

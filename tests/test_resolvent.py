@@ -540,8 +540,9 @@ def test_airy_carry_matches_special_airy_at_every_centre(coupling, f, z):
     # panel per centre; the grouped points near 0; on and just above the
     # axis; and above it near the growth where the time ray takes over,
     # where the partner of s = +1 would lose 1.1e-11 (1.5e-14 with
-    # s = -1).  Worst measured: 5.3e-13 at 8 - 0.1i, within 1.2e-13
-    # elsewhere
+    # s = -1).  Worst measured: 7.7e-13 at 8 - 0.1i, where |zeta| reaches
+    # 172 and the asymptotic series takes both ends (5.3e-13 with
+    # special.airy there), within 1.4e-13 elsewhere
     ev = ResolventEvaluator(coupling, f)
     if z == "window":
         rng = np.random.RandomState(5)
@@ -563,22 +564,46 @@ def test_airy_carry_matches_special_airy_at_every_centre(coupling, f, z):
         assert np.max(np.abs(coef[..., j] - ref[..., j]) / scale) <= 1e-12
 
 
+# one point whose Airy arguments all take the asymptotic series, and one
+# where zeta at the rightmost node is about -3.3 and special.airy takes
+# them all
+_SOURCES = pytest.mark.parametrize("f, series", ((0.01, True), (0.05, False)),
+                                   ids=("series", "special-airy"))
+
+
+def _watch_airy(monkeypatch, series, wrap=lambda ai, aip: (ai, aip)):
+    # record the size of every resolvent._airy call, after checking that
+    # the expected source takes it (either, for None), and pass its values
+    # through ``wrap``
+    sizes = []
+    airy = resolvent._airy
+
+    def watched(x):
+        if series is not None:
+            assert (np.abs(x).min() >= resolvent._AIRY_R) == series
+        sizes.append(x.size)
+        return wrap(*airy(x))
+
+    monkeypatch.setattr(resolvent, "_airy", watched)
+    return sizes
+
+
+@_SOURCES
 def test_airy_carry_refuses_a_partner_that_breaks_the_wronskian(
-        coupling, monkeypatch):
+        coupling, monkeypatch, f, series):
     # a rotated-argument value off by 1e-6 relative leaves the Wronskian
-    # pi (Ai M' - Ai' M) off by as much at every centre: the route raises
-    airy = special.airy
+    # pi (Ai M' - Ai' M) off by as much at every centre: the route raises,
+    # whichever source gave the values
+    def perturbed(ai, aip):
+        ai[ai.size // 2:] *= 1.0 + 1e-6
+        return ai, aip
 
-    def perturbed(x):
-        ai, aip, bi, bip = airy(x)
-        ai[x.size // 2:] *= 1.0 + 1e-6
-        return ai, aip, bi, bip
-
-    monkeypatch.setattr(resolvent.special, "airy", perturbed)
-    ev = ResolventEvaluator(coupling, 0.01)
+    sizes = _watch_airy(monkeypatch, series, perturbed)
+    ev = ResolventEvaluator(coupling, f)
     for fn in (ev.F_value, ev.F_derivative):
         with pytest.raises(QuadratureError, match="Wronskian"):
             fn(1.0 - 0.01j)
+    assert sizes == [2, 2]
 
 
 @pytest.mark.parametrize("f, z, least", ((0.01, 8.0 - 0.1j, 28.0),
@@ -699,6 +724,78 @@ def test_airy_route_raises_on_a_nonfinite_value(coupling, z):
                 fn(z)
 
 
+def _airy_ring(radius):
+    # 3601 arguments on |zeta| = radius, phases -pi to pi in steps of
+    # pi/1800 and so through +-2 pi/3 and +-pi, none below _AIRY_R
+    z = radius * np.exp(1j * np.pi * np.arange(-1800, 1801) / 1800)
+    return z * max(1.0, resolvent._AIRY_R / np.abs(z).min())
+
+
+def _airy_bound(z, ref):
+    # fixed before the comparison: 16 eps (1 + |xi|) (|Ai| + |Bi|), the
+    # rounding of e^{-xi} growing with |xi|, and the same for Ai' with
+    # |Ai'| + |Bi'|
+    eps = np.finfo(float).eps
+    xi = (2.0 / 3.0) * np.abs(z) ** 1.5
+    return 16.0 * eps * (1.0 + xi) * ref
+
+
+@pytest.mark.parametrize("radius", (resolvent._AIRY_R, 12.0, 30.0, 100.0),
+                         ids=("R", "12", "30", "100"))
+def test_airy_series_matches_special_airy(radius, monkeypatch):
+    # the asymptotic series, with the connection formula past
+    # |ph zeta| = 2 pi/3, against special.airy on rings from _AIRY_R out
+    z = _airy_ring(radius)
+    monkeypatch.setattr(resolvent.special, "airy", None)   # not called
+    ai, aip = resolvent._airy(z)
+    monkeypatch.undo()
+    ref_ai, ref_aip, ref_bi, ref_bip = special.airy(z)
+    assert np.all(np.abs(ai - ref_ai)
+                  <= _airy_bound(z, np.abs(ref_ai) + np.abs(ref_bi)))
+    assert np.all(np.abs(aip - ref_aip)
+                  <= _airy_bound(z, np.abs(ref_aip) + np.abs(ref_bip)))
+
+
+def test_airy_series_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    # phases -pi, -2 pi/3, -pi/2, -pi/3, 0, pi/5, pi/3, 3 pi/5, 2 pi/3,
+    # 9 pi/10 and pi, in steps of pi/1800 from -pi
+    picks = 1800 + np.array([-1800, -1200, -900, -600, 0, 360, 600, 1080,
+                             1200, 1620, 1800])
+    z = np.concatenate([_airy_ring(radius)[picks]
+                        for radius in (resolvent._AIRY_R, 12.0, 100.0)])
+    ai, aip = resolvent._airy(z)
+    for j, zj in enumerate(z):
+        w = mpmath.mpc(zj.real, zj.imag)
+        with mpmath.workdps(40):
+            ref = [complex(mpmath.airyai(w, derivative=d)) for d in (0, 1)]
+            bi = [complex(mpmath.airybi(w, derivative=d)) for d in (0, 1)]
+        for value, r, b in zip((ai[j], aip[j]), ref, bi):
+            assert abs(value - r) <= _airy_bound(zj, abs(r) + abs(b))
+
+
+def test_airy_takes_special_airy_for_a_call_with_one_small_argument(
+        monkeypatch):
+    # one argument inside _AIRY_R sends the whole call to special.airy,
+    # the far arguments with it
+    z = np.array([0.99 * resolvent._AIRY_R, 20.0 - 3.0j, -30.0 + 1.0j])
+    calls = []
+    airy = special.airy
+
+    def recording(x):
+        calls.append(x.copy())
+        return airy(x)
+
+    monkeypatch.setattr(resolvent.special, "airy", recording)
+    ai, aip = resolvent._airy(z)
+    assert len(calls) == 1 and np.array_equal(calls[0], z)
+    ref = airy(z)
+    assert np.array_equal(ai, ref[0]) and np.array_equal(aip, ref[1])
+    calls.clear()
+    resolvent._airy(z[1:])
+    assert calls == []
+
+
 def test_taylor_terms_refuse_a_sum_that_loses_the_tolerance():
     # the second guard: where the rounding of the Taylor sum about a far
     # centre alone exceeds the evaluator tolerance, the term count raises
@@ -708,29 +805,33 @@ def test_taylor_terms_refuse_a_sum_that_loses_the_tolerance():
         resolvent._taylor_terms(1000.0, 0.5)
 
 
-def test_airy_route_evaluates_airy_twice_per_point(coupling, monkeypatch):
-    sizes = []
-    airy = special.airy
-
-    def counting(x):
-        sizes.append(np.size(x))
-        return airy(x)
-
-    monkeypatch.setattr(resolvent.special, "airy", counting)
-    ev = ResolventEvaluator(coupling, 0.01)
-    assert ev._airy_grid.n_pan == 11
-    # more points than one batch, all on the Airy route, six centres each:
-    # Ai at one end and its recessive partner at the other, per point
+@_SOURCES
+def test_airy_route_evaluates_airy_twice_per_point(coupling, monkeypatch, f,
+                                                   series):
+    sizes = _watch_airy(monkeypatch, series)
+    ev = ResolventEvaluator(coupling, f)
+    # more points than one batch, all on the Airy route: Ai at one end and
+    # its recessive partner at the other, per point
     z = 1.0 - 0.02j + 0.015 * np.exp(2j * np.pi * np.arange(200) / 200)
-    assert ev._route(z)[0].all() and ev._route(z)[2] == 2
+    assert ev._route(z)[0].all()
     ev.F_value(z)
     assert sum(sizes) == 200 * 2
-    # at any span: one panel per centre (11 centres), and two (near 0)
+    sizes.clear()
+    ev.F_derivative(1.0 - 0.01j)
+    assert sizes == [2]
+
+
+def test_airy_route_evaluates_airy_twice_per_point_at_any_span(coupling,
+                                                               monkeypatch):
+    # at f = 0.01: one panel per centre (11 centres), two, and eight near 0
+    sizes = _watch_airy(monkeypatch, None)
+    ev = ResolventEvaluator(coupling, 0.01)
+    assert ev._airy_grid.n_pan == 11
     for zj, span in ((1.0 - 0.01j, 2), (8.0 - 0.1j, 1), (0.02 - 0.001j, 8)):
         assert ev._route(np.array([zj]))[2] == span
         sizes.clear()
         ev.F_derivative(zj)
-        assert sum(sizes) == 2
+        assert sizes == [2]
 
 
 def test_stark_F_derivative_needs_no_F_values(coupling, monkeypatch):
