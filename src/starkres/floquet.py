@@ -16,7 +16,9 @@ by the discrete sector's 2N+1 rows and columns.  The solver works on
 U^T K U, U the real orthogonal change to the product of their
 eigenbases, so a shifted solve is a diagonal scaling and one
 (2N+1)-square Schur complement.  The dense ``FloquetProblem.matrix`` is
-K in the original basis, the oracle the tests compare against.
+K in the original basis, the oracle the tests compare against.  The
+Schur complement is factored by scipy.linalg, imported on the first
+factorization, so importing the module loads no scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_triangular
 
 from ._gauss import gaussian_poly_integral
 from .formfactor import FormFactor, dilate, translate_modulate
@@ -254,6 +255,21 @@ class _BorderedKroneckerSum:
                                self.Ct @ x + self.D * y])
 
 
+def lu_factor(a: np.ndarray, overwrite_a: bool = False):
+    """scipy.linalg.lu_factor, with its warning on an exact zero pivot
+    silenced: :class:`_ShiftedSolve` inspects the pivots."""
+    from scipy.linalg import LinAlgWarning, lu_factor
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return lu_factor(a, overwrite_a=overwrite_a)
+
+
+def lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
+    """scipy.linalg.lu_solve on the factors of :func:`lu_factor`."""
+    from scipy.linalg import lu_solve
+    return lu_solve(lu_and_piv, b)
+
+
 class _ShiftedSolve:
     """K~ - sigma factored through the Schur complement of its field sector,
     built once per shift as ``_ShiftedSolve(op, sigma)``.
@@ -277,10 +293,7 @@ class _ShiftedSolve:
         S[nz:, :nz] = op.Ct[:, self.moved]
         S[nz:, nz:] = (np.diag(op.D - sigma)
                        - op.Ct @ (self.inv[:, None] * op.Bt))
-        # scipy only warns on an exact zero pivot, which is inspected below
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            self.lu = lu_factor(S, overwrite_a=True)
+        self.lu = lu_factor(S, overwrite_a=True)
         zero = np.flatnonzero(np.diagonal(self.lu[0]) == 0)
         self.zero_pivot = int(zero[0]) if zero.size else None
 
@@ -301,6 +314,7 @@ class _ShiftedSolve:
         bordered unknowns u = (moved field modes, y) solve U u = 0 with
         u_k = 1, and the other field modes are x = -(Lambda - sigma)^{-1}
         B~ y."""
+        from scipy.linalg import solve_triangular
         k = self.zero_pivot
         U = self.lu[0]
         u = np.zeros(U.shape[0], dtype=complex)

@@ -10,11 +10,13 @@ built from Airy functions, which stays numerically stable arbitrarily
 close to f = 0.  Two Airy arguments per point give Ai and its partner
 recessive to the left at the two ends of the grid; the Airy recurrence
 carries each across the grid in the direction in which it grows, and
-their Wronskian certifies the pair.  Where every argument of a batch has
-|zeta| >= R, about 8.9, Ai and Ai' there come from their large-|zeta|
-asymptotic series, with the term count from its remainder bound and the
-connection formula past |ph zeta| = 2 pi/3; a batch with an argument
-nearer 0 takes ``special.airy``.
+their Wronskian certifies the pair.  Ai and Ai' at those arguments come
+from their large-|zeta| asymptotic series, with the term count from its
+remainder bound and the connection formula past |ph zeta| = 2 pi/3; a
+batch whose outer nodes come nearer 0 than R, about 8.9, starts the pair
+a whole number of Taylor steps further out and carries it in.  The
+Faddeeva function of the f = 0 closed form is Weideman's rational
+approximation.  So the evaluator needs numpy alone.
 A propagator time-integral representation along a rotated ray is kept as
 a secondary route (exact for moderate f, used for cross-checks).
 """
@@ -29,7 +31,6 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from ._gauss import (cauchy_derivative, cumulative_matrix,
                      gaussian_poly_integral, gauss_legendre, panel_nodes)
@@ -95,12 +96,91 @@ _SIGNED = np.array([[np.exp(-2j * np.pi / 3), 2j],
 # Ai'(omega^2 zeta) in Ai'(zeta)
 _OMEGA = np.exp(2j * np.pi / 3)
 _CONNECT = -np.array([[_OMEGA, _OMEGA ** 2], [_OMEGA ** 2, _OMEGA]])
+# the longest inward step from the Airy route's starting arguments to the
+# outer nodes (the widest groups, 3.4 in zeta at f = 0.01 near z = 0, are
+# too long a Taylor step about |zeta| = R for the tolerance), and its
+# direction per end: Ai's starts right of the rightmost node, M's left of
+# the leftmost
+_APPROACH = 1.5
+_OUTWARD = np.array([1.0, -1.0])
+# the largest |zeta| of a Faddeeva argument that free_continued accepts:
+# below the axis w(zeta) = 2 e^{-zeta^2} - w(-zeta) carries the rounding
+# of zeta^2, and past this reach 16 eps (1 + |zeta|^2) passes the
+# evaluator tolerance
+_W_REACH = math.sqrt(QUADRATURE["tol"] / (16.0 * _EPS))
+# Faddeeva arguments whose powers are summed together
+_W_BLOCK = 1024
+
+
+def _weideman_coefficients(n: int = 40) -> tuple[np.ndarray, float]:
+    """The coefficients a_1 .. a_n of Weideman's rational approximation
+    of the Faddeeva function (SIAM J. Numer. Anal. 31 (1994) 1497), and
+    its scale L = sqrt(n / sqrt 2).
+
+    With t_k = L tan(k pi/(4n)) for |k| < 2n,
+    a_j = sum_k e^{-t_k^2} (L^2 + t_k^2) cos(j k pi/(2n)) / (4n), the
+    discrete cosine transform of Weideman's FFT.
+    """
+    m = 2 * n
+    L = math.sqrt(n / math.sqrt(2.0))
+    k = np.arange(1 - m, m)
+    t = L * np.tan(0.5 * np.pi * k / m)
+    a = np.cos(np.pi / m * np.outer(np.arange(1, n + 1), k)) @ (
+        np.exp(-t * t) * (L * L + t * t)) / (2.0 * m)
+    a.setflags(write=False)
+    return a, L
+
+
+_W_COEF, _W_L = _weideman_coefficients()
+
+
+def _faddeeva(zeta: np.ndarray) -> np.ndarray:
+    """The Faddeeva function w(zeta) = e^{-zeta^2} erfc(-i zeta) at the
+    1-d complex array zeta.
+
+    On the closed upper half-plane, Weideman's approximation
+    w = 2 p(Z)/(L - i zeta)^2 + 1/(sqrt(pi) (L - i zeta)), with
+    p(Z) = sum_j a_{j+1} Z^j for the a of :func:`_weideman_coefficients`
+    and Z = (L + i zeta)/(L - i zeta), |Z| <= 1, summed as one matrix
+    product with the :func:`_power_rows` of Z per _W_BLOCK points.  Below
+    the axis
+    w(zeta) = 2 e^{-zeta^2} - w(-zeta).  The values may overflow there;
+    numpy warns of nothing, and the caller's checks see the non-finite
+    value.
+    """
+    below = zeta.imag < 0.0
+    x = np.where(below, -zeta, zeta)
+    d = _W_L - 1j * x
+    Z = 2.0 * _W_L / d - 1.0                       # (L + i x)/(L - i x)
+    p = np.empty_like(Z)
+    for i in range(0, Z.size, _W_BLOCK):
+        np.matmul(_W_COEF, _power_rows(Z[i:i + _W_BLOCK], _W_COEF.size),
+                  out=p[i:i + _W_BLOCK])
+    w = (2.0 * p / d + 1.0 / math.sqrt(math.pi)) / d
+    if below.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            w[below] = 2.0 * np.exp(-zeta[below] ** 2) - w[below]
+    return w
+
+
+def _power_rows(x: np.ndarray, n: int) -> np.ndarray:
+    """x^0 .. x^{n-1} as the rows of an (n, x.size) complex array, by
+    repeated squaring: rows k to 2k - 1 are rows 0 to k - 1 times x^k."""
+    powers = np.empty((n, x.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1:2] = x
+    k = 2
+    while k < n:
+        x = x * x
+        np.multiply(powers[:min(k, n - k)], x, out=powers[k:2 * k])
+        k *= 2
+    return powers
 
 
 def _asymptotic_series(n_max: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """The large-|zeta| series of Ai and Ai' (DLMF 9.7.5-9.7.6) to n_max
     terms, n_max even, split into even and odd powers of 1/xi: an array of
-    shape (n_max/2, 4, 1) whose row j holds u_{2j}, -u_{2j+1}, v_{2j} and
+    shape (n_max/2, 4) whose row j holds u_{2j}, -u_{2j+1}, v_{2j} and
     -v_{2j+1}, and per j the smallest |xi| at which the first 2j terms
     reach double-precision rounding, an (n_max/2,) array.
 
@@ -117,13 +197,14 @@ def _asymptotic_series(n_max: int = 64) -> tuple[np.ndarray, np.ndarray]:
          / ((2 * k - 1) * 216.0 * k))))
     n = np.arange(n_max)
     v = -(6 * n + 1) / (6 * n - 1) * u
-    chi = math.sqrt(math.pi) * np.exp(special.gammaln(n / 2 + 1)
-                                      - special.gammaln(n / 2 + 0.5))
+    chi = math.sqrt(math.pi) * np.exp([math.lgamma(j / 2 + 1)
+                                       - math.lgamma(j / 2 + 0.5)
+                                       for j in range(n_max)])
     reach = np.full(n_max // 2, math.inf)
     reach[1:] = ((chi[2::2] + 1.0) * np.abs(v[2::2]) / _EPS) ** (
         1.0 / n[2::2])
     table = (np.stack((u, v)) * (-1.0) ** n).reshape(2, -1, 2)
-    table = table.transpose(1, 0, 2).reshape(-1, 4, 1)
+    table = table.transpose(1, 0, 2).reshape(-1, 4)
     for a in (table, reach):
         a.setflags(write=False)
     return table, reach
@@ -131,9 +212,8 @@ def _asymptotic_series(n_max: int = 64) -> tuple[np.ndarray, np.ndarray]:
 
 _SERIES, _SERIES_REACH = _asymptotic_series()
 # the smallest |xi| and |zeta| at which the series of Ai and Ai' reach
-# double-precision rounding (about 17.7 and 8.9, 36 terms); a call with
-# every argument at least _AIRY_R from 0 takes the series, any other
-# special.airy
+# double-precision rounding (about 17.7 and 8.9, 36 terms); every Airy
+# argument of the route lies at least _AIRY_R from 0
 _AIRY_XI = float(_SERIES_REACH.min())
 _AIRY_R = (1.5 * _AIRY_XI) ** (2.0 / 3.0)
 
@@ -196,6 +276,8 @@ class _Carry(NamedTuple):
                              # c^{j-1}/(2j-2)! to c^j/(2j)! over zeta_c
     start: np.ndarray        # (s = +1 or -1, Ai or M, 1, y or h y')
                              # factors on the values of _airy
+    approach: np.ndarray     # (Ai leftward or M rightward, J, 4): one
+                             # inward step of _approach_step
 
 
 @dataclass(frozen=True)
@@ -259,7 +341,9 @@ class ResolventEvaluator:
                 [w(sqrt(u) (s - k0)) + (-1)^m w(sqrt(u) (s + k0))].
 
         This is exact for Im z > 0 and entire in s, so the same
-        expression is the continuation across (0, inf).
+        expression is the continuation across (0, inf).  w is
+        :func:`_faddeeva`; an argument past _W_REACH, about 168, raises
+        QuadratureError.
         """
         z_in, zf = _points(z)
         self._check_off_cut(zf)
@@ -271,8 +355,14 @@ class ResolventEvaluator:
             # P(k) = (k^m - s^m [m even] - s^{m-1} k [m odd])/(k^2 - z)
             poly = [zf ** ((m - 2 - j) // 2) if (m - j) % 2 == 0 else 0.0
                     for j in range(m - 1)]
-            wp = special.wofz(np.sqrt(u) * (s - k0))
-            wm = special.wofz(np.sqrt(u) * (s + k0))
+            args = np.sqrt(u) * np.concatenate((s - k0, s + k0))
+            reach = float(np.abs(args).max())
+            if not reach <= _W_REACH:
+                raise QuadratureError(
+                    f"Faddeeva argument of modulus {reach:.4g} past the "
+                    f"reach {_W_REACH:.4g} of the free closed form", math.inf)
+            w = _faddeeva(args)
+            wp, wm = w[:zf.size], w[zf.size:]
             fractions = (0.5j * np.pi * np.exp(p * p / (4.0 * u))
                          * s ** (m - 1) * (wp + (-1) ** m * wm))
             out = out + c * (gaussian_poly_integral(poly, u, p) + fractions)
@@ -810,56 +900,48 @@ def _taylor_table(step: float, span: int, nn: int, K: int) -> np.ndarray:
 
 
 def _airy(zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ai and Ai' at the 1-d complex array zeta.
-
-    Where every |zeta| is at least _AIRY_R, from the asymptotic series
-    (DLMF 9.7.5-9.7.6)
+    """Ai and Ai' at the 1-d complex array zeta, every |zeta| at least
+    _AIRY_R, from the asymptotic series (DLMF 9.7.5-9.7.6)
 
         Ai = e^{-xi} S_u / (2 sqrt(pi) zeta^{1/4}),
         Ai' = -zeta^{1/4} e^{-xi} S_v / (2 sqrt(pi)),
 
     xi = (2/3) zeta^{3/2}, S_u and S_v the sums of (-1)^k u_k / xi^k and
-    (-1)^k v_k / xi^k, their even and odd powers each by Horner in
-    1/xi^2.  The term count is the first even one at which the remainder
-    bound of :func:`_asymptotic_series` on the smallest |xi| of the call
-    reaches double-precision rounding.  Past |ph zeta| = 2 pi/3, where
-    the bound does not hold, the connection formula
+    (-1)^k v_k / xi^k, their even and odd powers each as one matrix
+    product with the :func:`_power_rows` of 1/xi^2.  The term count is
+    the first even one at which the remainder bound of
+    :func:`_asymptotic_series` on the smallest |xi| of the call reaches
+    double-precision rounding.  Past |ph zeta| = 2 pi/3, where the bound
+    does not hold, the connection formula
     Ai(zeta) = -omega Ai(omega zeta) - omega^2 Ai(omega^2 zeta),
-    omega = e^{2 pi i/3}, takes two arguments within that sector.  A call
-    with any |zeta| below _AIRY_R takes ``special.airy``.  The values may
-    overflow; numpy warns of nothing, and the caller's checks see the
-    non-finite value.
+    omega = e^{2 pi i/3}, takes two arguments within that sector, unless
+    no argument lies there.  The values may overflow; numpy warns of
+    nothing, and the caller's checks see the non-finite value.
     """
-    least = float(np.abs(zeta).min())
-    if not least >= _AIRY_R:
-        return special.airy(zeta)[:2]
     # max: (2/3) R^{3/2} may round below _AIRY_XI
-    pairs = int(np.argmax(
-        _SERIES_REACH <= max((2.0 / 3.0) * least ** 1.5, _AIRY_XI)))
+    pairs = int(np.argmax(_SERIES_REACH <= max(
+        (2.0 / 3.0) * float(np.abs(zeta).min()) ** 1.5, _AIRY_XI)))
     # past |ph zeta| = 2 pi/3, Ai(omega zeta) and Ai(omega^2 zeta): the
     # first in place of Ai(zeta), the second after all the points
     far = zeta.real < -np.abs(zeta.imag) / math.sqrt(3.0)
-    w = np.concatenate((np.where(far, _OMEGA * zeta, zeta),
-                        _OMEGA ** 2 * zeta[far]))
+    connect = far.any()
+    w = (np.concatenate((np.where(far, _OMEGA * zeta, zeta),
+                         _OMEGA ** 2 * zeta[far])) if connect else zeta)
     with np.errstate(over="ignore", invalid="ignore"):
         root = np.sqrt(w)
         quarter = np.sqrt(root)                        # w^{1/4}
         xi = (2.0 / 3.0) * w * root
         t = 1.0 / xi
-        t2 = t * t
-        y = np.empty((4, w.size), dtype=complex)
-        y[:] = _SERIES[pairs - 1]
-        for c in _SERIES[:pairs - 1][::-1]:
-            y *= t2
-            y += c
+        y = _SERIES[:pairs].T @ _power_rows(t * t, pairs)
         s = y[::2] + t * y[1::2]                       # S_u, S_v
-        s[0] /= quarter
-        s[1] *= -quarter
-        s *= np.exp(-xi) / (2.0 * math.sqrt(math.pi))  # Ai, Ai' at w
-        out = s[:, :zeta.size]
-        out[:, far] *= _CONNECT[:, :1]
-        out[:, far] += _CONNECT[:, 1:] * s[:, zeta.size:]
-    return out[0], out[1]
+        s *= np.exp(-xi) / (2.0 * math.sqrt(math.pi))
+        ai, aip = s[0] / quarter, s[1] * -quarter      # at w
+        if connect:
+            n = zeta.size
+            ai[:n][far] = _CONNECT[0] @ (ai[:n][far], ai[n:])
+            aip[:n][far] = _CONNECT[1] @ (aip[:n][far], aip[n:])
+            ai, aip = ai[:n], aip[:n]
+    return ai, aip
 
 
 def _airy_coefficients(zeta_c: np.ndarray, step: float, span: int,
@@ -874,53 +956,72 @@ def _airy_coefficients(zeta_c: np.ndarray, step: float, span: int,
     Ai(zeta e^{-2 pi i s/3}) at the leftmost node, s the sign of
     Im zeta (+1 on the axis), the same at every centre.  The latter
     gives M = Bi - i s Ai = 2 e^{-i pi s/6} Ai(zeta e^{-2 pi i s/3}),
-    the solution that is recessive as Re zeta -> -inf.  Where all of
-    the call's arguments have |zeta| >= _AIRY_R, about 8.9, Ai and Ai'
-    come from their asymptotic series, with the term count at which
-    the DLMF 9.7(iv) remainder bound on the smallest |xi| of the call
-    reaches double-precision rounding, and from the connection formula
-    Ai(zeta) = -omega Ai(omega zeta) - omega^2 Ai(omega^2 zeta) for the
-    rightmost-node arguments near the negative axis; otherwise from
-    ``special.airy``.  Each is carried to every centre in the direction
-    in which it grows, Ai leftward and M rightward, one gap at a time
-    (:func:`_airy_carry`), so the part along the other solution of any
-    error, which the two starting values have too, dies out at every
-    node.  The Wronskian pi (Ai M' - Ai' M) = 1 certifies each carried
-    pair at every centre, whichever source gave the starting values:
-    past QUADRATURE["tol"] the route raises QuadratureError.
-    Bi = M + i s Ai, so Ci = M + i (1 + s) Ai.
+    the solution that is recessive as Re zeta -> -inf.  Where an outer
+    node lies nearer 0 than _AIRY_R, about 8.9, its argument moves a
+    real distance D outward, Ai's right and M's left, in the whole steps
+    of :func:`_approach_counts` that take it to |zeta| >= _AIRY_R;
+    D = 0 for the others.  Ai and Ai' there come from their asymptotic
+    series (:func:`_airy`).  Each is carried inward in the direction in
+    which it grows, Ai leftward and M rightward: D in steps of
+    :func:`_approach_step` to the outer node, then to every centre one
+    gap at a time (:func:`_airy_carry`), so the part along
+    the other solution of any error, which the two starting values have
+    too, dies out at every node.  The Wronskian pi (Ai M' - Ai' M) = 1
+    certifies each carried pair at every centre: past QUADRATURE["tol"]
+    the route raises QuadratureError.  Bi = M + i s Ai, so
+    Ci = M + i (1 + s) Ai.
     The coefficients are y c^j/(2j)! and then h y' c^j/(2j)! for
     c = zeta_c h^2, from a cumulative product, so that their product
     with the table of :func:`_taylor_table` for K is y at the group's
     nodes.  K comes from :func:`_taylor_terms` on the ceiling of the
     largest |zeta_c| and on h; the carry's count on the same ceiling
-    and on the group width 2 span step, which bounds every step.
+    and on the group width 2 span step, which bounds every gap, and, if
+    it is larger, on the ceiling of the largest |zeta| that an inward
+    step starts from and on that step.
     """
     G, n = zeta_c.shape
     h = _node_reach(step, span, nn)
     zeta_max = math.ceil(np.abs(zeta_c).max())
     K = _taylor_terms(zeta_max, h)
-    carry = _airy_carry(step, span, n_pan, nn,
-                        _taylor_terms(zeta_max, 2.0 * span * step))
+    Kc = _taylor_terms(zeta_max, 2.0 * span * step)
+    # the outer nodes, Ai's then M's, the inward steps each takes, and
+    # where the k steps of the batch start: a node's own steps are the
+    # last of them, the ones before leave it in place
+    outer = zeta_c[[-1, 0]] + h * _OUTWARD[:, None]
+    delta = _approach_step(step, span)
+    counts = _approach_counts(outer, delta)
+    k = int(counts.max())
+    ends = outer
+    if k:
+        ends = outer + _OUTWARD[:, None] * delta * counts
+        out = np.arange(k, 0, -1)[:, None]
+        inward = outer[:, None] + _OUTWARD[:, None, None] * delta * out
+        moving = out <= counts[:, None]
+        Kc = max(Kc, _taylor_terms(
+            math.ceil(np.abs(inward[moving]).max()), delta))
+    carry = _airy_carry(step, span, n_pan, nn, Kc)
     # the count grows with the step, and h < 2 span step, so J <= Jc
     J = (K + 1) // 2
-    powers = np.empty(zeta_c.shape + (carry.steps.shape[2],), dtype=complex)
-    powers[..., 0] = 1.0
-    np.multiply(zeta_c[..., None], carry.ratios, out=powers[..., 1:])
-    np.cumprod(powers, axis=-1, out=powers)
+    powers = _powers(zeta_c, carry.ratios)
     below = (zeta_c[0].imag < 0.0)[:, None]          # s = -1
     rot, sign = np.where(below, _SIGNED[1], _SIGNED[0]).T
-    ai, aip = _airy(np.concatenate((zeta_c[-1] + h, rot * (zeta_c[0] - h))))
-    # state[k]: (Ai, M) x (y, h y') after k steps, Ai at centre G - k
-    # and M at centre k - 1; at the outer nodes for k = 0
-    state = np.empty((G + 1, 2, n, 2, 1), dtype=complex)
+    ai, aip = _airy(np.concatenate((ends[0], rot * ends[1])))
+    # state[i]: (Ai, M) x (y, h y') after i steps: at the starting
+    # arguments for i = 0, at the outer nodes for i = k, then Ai at
+    # centre G + k - i and M at centre i - k - 1
+    state = np.empty((G + k + 1, 2, n, 2, 1), dtype=complex)
     state[0, ..., 0, 0] = ai.reshape(2, n)
     state[0, ..., 1, 0] = aip.reshape(2, n)
     state[0, ..., 0] *= np.where(below, carry.start[1], carry.start[0])
     steps = (powers[carry.source] @ carry.steps).reshape(2, G, n, 2, 2)
-    for i in range(G):
+    if k:
+        approach = _powers(inward, carry.ratios) @ carry.approach[:, None]
+        approach[~moving] = (1.0, 0.0, 0.0, 1.0)
+        steps = np.concatenate((approach.reshape(2, k, n, 2, 2), steps),
+                               axis=1)
+    for i in range(G + k):
         np.matmul(steps[:, i], state[i], out=state[i + 1])
-    a, m = state[:0:-1, 0, ..., 0], state[1:, 1, ..., 0]
+    a, m = state[:k:-1, 0, ..., 0], state[k + 1:, 1, ..., 0]
     cross = a * m[..., ::-1]
     wronskian = np.abs(cross[..., 0] - cross[..., 1] - h / np.pi).max()
     if not wronskian * np.pi / h <= QUADRATURE["tol"]:
@@ -932,6 +1033,37 @@ def _airy_coefficients(zeta_c: np.ndarray, step: float, span: int,
     np.multiply((m + sign[:, None] * a)[..., None], powers[..., None, :J],
                 out=coef[1])
     return coef.reshape(2, G, n, 2 * J), K
+
+
+def _powers(zeta: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    """c^j/(2j)! for c = zeta h^2 at every entry of zeta, along a new last
+    axis, from the cumulative product of zeta times ``ratios``, the
+    h^2 / (2j (2j - 1)) of a :class:`_Carry`."""
+    powers = np.empty(zeta.shape + (ratios.size + 1,), dtype=complex)
+    powers[..., 0] = 1.0
+    np.multiply(zeta[..., None], ratios, out=powers[..., 1:])
+    np.cumprod(powers, axis=-1, out=powers)
+    return powers
+
+
+def _approach_step(step: float, span: int) -> float:
+    """The length of the inward steps of :func:`_airy_coefficients` for
+    groups of ``span`` panels of half-width ``step`` in zeta: the group
+    width, at most _APPROACH."""
+    return min(2.0 * span * step, _APPROACH)
+
+
+def _approach_counts(outer: np.ndarray, delta: float) -> np.ndarray:
+    """Per outer node, row 0 moving rightward and row 1 leftward, the
+    fewest whole steps of delta that take it to |zeta| >= _AIRY_R: 0 for
+    a node there already, and for one nearer 0 the steps that take its
+    real part past sqrt(_AIRY_R^2 - Im^2) outward."""
+    inside = np.abs(outer) < _AIRY_R
+    if not inside.any():
+        return np.zeros(outer.shape, dtype=int)
+    gap = (np.sqrt(_AIRY_R ** 2 - np.where(inside, outer.imag, 0.0) ** 2)
+           - _OUTWARD[:, None] * outer.real)
+    return np.where(inside, np.ceil(gap / delta), 0.0).astype(int)
 
 
 @lru_cache(maxsize=64)
@@ -956,7 +1088,9 @@ def _airy_carry(step: float, span: int, n_pan: int, nn: int,
     node back to centre 0, then from centre k - 1 to k.  Each step holds
     the matrix entries, row by row, as coefficients of c^j/(2j)! for
     c = zeta_c h^2 at the centre it starts from (or, the first one,
-    returns to): the variable of the node coefficients.
+    returns to): the variable of the node coefficients.  So do the two
+    inward steps of :func:`_approach_step` toward the outer nodes, Ai's
+    leftward and M's rightward, about the point each starts from.
     """
     gaps = 2.0 * step * np.diff(_group_starts(n_pan, span))
     h = _node_reach(step, span, nn)
@@ -973,6 +1107,7 @@ def _airy_carry(step: float, span: int, n_pan: int, nn: int,
         return forward(d, s)[:, [3, 1, 2, 0]] * [1.0, -1.0, -1.0, 1.0]
 
     G = gaps.size + 1
+    delta = _approach_step(step, span)
     rot = _SIGNED[:, 0]
     kappa = 2.0 * rot ** 0.25               # 2 e^{-i pi s/6}
     carry = _Carry(
@@ -983,7 +1118,8 @@ def _airy_carry(step: float, span: int, n_pan: int, nn: int,
         h * h / (np.arange(2, 2 * J, 2) * np.arange(1, 2 * J - 1, 2)),
         np.stack((np.broadcast_to([1.0, h], (2, 2)),
                   np.stack((kappa, h * kappa * rot), axis=-1)),
-                 axis=1)[:, :, None, :])
+                 axis=1)[:, :, None, :],
+        np.array([forward(delta, -1.0), forward(delta, 1.0)]))
     for a in carry:
         a.setflags(write=False)
     return carry

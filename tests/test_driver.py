@@ -382,10 +382,58 @@ def test_verify_taylor_path_error_exit_code(tmp_path, monkeypatch):
 
 
 def test_import_leaves_the_oracle_unloaded():
-    # the oracle and scipy.integrate load only for the verify mode
+    # the oracle and scipy.integrate load only for the verify mode, and
+    # no scipy module loads with the driver
     proc = _python(
         "-c", "import sys, starkres.driver; print(sorted(m for m in "
-        "('scipy.integrate', 'starkres.oracle') if m in sys.modules))")
+        "sys.modules if m in ('starkres.oracle', 'scipy') "
+        "or m.startswith('scipy.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+_LOADED = ("import json, sys; print(json.dumps(sorted(m for m in sys.modules "
+           "if m == 'scipy' or m.startswith('scipy.'))))")
+_RUNS = {
+    "dc": "main(['dc', '--f', '0', '--out', {out!r}])",
+    "sweep": "main(['sweep', '--f-grid', '0.05,0.02', '--out', {out!r}])",
+    "ac": ("main(['ac', '--f-grid', '0.1,0.05', '--n-fourier', '4', "
+           "'--n-hermite', '40', '--out', {out!r}])"),
+}
+
+
+@pytest.mark.parametrize("mode", ("dc", "sweep", "ac"))
+def test_runs_leave_scipy_unloaded_but_for_the_ac_solve(tmp_path, mode):
+    # a dc or sweep run, each in a fresh interpreter, loads no scipy
+    # module; an ac run loads scipy.linalg for its Schur solve, and no
+    # scipy.special
+    run = _RUNS[mode].format(out=str(tmp_path / mode))
+    proc = _python("-c", "from starkres.driver import main; "
+                   f"assert {run} == 0; " + _LOADED)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    if mode == "ac":
+        assert "scipy.linalg" in loaded
+        assert not any(m.startswith("scipy.special") for m in loaded)
+    else:
+        assert loaded == []
+
+
+def test_evaluator_leaves_scipy_unloaded():
+    # F_value and F_pair at f = 0 and at f = 0.05, on a batch whose
+    # rightmost node at 1 - 0.01i lies nearer 0 than _AIRY_R, so that the
+    # Airy pair starts further out and is carried in
+    proc = _python("-c", "\n".join((
+        "import numpy as np",
+        "from starkres import FormFactor, ResolventEvaluator, resolvent",
+        "z = np.array([1.0 - 0.01j, 0.95 - 0.02j])",
+        "for f in (0.0, 0.05):",
+        "    ev = ResolventEvaluator(FormFactor.gaussian(0.1, 1.0), f)",
+        "    ev.F_value(z)",
+        "    ev.F_pair(z)",
+        "zeta = ev._airy_grid.L * f ** (1 / 3) - z * f ** (-2 / 3)",
+        "assert np.abs(zeta).min() < resolvent._AIRY_R",
+        _LOADED)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

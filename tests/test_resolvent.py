@@ -70,6 +70,80 @@ def test_free_element_far_from_the_window_matches_oracle(phi, z):
     assert abs(got - ref) <= 1e-9 * abs(ref)
 
 
+def _faddeeva_ring(radius):
+    # 3601 arguments on |zeta| = radius, phases -pi to pi in steps of
+    # pi/1800, half of them below the axis
+    return radius * np.exp(1j * np.pi * np.arange(-1800, 1801) / 1800)
+
+
+@pytest.mark.parametrize("radius", (0.01, 0.5, 1.0, 3.0, 8.0, 20.0, 100.0,
+                                    resolvent._W_REACH,
+                                    2.0 * resolvent._W_REACH, 1e3))
+def test_faddeeva_matches_wofz(radius):
+    # Weideman's N = 40 approximation, reflected below the axis, against
+    # scipy's wofz on rings out to past the reach the evaluator accepts,
+    # within 16 eps (1 + |zeta|^2) of |w| above the axis and of
+    # |2 e^{-zeta^2}| + |w(-zeta)| below it; where e^{-zeta^2} overflows
+    # both are non-finite.  Worst measured: 0.38 of the bound at
+    # radius 0.01, under 0.01 past the reach
+    z = _faddeeva_ring(radius)
+    ref = special.wofz(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = resolvent._faddeeva(z)
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(w), finite)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.where(z.imag >= 0.0, np.abs(ref),
+                         np.abs(2.0 * np.exp(-z * z))
+                         + np.abs(special.wofz(-z)))
+    bound = 16.0 * np.finfo(float).eps * (1.0 + radius ** 2) * scale
+    assert np.all((np.abs(w - ref) <= bound)[finite])
+
+
+@pytest.mark.parametrize("z", (1e5j, 3e4 + 1.0j, -3e4 - 1.0j))
+def test_free_element_refuses_arguments_past_the_reach(ev0, z):
+    # |s| = sqrt|z| of about 316 or 173 puts the Faddeeva arguments past
+    # the reach, above and below the axis
+    with pytest.raises(QuadratureError, match="reach"):
+        ev0.free_continued(z)
+    with pytest.raises(QuadratureError, match="reach"):
+        ev0.F_value(np.array([1.0 - 0.01j, z]))
+
+
+def test_free_element_overflow_raises_without_warnings(ev0):
+    # just below the cut at -1000, e^{-zeta^2} of the reflected Faddeeva
+    # values passes double precision: a loud error, no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="overflowed"):
+            ev0.free_continued(-1000.0 - 1.0j)
+
+
+def test_series_reach_matches_the_gammaln_table():
+    # the remainder-bound table from math.lgamma against the same table
+    # from scipy's gammaln: equal to 4 ulp entry by entry, the same
+    # smallest reach (so the same _AIRY_R), and the same term count for
+    # every |xi| on a fine grid
+    n = np.arange(64)
+    k = n[1:]
+    u = np.cumprod(np.concatenate(([1.0], (6 * k - 5) * (6 * k - 3)
+                                   * (6 * k - 1) / ((2 * k - 1) * 216.0 * k))))
+    v = -(6 * n + 1) / (6 * n - 1) * u
+    chi = SQRT_PI * np.exp(special.gammaln(n / 2 + 1)
+                           - special.gammaln(n / 2 + 0.5))
+    ref = np.full(32, math.inf)
+    ref[1:] = ((chi[2::2] + 1.0) * np.abs(v[2::2])
+               / np.finfo(float).eps) ** (1.0 / n[2::2])
+    reach = resolvent._SERIES_REACH
+    assert np.all(np.abs(reach[1:] - ref[1:]) <= 4 * np.spacing(ref[1:]))
+    assert reach[0] == ref[0] == math.inf
+    assert reach.min() == ref.min() == resolvent._AIRY_XI
+    xi = np.linspace(resolvent._AIRY_XI, 400.0, 20001)
+    assert np.array_equal(np.argmax(reach[:, None] <= xi, axis=0),
+                          np.argmax(ref[:, None] <= xi, axis=0))
+
+
 @pytest.mark.parametrize("f", (math.nan, math.inf))
 def test_evaluator_rejects_nonfinite_field(coupling, f):
     with pytest.raises(ValueError, match="field strength"):
@@ -534,15 +608,17 @@ _CARRY_POINTS = [(f, "window") for f in (0.05, 0.02, 0.01, 0.005)] + [
 @pytest.mark.parametrize("f, z", _CARRY_POINTS)
 def test_airy_carry_matches_special_airy_at_every_centre(coupling, f, z):
     # Ai, Ci and their derivatives carried across the group centres from
-    # two special.airy arguments per point, against one argument per
+    # two Airy arguments per point, against one special.airy argument per
     # centre: the README window as one batch; points far below the axis,
     # where Bi - i Ai cancels to 0 from |Bi| of 3.4e12; 8 - 0.1i, one
     # panel per centre; the grouped points near 0; on and just above the
     # axis; and above it near the growth where the time ray takes over,
     # where the partner of s = +1 would lose 1.1e-11 (1.5e-14 with
-    # s = -1).  Worst measured: 7.7e-13 at 8 - 0.1i, where |zeta| reaches
-    # 172 and the asymptotic series takes both ends (5.3e-13 with
-    # special.airy there), within 1.4e-13 elsewhere
+    # s = -1).  The window at f = 0.05, the points from 0.5 to
+    # 0.02 - 0.001i and 0.86 + 0.2i start 2 to 14 steps outward at one end
+    # or both and are carried in.  Worst measured: 7.7e-13 at 8 - 0.1i,
+    # where |zeta| reaches 172 (5.3e-13 with special.airy at both ends),
+    # within 1.4e-13 elsewhere
     ev = ResolventEvaluator(coupling, f)
     if z == "window":
         rng = np.random.RandomState(5)
@@ -564,41 +640,48 @@ def test_airy_carry_matches_special_airy_at_every_centre(coupling, f, z):
         assert np.max(np.abs(coef[..., j] - ref[..., j]) / scale) <= 1e-12
 
 
-# one point whose Airy arguments all take the asymptotic series, and one
-# where zeta at the rightmost node is about -3.3 and special.airy takes
-# them all
-_SOURCES = pytest.mark.parametrize("f, series", ((0.01, True), (0.05, False)),
-                                   ids=("series", "special-airy"))
+# one point whose Airy arguments lie at the outer nodes (D = 0), and one
+# where zeta at the rightmost node is about -3.3, so that its Ai argument
+# starts a whole number of steps outward (D > 0) and is carried in
+_SOURCES = pytest.mark.parametrize("f, carried", ((0.01, False),
+                                                  (0.05, True)),
+                                   ids=("series", "carried-in"))
 
 
-def _watch_airy(monkeypatch, series, wrap=lambda ai, aip: (ai, aip)):
+def _watch_airy(monkeypatch, carried, wrap=lambda ai, aip: (ai, aip)):
     # record the size of every resolvent._airy call, after checking that
-    # the expected source takes it (either, for None), and pass its values
-    # through ``wrap``
+    # every argument lies at least _AIRY_R from 0 and that the start moved
+    # outward (D > 0) or not as expected (either, for None), and pass its
+    # values through ``wrap``
     sizes = []
-    airy = resolvent._airy
+    airy, count = resolvent._airy, resolvent._approach_counts
 
     def watched(x):
-        if series is not None:
-            assert (np.abs(x).min() >= resolvent._AIRY_R) == series
+        assert np.abs(x).min() >= resolvent._AIRY_R * (1.0 - 1e-15)
         sizes.append(x.size)
         return wrap(*airy(x))
 
+    def counted(outer, delta):
+        k = count(outer, delta)
+        assert carried is None or k.any() == carried
+        return k
+
     monkeypatch.setattr(resolvent, "_airy", watched)
+    monkeypatch.setattr(resolvent, "_approach_counts", counted)
     return sizes
 
 
 @_SOURCES
 def test_airy_carry_refuses_a_partner_that_breaks_the_wronskian(
-        coupling, monkeypatch, f, series):
+        coupling, monkeypatch, f, carried):
     # a rotated-argument value off by 1e-6 relative leaves the Wronskian
     # pi (Ai M' - Ai' M) off by as much at every centre: the route raises,
-    # whichever source gave the values
+    # whether or not the values were carried in from further out
     def perturbed(ai, aip):
         ai[ai.size // 2:] *= 1.0 + 1e-6
         return ai, aip
 
-    sizes = _watch_airy(monkeypatch, series, perturbed)
+    sizes = _watch_airy(monkeypatch, carried, perturbed)
     ev = ResolventEvaluator(coupling, f)
     for fn in (ev.F_value, ev.F_derivative):
         with pytest.raises(QuadratureError, match="Wronskian"):
@@ -742,13 +825,11 @@ def _airy_bound(z, ref):
 
 @pytest.mark.parametrize("radius", (resolvent._AIRY_R, 12.0, 30.0, 100.0),
                          ids=("R", "12", "30", "100"))
-def test_airy_series_matches_special_airy(radius, monkeypatch):
+def test_airy_series_matches_special_airy(radius):
     # the asymptotic series, with the connection formula past
     # |ph zeta| = 2 pi/3, against special.airy on rings from _AIRY_R out
     z = _airy_ring(radius)
-    monkeypatch.setattr(resolvent.special, "airy", None)   # not called
     ai, aip = resolvent._airy(z)
-    monkeypatch.undo()
     ref_ai, ref_aip, ref_bi, ref_bip = special.airy(z)
     assert np.all(np.abs(ai - ref_ai)
                   <= _airy_bound(z, np.abs(ref_ai) + np.abs(ref_bi)))
@@ -774,26 +855,53 @@ def test_airy_series_matches_mpmath():
             assert abs(value - r) <= _airy_bound(zj, abs(r) + abs(b))
 
 
-def test_airy_takes_special_airy_for_a_call_with_one_small_argument(
-        monkeypatch):
-    # one argument inside _AIRY_R sends the whole call to special.airy,
-    # the far arguments with it
-    z = np.array([0.99 * resolvent._AIRY_R, 20.0 - 3.0j, -30.0 + 1.0j])
-    calls = []
-    airy = special.airy
+@pytest.mark.parametrize("zs, steps", (
+    ((0.5,), [[14], [0]]), ((0.5, 1.0), [[21, 0], [0, 0]]),
+    ((0.2 - 0.01j, 0.02 - 0.001j), [[8, 5], [2, 5]])),
+    ids=("one-point", "one-of-two", "two-near-0"))
+def test_airy_starts_outside_R_when_an_outer_node_lies_inside(
+        coupling, monkeypatch, zs, steps):
+    # at f = 0.01 the rightmost node of z = 0.5 lies at zeta -8.5, inside
+    # |zeta| < _AIRY_R: its Ai argument starts 14 steps of 1.26, three
+    # panels wide, right, past the disc, or 21 steps of 0.84 with 1.0 in
+    # the batch, which groups two panels and whose nodes stay in place.
+    # Near 0 both ends of a point lie inside, and M's argument moves left
+    # as well.  Every argument of the one _airy call lies at least _AIRY_R
+    # from 0, and the coefficients carried in match one special.airy
+    # argument per centre
+    sizes = _watch_airy(monkeypatch, True)
+    ev = ResolventEvaluator(coupling, 0.01)
+    zf = np.array(zs, dtype=complex)
+    airy, _, span = ev._route(zf)
+    assert airy.all()
+    g = ev._airy_grid
+    zeta_c = g.groups(span)[0][:, None] - zf * 0.01 ** (-2.0 / 3.0)
+    h = _node_reach(g.step, span, g.nn)
+    outer = np.stack((zeta_c[-1] + h, zeta_c[0] - h))
+    assert resolvent._approach_counts(
+        outer, resolvent._approach_step(g.step, span)).tolist() == steps
+    coef, K = _airy_coefficients(zeta_c, g.step, span, g.n_pan, g.nn)
+    assert sizes == [2 * zf.size]
+    ref = _per_centre(zeta_c, g.step, span, g.n_pan, g.nn)[0]
+    J = coef.shape[-1] // 2
+    for j in (0, J):
+        ai, ci = ref[..., j]
+        scale = np.abs(ai) + np.abs(ci - 1j * ai)
+        assert np.max(np.abs(coef[..., j] - ref[..., j]) / scale) <= 1e-12
 
-    def recording(x):
-        calls.append(x.copy())
-        return airy(x)
 
-    monkeypatch.setattr(resolvent.special, "airy", recording)
-    ai, aip = resolvent._airy(z)
-    assert len(calls) == 1 and np.array_equal(calls[0], z)
-    ref = airy(z)
-    assert np.array_equal(ai, ref[0]) and np.array_equal(aip, ref[1])
-    calls.clear()
-    resolvent._airy(z[1:])
-    assert calls == []
+def test_approach_counts_take_each_node_past_the_disc():
+    R = resolvent._AIRY_R
+    # the first node at 0 moves R right, rounded up to whole steps; the
+    # second and both left nodes lie outside and stay
+    outer = np.array([[0.0 + 0j, -10.0 + 0j], [-20.0 + 0j, 30.0 + 0j]])
+    assert resolvent._approach_counts(outer, 1.0).tolist() == [
+        [math.ceil(R), 0], [0, 0]]
+    # a left node moves left past sqrt(R^2 - Im^2), here in half steps
+    k = resolvent._approach_counts(np.array([[20.0 + 0j], [3.0 - 1j]]), 0.5)
+    assert k.tolist() == [[0], [math.ceil(2.0 * (math.sqrt(R * R - 1.0)
+                                                 + 3.0))]]
+    assert abs(3.0 - 1j - 0.5 * k[1, 0]) >= R
 
 
 def test_taylor_terms_refuse_a_sum_that_loses_the_tolerance():
@@ -807,8 +915,8 @@ def test_taylor_terms_refuse_a_sum_that_loses_the_tolerance():
 
 @_SOURCES
 def test_airy_route_evaluates_airy_twice_per_point(coupling, monkeypatch, f,
-                                                   series):
-    sizes = _watch_airy(monkeypatch, series)
+                                                   carried):
+    sizes = _watch_airy(monkeypatch, carried)
     ev = ResolventEvaluator(coupling, f)
     # more points than one batch, all on the Airy route: Ai at one end and
     # its recessive partner at the other, per point
