@@ -346,7 +346,16 @@ def _run_sweep(config: RunConfig, out: Path) -> tuple[str, ...]:
     return result.errors
 
 
+class _MissingDependency(Exception):
+    """A run mode needs a package that is not installed: exit 2."""
+
+
 def _run_ac(config: RunConfig, out: Path) -> tuple[str, ...]:
+    try:
+        import scipy.linalg  # noqa: F401  the Schur complements' LU
+    except ImportError as exc:
+        raise _MissingDependency("ac mode needs scipy.linalg for its Schur "
+                                 f"solves ({exc})") from None
     problem = FloquetProblem(config.coupling(), 0.0, config.omega,
                              1j * config.im_theta, config.n_fourier,
                              config.n_hermite, config.length_scale)
@@ -446,6 +455,9 @@ def run(config: RunConfig) -> int:
         return _numeric_failure(
             out, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
             str(exc))
+    except _MissingDependency as exc:
+        print(f"missing dependency: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -8,17 +8,22 @@ continuum strings and uncovers the resonance eigenvalues near the target.
 The coupling borders are exact: each drive-period sample of the boosted,
 dilated coupling is a finite Hermite-Gaussian sum, and its Hermite
 overlaps follow from a three-term recurrence in closed form, so no
-position grid is involved.
+position grid is involved.  The boost and the dilation are closed-form
+maps on each term's (c, d, w, b), applied to arrays over the drive
+samples, so both borders (the coupling and its analytic conjugate) at
+every sample take one overlap pass and one FFT.
 
 Eigenvalues are found without forming the truncated operator K: its
 field sector is a Kronecker sum of two real symmetric matrices, bordered
 by the discrete sector's 2N+1 rows and columns.  The solver works on
 U^T K U, U the real orthogonal change to the product of their
 eigenbases, so a shifted solve is a diagonal scaling and one
-(2N+1)-square Schur complement.  The dense ``FloquetProblem.matrix`` is
-K in the original basis, the oracle the tests compare against.  The
-Schur complement is factored by scipy.linalg, imported on the first
-factorization, so importing the module loads no scipy.
+(2N+1)-square Schur complement.  U is real, so the borders reach the
+eigenbasis by real matrix products on the float view of their complex
+entries.  The dense ``FloquetProblem.matrix`` is K in the original basis,
+the oracle the tests compare against.  The Schur complement is factored
+by scipy.linalg, imported on the first factorization, so importing the
+module loads no scipy.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from ._gauss import gaussian_poly_integral
-from .formfactor import FormFactor, dilate, translate_modulate
+from .formfactor import FormFactor
 
 __all__ = [
     "FloquetProblem",
@@ -60,30 +65,27 @@ def momentum_squared_matrix(n_max: int, length_scale: float = 1.0
     return M / length_scale**2
 
 
-def _hermite_overlaps(phis, n_max: int, length_scale: float) -> np.ndarray:
-    """Exact overlaps int h_j(x) phi(x) dx, j = 0..n_max, of each coupling
-    in phis with the Hermite functions of scale ell, shape
-    (len(phis), n_max+1).
+def _hermite_overlaps(c, d, w, b, owner, n_owners: int, n_max: int,
+                      length_scale: float) -> np.ndarray:
+    """Exact overlaps int h_j(x) phi_o(x) dx, j = 0..n_max, with the
+    Hermite functions of scale ell, of the couplings phi_o, o = 0 ..
+    n_owners-1, given as term arrays: phi_o is the sum of the terms
+    c x^d exp(-w x^2/2 + b x) with owner o.  Shape (n_owners, n_max+1).
 
-    A term c x^d exp(-w x^2/2 + b x) becomes c ell^(d+1/2) y^d
-    exp(-w ell^2 y^2/2 + b ell y) at unit scale.  There its Gaussian
-    overlaps start from o_0 = pi^{-1/4} int exp(-(1+w) y^2/2 + b y) dy
-    (``gaussian_poly_integral``) and o_1 = sqrt(2) b o_0/(1+w), and obey
+    A term becomes c ell^(d+1/2) y^d exp(-w ell^2 y^2/2 + b ell y) at unit
+    scale.  There its Gaussian overlaps start from o_0 = pi^{-1/4}
+    int exp(-(1+w) y^2/2 + b y) dy (``gaussian_poly_integral``) and
+    o_1 = sqrt(2) b o_0/(1+w), and obey
 
         (1+w) sqrt((j+1)/2) o_{j+1} = b o_j + (1-w) sqrt(j/2) o_{j-1};
 
     the factor y^d is d applications of the tridiagonal position matrix
     (off-diagonal sqrt(k/2)) on levels 0..J+d, truncated to 0..J.  One
     pass covers every term of every coupling."""
-    owner = [i for i, phi in enumerate(phis) for _ in phi.terms]
-    out = np.zeros((len(phis), n_max + 1), dtype=complex)
-    if not owner:
-        return out
-    c, d, w, b = (np.array(v) for v in zip(
-        *(t for phi in phis for t in phi.terms)))
-    w = w * length_scale**2
-    b = b * length_scale
-    c = c * length_scale ** (d + 0.5)
+    d = np.asarray(d)
+    w = np.asarray(w) * length_scale**2
+    b = np.asarray(b) * length_scale
+    c = np.asarray(c) * length_scale ** (d + 0.5)
     top = n_max + int(d.max())
     o = np.empty((top + 1, c.size), dtype=complex)
     o[0] = np.pi ** -0.25 * gaussian_poly_integral([1.0], (1.0 + w) / 2.0, b)
@@ -99,8 +101,26 @@ def _hermite_overlaps(phis, n_max: int, length_scale: float) -> np.ndarray:
         xv[:-1] = off * v[1:]
         xv[1:] += off * v[:-1]
         o[:, raised] = xv
-    np.add.at(out, np.array(owner), (c * o[:n_max + 1]).T)
+    out = np.zeros((n_owners, n_max + 1), dtype=complex)
+    np.add.at(out, owner, (c * o[:n_max + 1]).T)
     return out
+
+
+def _toeplitz(g: np.ndarray, n_blocks: int) -> np.ndarray:
+    """The view T[..., n, m] = g[..., (n - m) mod M] over the blocks n, m
+    < n_blocks of the modes g[..., 0..M-1]: a border's block (n, m) holds
+    mode n - m."""
+    ext = g[..., np.arange(1 - n_blocks, n_blocks) % g.shape[-1]]
+    return np.lib.stride_tricks.sliding_window_view(
+        ext, n_blocks, axis=-1)[..., ::-1]
+
+
+def _real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x over the first axis of the complex x, for a real a: one real
+    GEMM on the float view of x, whose other axes ride along."""
+    x = np.ascontiguousarray(x)
+    y = a @ x.reshape(x.shape[0], -1).view(float)
+    return y.view(complex).reshape(a.shape[0], *x.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -141,50 +161,82 @@ class FloquetProblem:
 
     # ------------------------------------------------------------------
 
-    def _coupling_modes(self, conjugate: bool) -> np.ndarray:
+    def _coupling_modes(self) -> np.ndarray:
         """Fourier modes over the drive period of the Hermite overlaps of
-        the dilated, gauge-boosted coupling, shape (M, J+1) with row d
-        holding mode d mod M; at f = 0 only mode 0 is nonzero."""
+        the dilated, gauge-boosted coupling, shape (2, M, J+1): [0] for
+        the column border (phi), [1] for the row (its conj_position), row
+        d holding mode d mod M, M = _T_SAMPLES_PER_MODE N.
+
+        At drive time t the column coupling is dilate(translate_modulate(
+        phi, a, q, a q), theta) and the row the same with -q and -a q for
+        phi's conj_position, a = 2 f sin(omega t)/omega^2 and q = -f
+        cos(omega t)/omega.  Both maps act term by term in closed form:
+        c x^d exp(-w x^2/2 + b x) boosts to the terms j = 0..d with
+        coefficient c exp(-w a^2/2 + b a + i a q) C(d, j) a^(d-j) and
+        drift b - w a + i q, and dilation takes (c, j, w, b) to
+        (c e^{theta (j+1/2)}, j, w e^{2 theta}, b e^theta).  They are applied to term x sample
+        arrays, and one ``_hermite_overlaps`` pass and one FFT cover both
+        borders.  At f = 0 the one sample t = 0 gives mode 0, and every
+        other mode is exactly zero."""
         M = _T_SAMPLES_PER_MODE * self.n_fourier
-        base = self.phi.conj_position() if conjugate else self.phi
-        if self.f == 0.0:
-            modes = np.zeros((M, self.n_hermite + 1), dtype=complex)
-            modes[0] = _hermite_overlaps([dilate(base, self.theta)],
-                                         self.n_hermite,
-                                         self.length_scale)[0]
+        modes = np.zeros((2, M, self.n_hermite + 1), dtype=complex)
+        if not self.phi.terms:
             return modes
-        sign = -1.0 if conjugate else 1.0
-        boosted = []
-        for k in range(M):
-            t = k * self.period / M
-            a = 2.0 * self.f * math.sin(self.omega * t) / self.omega**2
-            b = -self.f * math.cos(self.omega * t) / self.omega
-            boosted.append(dilate(
-                translate_modulate(base, a, sign * b, sign * a * b),
-                self.theta))
-        overlaps = _hermite_overlaps(boosted, self.n_hermite,
-                                     self.length_scale)
-        return np.fft.fft(overlaps, axis=0) / M
+        if self.f == 0.0:
+            a = q = np.zeros(1)
+        else:
+            wt = self.omega * (np.arange(M) * self.period / M)
+            a = 2.0 * self.f * np.sin(wt) / self.omega**2
+            q = -self.f * np.cos(wt) / self.omega
+        # the column's terms, then the conjugate row's, each with the sign
+        # of its boost
+        c, d, w, b = (np.array(v) for v in zip(*self.phi.terms))
+        c, w, b = (np.concatenate([v, v.conj()]) for v in (c, w, b))
+        d = np.concatenate([d, d])
+        sign = np.repeat([1.0, -1.0], d.size // 2)[:, None]
+        scale = cmath.exp(self.theta)
+        w_dilated = w * scale * scale
+        if np.any(w_dilated.real <= 0.0):
+            bad = w[w_dilated.real <= 0.0][0]
+            raise ValueError(f"dilation by theta={self.theta} rotates width "
+                             f"{bad} out of the right half-plane")
+        # boost of every term at every sample, shape (terms, samples)
+        pref = c[:, None] * np.exp(-0.5 * w[:, None] * a * a + b[:, None] * a
+                                   + 1j * sign * a * q)
+        drift = (b[:, None] - w[:, None] * a + 1j * sign * q) * scale
+        # x^d splits into the degrees j = 0..d of each term t
+        t = np.repeat(np.arange(d.size), d + 1)
+        j = np.concatenate([np.arange(dt + 1) for dt in d])
+        binom = np.array([math.comb(dt, jt) for dt, jt in zip(d[t], j)])
+        coef = (pref[t] * (binom * np.exp(self.theta * (j + 0.5)))[:, None]
+                * a ** (d[t] - j)[:, None])
+        # overlap row: border x samples + sample
+        owner = (t >= d.size // 2)[:, None] * a.size + np.arange(a.size)
+        shape = coef.shape
+        overlaps = _hermite_overlaps(
+            coef.ravel(), np.broadcast_to(j[:, None], shape).ravel(),
+            np.broadcast_to(w_dilated[t, None], shape).ravel(),
+            drift[t].ravel(), owner.ravel(), 2 * a.size, self.n_hermite,
+            self.length_scale).reshape(2, a.size, -1)
+        if self.f == 0.0:
+            modes[:, 0] = overlaps[:, 0]
+            return modes
+        return np.fft.fft(overlaps, axis=1) / M
 
     def _factors(self):
         """The real symmetric Fourier matrix T (n w + f^2/2w^2 on its
         diagonal, f^2/4w^2 two modes off it), p^2 in the Hermite basis,
-        the discrete diagonal 1 + n w, and the coupling borders: the
-        column B as (n, j, m) and the row C as (n, m, j), entry (n, m)
-        holding Fourier mode n - m.  The row holds the dilated conjugate
-        coupling (analytic continuation, not the conjugate of the
-        column)."""
+        the discrete diagonal 1 + n w, and the coupling modes of
+        ``_coupling_modes``.  Block (n, m) of either border holds mode
+        n - m; the row holds the dilated conjugate coupling (analytic
+        continuation, not the conjugate of the column)."""
         N, J, w = self.n_fourier, self.n_hermite, self.omega
         n = np.arange(-N, N + 1)
         ridge = np.full(2 * N - 1, self.f**2 / (4.0 * w**2))
         T = (np.diag(n * w + self.f**2 / (2.0 * w**2))
              + np.diag(ridge, 2) + np.diag(ridge, -2))
         P = momentum_squared_matrix(J, self.length_scale).real
-        col_modes = self._coupling_modes(conjugate=False)
-        d = (n[:, None] - n[None, :]) % col_modes.shape[0]
-        B = np.ascontiguousarray(col_modes[d].transpose(0, 2, 1))
-        C = self._coupling_modes(conjugate=True)[d]
-        return T, P, 1.0 + n * w, B, C
+        return T, P, 1.0 + n * w, self._coupling_modes()
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -193,7 +245,7 @@ class FloquetProblem:
         Kronecker-sum field sector T (x) I + I (x) e^{-2 theta} p^2,
         bordered by coupling blocks that are Toeplitz in the Fourier
         index.  At f = 0 it is exactly block diagonal over that index."""
-        T, P, D, B, C = self._factors()
+        T, P, D, modes = self._factors()
         nb, nh = T.shape[0], P.shape[0]
         nf = nb * nh
         K = np.zeros((self.dimension,) * 2, dtype=complex)
@@ -206,8 +258,9 @@ class FloquetProblem:
         a, b = np.nonzero(T)
         field[a, :, b, :] += T[a, b][:, None, None] * np.eye(nh)
         K[nf + i, nf + i] = D
-        K[:nf, nf:].reshape(nb, nh, nb)[...] = B
-        K[nf:, :nf].reshape(nb, nb, nh)[...] = C
+        col, row = _toeplitz(modes.transpose(0, 2, 1), nb)
+        K[:nf, nf:].reshape(nb, nh, nb)[...] = col.transpose(1, 0, 2)
+        K[nf:, :nf].reshape(nb, nb, nh)[...] = row.transpose(1, 2, 0)
         return K
 
     @cached_property
@@ -234,7 +287,7 @@ class _BorderedKroneckerSum:
     itself is never formed."""
 
     def __init__(self, problem: FloquetProblem):
-        T, P, self.D, B, C = problem._factors()
+        T, P, self.D, modes = problem._factors()
         nb, nh = T.shape[0], P.shape[0]
         self.nf = nb * nh
         self.dim = self.nf + nb
@@ -242,11 +295,17 @@ class _BorderedKroneckerSum:
         mu, W = np.linalg.eigh(P)
         self.lam = (tau[:, None]
                     + np.exp(-2.0 * problem.theta) * mu[None, :]).ravel()
-        # each column (row) of the border is an (n, j) field vector,
-        # carried to the eigenbasis by two matmuls
-        Bt = Q.T @ B.transpose(2, 0, 1) @ W
-        self.Bt = np.ascontiguousarray(Bt.reshape(nb, self.nf).T)
-        self.Ct = (Q.T @ C @ W).reshape(nb, self.nf)
+        # the Hermite index of both borders' modes goes to W's eigenbasis
+        # first, as (k, border, mode); the Toeplitz blocks are then viewed
+        # and their Fourier index goes to Q's: real GEMMs throughout
+        col, row = _toeplitz(_real_matmul(W.T, modes.transpose(2, 0, 1)),
+                             nb).transpose(1, 0, 2, 3)
+        # B~[(i, k), m] from the column blocks as (n, k, m)
+        self.Bt = _real_matmul(Q.T, col.transpose(1, 0, 2)
+                               ).reshape(self.nf, nb)
+        # C~[n, (i, k)] from the row blocks as (m, n, k), m the field index
+        self.Ct = _real_matmul(Q.T, row.transpose(2, 1, 0)
+                               ).transpose(1, 0, 2).reshape(nb, self.nf)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """K~ v = (Lambda x + B~ y, C~ x + D y)."""
@@ -333,25 +392,34 @@ class _ShiftedSolve:
 
 def _arnoldi_candidates(shifted: _ShiftedSolve, target: complex, m: int
                         ) -> np.ndarray:
-    """Ritz values of the shift-inverted operator from a fixed start."""
+    """Ritz values of the shift-inverted operator from a fixed start.
+
+    The basis is kept as rows, next to their conjugates, and each new
+    vector is orthogonalised against it by two block Gram-Schmidt passes
+    (CGS2): two matrix-vector products per pass instead of one dot
+    product and update per basis vector."""
     dim = shifted.op.dim
     v0 = np.ones(dim, dtype=complex) + 1e-3 * np.arange(dim) / dim
     v0 /= np.linalg.norm(v0)
-    V = np.zeros((dim, m + 1), dtype=complex)
+    V = np.zeros((m + 1, dim), dtype=complex)
+    Vc = np.zeros_like(V)
     Hm = np.zeros((m + 1, m), dtype=complex)
-    V[:, 0] = v0
+    V[0] = v0
+    Vc[0] = v0.conj()
     k_eff = m
     for k in range(m):
-        wv = shifted.solve(V[:, k])
-        for i in range(k + 1):
-            Hm[i, k] = np.vdot(V[:, i], wv)
-            wv -= Hm[i, k] * V[:, i]
+        wv = shifted.solve(V[k])
+        for _ in range(2):
+            h = Vc[:k + 1] @ wv
+            wv -= h @ V[:k + 1]
+            Hm[:k + 1, k] += h
         nrm = np.linalg.norm(wv)
         Hm[k + 1, k] = nrm
         if nrm < 1e-13:
             k_eff = k + 1
             break
-        V[:, k + 1] = wv / nrm
+        V[k + 1] = wv / nrm
+        Vc[k + 1] = V[k + 1].conj()
     mus = np.linalg.eigvals(Hm[:k_eff, :k_eff])
     mus = mus[np.abs(mus) > 1e-13]
     return target + 1.0 / mus

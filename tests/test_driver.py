@@ -419,6 +419,31 @@ def test_runs_leave_scipy_unloaded_but_for_the_ac_solve(tmp_path, mode):
         assert loaded == []
 
 
+def test_ac_without_scipy_exits_2_naming_scipy_linalg(tmp_path):
+    # the Schur solves need scipy.linalg.  With a meta_path finder ahead
+    # of every other that refuses scipy and its submodules, as if scipy
+    # were not installed, the ac mode ends with exit 2 and one line on
+    # stderr, not a traceback
+    run = ("main(['ac', '--f-grid', '0.1', '--n-fourier', '2', "
+           f"'--n-hermite', '8', '--out', {str(tmp_path / 'ac')!r}])")
+    proc = _python("-c", "\n".join((
+        "import sys",
+        "class NoScipy:",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name == 'scipy' or name.startswith('scipy.'):",
+        "            raise ModuleNotFoundError(f'No module named {name!r}',",
+        "                                      name=name)",
+        "sys.meta_path.insert(0, NoScipy())",
+        "from starkres.driver import main",
+        f"sys.exit({run})")))
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("missing dependency: ")
+    assert "scipy.linalg" in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
 def test_evaluator_leaves_scipy_unloaded():
     # F_value and F_pair at f = 0 and at f = 0.05, on a batch whose
     # rightmost node at 1 - 0.01i lies nearer 0 than _AIRY_R, so that the

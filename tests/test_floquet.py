@@ -78,11 +78,6 @@ def test_validation(coupling):
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="length scale"):
             FloquetProblem(coupling, 0.0, length_scale=bad)
-    # a rotation that turns the coupling width out of the right
-    # half-plane is rejected when the operator is built
-    with pytest.raises(ValueError, match="right half-plane"):
-        FloquetProblem(coupling, 0.0, theta=0.8j, n_fourier=2,
-                       n_hermite=10)._operator
     # no dense-dimension guard: eigen_near never forms the dense matrix
     big = FloquetProblem(coupling, 0.0, n_fourier=100, n_hermite=500)
     assert big.dimension == 201 * 502
@@ -239,8 +234,9 @@ def test_t_sampling_doubling(coupling, monkeypatch):
     assert np.max(np.abs(Ka - b.matrix)) < 1e-12
 
 
-def boosted_on_grid(prob, t, conj, x):
-    """The gauge-boosted, dilated coupling at drive time t on the grid x."""
+def boosted(prob, t, conj):
+    """The gauge-boosted, dilated coupling at drive time t, by exact
+    FormFactor algebra: the row border's (conj) or the column's."""
     from starkres.formfactor import dilate, translate_modulate
 
     om = prob.omega
@@ -249,7 +245,99 @@ def boosted_on_grid(prob, t, conj, x):
     base = prob.phi.conj_position() if conj else prob.phi
     sign = -1.0 if conj else 1.0
     return dilate(translate_modulate(base, a, sign * b, sign * a * b),
-                  prob.theta)(x)
+                  prob.theta)
+
+
+def boosted_on_grid(prob, t, conj, x):
+    """The gauge-boosted, dilated coupling at drive time t on the grid x."""
+    return boosted(prob, t, conj)(x)
+
+
+def reference_modes(prob):
+    """``_coupling_modes`` built one FormFactor per drive sample: the
+    boosted, dilated coupling and its conjugate at each of the M samples
+    (the one sample t = 0 at f = 0), their Hermite overlaps, and the FFT
+    over the samples."""
+    M = floquet._T_SAMPLES_PER_MODE * prob.n_fourier
+    times = [k * prob.period / M for k in range(M if prob.f else 1)]
+    modes = np.zeros((2, M, prob.n_hermite + 1), dtype=complex)
+    for border, conj in enumerate((False, True)):
+        phis = [boosted(prob, t, conj) for t in times]
+        owner = np.array([i for i, phi in enumerate(phis) for _ in phi.terms])
+        c, d, w, b = (np.array(v) for v in zip(
+            *(t for phi in phis for t in phi.terms)))
+        overlaps = floquet._hermite_overlaps(c, d, w, b, owner, len(phis),
+                                             prob.n_hermite,
+                                             prob.length_scale)
+        if prob.f:
+            modes[border] = np.fft.fft(overlaps, axis=0) / M
+        else:
+            modes[border, 0] = overlaps[0]
+    return modes
+
+
+@pytest.mark.parametrize("f", [0.0, 0.1])
+@pytest.mark.parametrize("phi, ell",
+                         [(FormFactor.gaussian(0.1, 1.0), 1.0),
+                          (TWO_TERMS, 1.3),
+                          (FormFactor.monomial_gaussian(0.05, 3, 0.8 + 0.1j),
+                           1.0)],
+                         ids=["gaussian", "two-terms", "cubic"])
+def test_coupling_modes_match_per_sample_form_factors(phi, ell, f):
+    # the term-array boost and dilation against the same maps applied one
+    # FormFactor at a time, on both borders; the boost splits a degree-d
+    # term into degrees 0..d, with binomial weights that only d >= 2 shows
+    prob = FloquetProblem(phi, f, 1.3, 0.25j, n_fourier=3, n_hermite=24,
+                          length_scale=ell)
+    got, want = prob._coupling_modes(), reference_modes(prob)
+    for border in range(2):
+        scale = np.max(np.abs(want[border]))
+        assert scale > 0
+        assert np.max(np.abs(got[border] - want[border])) <= 1e-14 * scale
+    if f == 0.0:
+        assert np.all(got[:, 1:] == 0)
+
+
+@pytest.mark.parametrize("f", [0.0, 0.1])
+@pytest.mark.parametrize("phi", [FormFactor.gaussian(0.1, 1.0), TWO_TERMS],
+                         ids=["gaussian", "two-terms"])
+def test_dilation_out_of_the_right_half_plane_raises(phi, f):
+    # e^{2 theta} = e^{1.6i} turns a real width 1 (and TWO_TERMS' widths)
+    # to negative real part: neither the operator nor the dense matrix
+    # is built
+    prob = FloquetProblem(phi, f, theta=0.8j, n_fourier=2, n_hermite=10)
+    for build in (lambda: prob._operator, lambda: prob.matrix):
+        with pytest.raises(ValueError, match="right half-plane"):
+            build()
+
+
+# eigen_near(FloquetProblem(coupling, f, 1, 0.3i, 8, 40), R0, 1e-10,
+# 0.05)[0] at the ac_track truncation, as (eigenvalue, sensitivity),
+# recorded with the per-sample FormFactor build of the coupling borders,
+# complex broadcast matmuls into the eigenbasis and modified Gram-Schmidt
+# Arnoldi
+AC_TRACK_PAIRS = {
+    0.1: (1.0191539839610972 - 0.011052115450366412j, 0.0001443592334878059),
+    0.05: (1.0191443713717316 - 0.011056566395305778j,
+           0.00014317361479952075),
+    0.02: (1.0191419230872538 - 0.011057795937377157j,
+           0.0001427690813013884),
+    0.0: (1.0191414691504492 - 0.011058028884070401j,
+          0.00014268797478538328),
+}
+
+
+@pytest.mark.parametrize("f", sorted(AC_TRACK_PAIRS, reverse=True))
+def test_ac_track_eigenpairs_are_pinned(coupling, f):
+    # a wrong border moves lambda far more than 1e-12 long before the
+    # bench's |lambda(0) - r0| < 1e-3 notices.  The sensitivity is a
+    # difference of two eigenvalues and carries their absolute rounding,
+    # so both are held to 1e-12 relative to the eigenvalue
+    lam, sens = AC_TRACK_PAIRS[f]
+    prob = FloquetProblem(coupling, f, 1.0, 0.3j, n_fourier=8, n_hermite=40)
+    best = eigen_near(prob, R0, tol=1e-10, radius=0.05)[0]
+    assert abs(best.eigenvalue - lam) <= 1e-12 * abs(lam)
+    assert abs(best.sensitivity - sens) <= 1e-12 * abs(lam)
 
 
 @pytest.mark.parametrize("phi, ell",
@@ -297,7 +385,7 @@ def test_coupling_modes_match_grid_overlaps_at_readme_size(coupling, conj):
     samples = np.array([H @ boosted_on_grid(prob, k * prob.period / M,
                                             conj, x) for k in range(M)])
     want = np.fft.fft(samples, axis=0) / M
-    got = prob._coupling_modes(conjugate=conj)
+    got = prob._coupling_modes()[int(conj)]
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
