@@ -524,7 +524,7 @@ class ResolventEvaluator:
 
     @cached_property
     def _forms(self) -> dict:
-        """The bilinear forms of :meth:`_airy_forms`, per (span, K).
+        """The bilinear forms of :meth:`_airy_forms`, per (span, even K).
         Concurrent calls may build one form twice, with the same values."""
         return {}
 
@@ -547,8 +547,11 @@ class ResolventEvaluator:
         (phi_l, phi_r), then for r' the sum of N over (phi_l', phi_r) and
         (phi_l, phi_r'), then T w phi_l, T w phi_r, T w phi_l' and
         T w phi_r'.  The last group, which starts inside the one before,
-        has zero weights on the panels it repeats.
+        has zero weights on the panels it repeats.  K is rounded up to
+        even, which keeps J = (K + 1) // 2 and adds at most one Taylor
+        term, so that batches with K = 2J - 1 and 2J share one set.
         """
+        K += K % 2
         key = (span, K)
         if key in self._forms:
             return self._forms[key]

@@ -598,6 +598,32 @@ def test_airy_forms_are_built_once_and_reused(coupling, monkeypatch):
     assert "_taylor_uv" not in calls
 
 
+def test_airy_forms_share_one_set_for_k_and_k_plus_one(coupling,
+                                                     monkeypatch):
+    # at f = 0.01 the batch at 0.95 - 0.03i sums K = 25 Taylor terms and
+    # the one at 1 - 0.01i K = 26, both with J = 13 and two panels per
+    # group: one evaluator builds one form set, from the 26-term table,
+    # and r at the first point agrees with the 25-term table's
+    f, span = 0.01, 2
+    ev = ResolventEvaluator(coupling, f)
+    g = ev._airy_grid
+    r = []
+    for z, K in ((0.95 - 0.03j, 25), (1.0 - 0.01j, 26)):
+        zf = np.array([z])
+        assert ev._route(zf)[2] == span
+        zeta_c = g.groups(span)[0][:, None] - zf * f ** (-2.0 / 3.0)
+        assert _airy_coefficients(zeta_c, g.step, span, g.n_pan,
+                                  g.nn)[1] == K
+        r.append(ev._stark_airy_batch(zf, span)[0])
+    assert list(ev._forms) == [(span, 26)]
+    table = resolvent._taylor_table
+    monkeypatch.setattr(resolvent, "_taylor_table",
+                        lambda step, span, nn, K: table(step, span, nn, K - 1))
+    odd = ResolventEvaluator(coupling, f)._stark_airy_batch(
+        np.array([0.95 - 0.03j]), span)[0]
+    assert np.all(np.abs(r[0] - odd) <= 1e-14 * np.abs(odd))
+
+
 _CARRY_POINTS = [(f, "window") for f in (0.05, 0.02, 0.01, 0.005)] + [
     (0.01, z) for z in (-1.0 - 2.0j, -0.5 - 2.0j, -1.0 - 3.0j, 8.0 - 0.1j,
                         0.5, -0.5 - 0.1j, 0.2 - 0.01j, 0.1 - 0.01j,

@@ -14,7 +14,6 @@ from starkres import (
     winding_number,
 )
 from starkres.oracle import grid_scan
-from starkres.rootfind import _counted_window
 
 
 def poly_from_roots(roots):
@@ -296,38 +295,115 @@ def test_dc_count_at_f_0_0025(coupling):
 
 
 def test_count_is_taken_on_the_requested_window(coupling):
-    # the nearest zero sits 1.4e-5 below the top edge; no jitter is needed
+    # the nearest zero sits 1.4e-5 below the top edge; no jitter is needed,
+    # so every point the count takes lies on the edges of DC_WINDOW itself
     ev = ResolventEvaluator(coupling, 0.005)
-    assert _counted_window(ev.F_value, DC_WINDOW) == (DC_WINDOW, 13)
+    points = []
+
+    def F(z):
+        points.append(z)
+        return ev.F_value(z)
+
+    assert winding_number(F, DC_WINDOW) == 13
+    z, w = np.concatenate(points), DC_WINDOW
+    inside = ((w.re_min <= z.real) & (z.real <= w.re_max)
+              & (w.im_min <= z.imag) & (z.imag <= w.im_max))
+    on_edge = (np.isin(z.real, (w.re_min, w.re_max))
+               | np.isin(z.imag, (w.im_min, w.im_max)))
+    assert np.all(inside & on_edge)
 
 
 def test_negative_winding_raises(coupling):
     # at f = 0.003 the 64 initial samples alias the cloud's phase and the
-    # sum comes out at -3 turns, which no analytic F can give
+    # sum comes out at -4 turns, which no analytic F can give
     ev = ResolventEvaluator(coupling, 0.003)
     with pytest.raises(CertificateError, match="negative winding"):
         winding_number(ev.F_value, DC_WINDOW)
 
 
-def test_half_counted_above_its_parent_raises(monkeypatch):
+def test_half_counted_above_its_parent_raises():
+    # the window holds two zeros, one in each half; handed to the split as
+    # a box that counts none, its halves count more than their parent
     roots = [1 - 0.5j, 2 - 0.25j]
-    real = rootfind._phase_winding
-    calls = []
+    F = poly_from_roots(roots)
+    box, wind = rootfind._counted(F, Window(0.5, 2.5, -1.5, -0.1))
+    assert wind == 2
+    assert [w for _, w in rootfind._split_level(F, [(box, wind)])] == [1, 1]
+    with pytest.raises(CertificateError, match="count 1 and 1, parent 0"):
+        rootfind._split_level(F, [(box, 0)])
 
-    def inflated(F, to_point):
-        calls.append(to_point)
-        # the window itself keeps its count of 2; every half gets 3 more
-        return real(F, to_point) + (3 if len(calls) > 1 else 0)
 
-    monkeypatch.setattr(rootfind, "_phase_winding", inflated)
-    with pytest.raises(CertificateError, match="its parent"):
-        find_zeros(poly_from_roots(roots), Window(0.5, 2.5, -1.5, -0.1),
-                   pair=poly_pair(roots))
+def test_halves_that_disagree_with_their_parent_raise(coupling):
+    # at f = 0.002 the edges of [0.9, 1.0] x DC_WINDOW's height alias the
+    # cloud's phase: refined on the halves, they count one zero more
+    ev = ResolventEvaluator(coupling, 0.002)
+    with pytest.raises(CertificateError, match="count 2 and 2, parent 3"):
+        find_zeros(ev.F_value, DC_WINDOW, tol=1e-9, pair=ev.F_pair)
 
 
 def test_zero_or_nonfinite_sample_is_a_contour_zero():
     w = Window(-1.0, 1.0, -1.0, 1.0)
     for value in (0.0, np.nan, np.inf):
+        # at a corner: that sample fails the contour, and a jittered
+        # window, which misses the point, takes the count
         F = lambda z, v=value: np.where(np.asarray(z) == -1 - 1j, v, 1.0 + 0j)
+        box = rootfind._fresh_box(F, w)
+        assert rootfind._refine(F, [[box.bottom, box.right, box.top,
+                                     box.left]]) \
+            == ["F is zero or not finite on the contour"]
+        assert winding_number(F, w) == 0
+        # on the left edge of the window and of every jitter of it
+        F = lambda z, v=value: np.where(np.asarray(z).real <= -1.0, v,
+                                        1.0 + 0j)
         with pytest.raises(BoundaryZeroError, match="zero or not finite"):
-            rootfind._phase_winding(F, rootfind._rect_param(w))
+            winding_number(F, w)
+
+
+# nine zeros spread over the window, none near a split line of it
+SPREAD = [complex(0.1 + 2.8 * a, -0.1 - 1.3 * b) for a, b in zip(
+    (0.551, 0.708, 0.291, 0.511, 0.893, 0.896, 0.126, 0.207, 0.051),
+    (0.441, 0.030, 0.457, 0.649, 0.278, 0.676, 0.591, 0.024, 0.559))]
+SPREAD_WINDOW = Window(0.0, 3.0, -1.5, 0.0)
+
+
+def test_a_level_is_split_in_one_call_per_round():
+    # a level makes one F call for all its split lines, then one per
+    # refinement round for all its new edges: as many calls as the box
+    # that needs the most rounds makes when it is split alone
+    F = poly_from_roots(SPREAD)
+    box, wind = rootfind._counted(F, SPREAD_WINDOW)
+    assert wind == 9
+    level = [(box, wind)]
+    sizes, refined = [], 0
+    while level:
+        calls = []
+        deeper = rootfind._split_level(
+            lambda z: calls.append(z.size) or F(z), level)
+        alone = []
+        for item in level:
+            one = []
+            rootfind._split_level(lambda z: one.append(z.size) or F(z),
+                                  [item])
+            alone.append(len(one))
+        assert len(calls) == max(alone)
+        refined += len(calls) > 1
+        sizes.append(len(level))
+        level = [(b, w) for b, w in deeper if w and b.window.diameter > 0.1]
+    assert max(sizes) >= 8 and refined >= 2
+
+
+def test_no_point_is_evaluated_twice():
+    F = poly_from_roots(SPREAD)
+    points = []
+
+    def counting(z):
+        points.append(z)
+        return F(z)
+
+    out = find_zeros(counting, SPREAD_WINDOW, tol=1e-10,
+                     pair=poly_pair(SPREAD))
+    assert len(out) == 9
+    for r, expect in zip(out, sorted(SPREAD, key=lambda z: z.real)):
+        assert abs(r.z - expect) < 1e-10
+    z = np.concatenate(points)
+    assert np.unique(z).size == z.size
