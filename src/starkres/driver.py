@@ -346,16 +346,7 @@ def _run_sweep(config: RunConfig, out: Path) -> tuple[str, ...]:
     return result.errors
 
 
-class _MissingDependency(Exception):
-    """A run mode needs a package that is not installed: exit 2."""
-
-
 def _run_ac(config: RunConfig, out: Path) -> tuple[str, ...]:
-    try:
-        import scipy.linalg  # noqa: F401  the Schur complements' LU
-    except ImportError as exc:
-        raise _MissingDependency("ac mode needs scipy.linalg for its Schur "
-                                 f"solves ({exc})") from None
     problem = FloquetProblem(config.coupling(), 0.0, config.omega,
                              1j * config.im_theta, config.n_fourier,
                              config.n_hermite, config.length_scale)
@@ -414,9 +405,19 @@ def _run_plot(config: RunConfig, out: Path) -> tuple[str, ...]:
     return ()
 
 
+class _MissingDependency(Exception):
+    """A run mode needs a package that is not installed: exit 2."""
+
+
 def _run_verify(config: RunConfig, out: Path) -> tuple[str, ...]:
-    # the oracle pulls in scipy.integrate; only this mode needs it
-    from .oracle import TaylorPathError, verify_report
+    # the oracle pulls in scipy; only this mode needs it
+    try:
+        from .oracle import TaylorPathError, verify_report
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").partition(".")[0] != "scipy":
+            raise
+        raise _MissingDependency("verify mode needs scipy for its oracle "
+                                 f"({exc})") from None
     try:
         report = verify_report()
     except TaylorPathError as exc:

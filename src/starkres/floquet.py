@@ -21,16 +21,14 @@ eigenbases, so a shifted solve is a diagonal scaling and one
 (2N+1)-square Schur complement.  U is real, so the borders reach the
 eigenbasis by real matrix products on the float view of their complex
 entries.  The dense ``FloquetProblem.matrix`` is K in the original basis,
-the oracle the tests compare against.  The Schur complement is factored
-by scipy.linalg, imported on the first factorization, so importing the
-module loads no scipy.
+the oracle the tests compare against.  The Schur complement is inverted
+by numpy's LAPACK gesv, so the module needs numpy alone.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -65,12 +63,12 @@ def momentum_squared_matrix(n_max: int, length_scale: float = 1.0
     return M / length_scale**2
 
 
-def _hermite_overlaps(c, d, w, b, owner, n_owners: int, n_max: int,
-                      length_scale: float) -> np.ndarray:
-    """Exact overlaps int h_j(x) phi_o(x) dx, j = 0..n_max, with the
-    Hermite functions of scale ell, of the couplings phi_o, o = 0 ..
-    n_owners-1, given as term arrays: phi_o is the sum of the terms
-    c x^d exp(-w x^2/2 + b x) with owner o.  Shape (n_owners, n_max+1).
+def _hermite_overlaps(c, d, w, b, n_max: int, length_scale: float
+                      ) -> np.ndarray:
+    """Exact overlaps int h_j(x) g_t(x) dx, j = 0..n_max, with the
+    Hermite functions of scale ell, of the terms g_t = c x^d exp(-w x^2/2
+    + b x) given as arrays over t.  Shape (terms, n_max+1); a coupling's
+    overlaps are the sum over its terms.
 
     A term becomes c ell^(d+1/2) y^d exp(-w ell^2 y^2/2 + b ell y) at unit
     scale.  There its Gaussian overlaps start from o_0 = pi^{-1/4}
@@ -81,7 +79,7 @@ def _hermite_overlaps(c, d, w, b, owner, n_owners: int, n_max: int,
 
     the factor y^d is d applications of the tridiagonal position matrix
     (off-diagonal sqrt(k/2)) on levels 0..J+d, truncated to 0..J.  One
-    pass covers every term of every coupling."""
+    pass covers every term."""
     d = np.asarray(d)
     w = np.asarray(w) * length_scale**2
     b = np.asarray(b) * length_scale
@@ -101,9 +99,7 @@ def _hermite_overlaps(c, d, w, b, owner, n_owners: int, n_max: int,
         xv[:-1] = off * v[1:]
         xv[1:] += off * v[:-1]
         o[:, raised] = xv
-    out = np.zeros((n_owners, n_max + 1), dtype=complex)
-    np.add.at(out, owner, (c * o[:n_max + 1]).T)
-    return out
+    return (c * o[:n_max + 1]).T
 
 
 def _toeplitz(g: np.ndarray, n_blocks: int) -> np.ndarray:
@@ -210,14 +206,15 @@ class FloquetProblem:
         binom = np.array([math.comb(dt, jt) for dt, jt in zip(d[t], j)])
         coef = (pref[t] * (binom * np.exp(self.theta * (j + 0.5)))[:, None]
                 * a ** (d[t] - j)[:, None])
-        # overlap row: border x samples + sample
-        owner = (t >= d.size // 2)[:, None] * a.size + np.arange(a.size)
+        # both borders expand to the same number of terms, so the per-term
+        # overlaps reshape to (border, term, sample, level) and each
+        # border's terms sum along their axis
         shape = coef.shape
         overlaps = _hermite_overlaps(
             coef.ravel(), np.broadcast_to(j[:, None], shape).ravel(),
             np.broadcast_to(w_dilated[t, None], shape).ravel(),
-            drift[t].ravel(), owner.ravel(), 2 * a.size, self.n_hermite,
-            self.length_scale).reshape(2, a.size, -1)
+            drift[t].ravel(), self.n_hermite, self.length_scale
+        ).reshape(2, -1, a.size, self.n_hermite + 1).sum(axis=1)
         if self.f == 0.0:
             modes[:, 0] = overlaps[:, 0]
             return modes
@@ -314,19 +311,37 @@ class _BorderedKroneckerSum:
                                self.Ct @ x + self.D * y])
 
 
-def lu_factor(a: np.ndarray, overwrite_a: bool = False):
-    """scipy.linalg.lu_factor, with its warning on an exact zero pivot
-    silenced: :class:`_ShiftedSolve` inspects the pivots."""
-    from scipy.linalg import LinAlgWarning, lu_factor
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        return lu_factor(a, overwrite_a=overwrite_a)
+def lu_factor(a: np.ndarray) -> np.ndarray:
+    """The inverse of the Schur complement a, by numpy's LAPACK gesv
+    (getrf, then getrs on the identity); LinAlgError if getrf meets an
+    exact zero pivot.  This and :func:`lu_solve` keep their names because
+    ``bench/spans.py`` wraps them, one span per factorization and one per
+    solve; callers reach both through the module globals."""
+    return np.linalg.inv(a)
 
 
-def lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
-    """scipy.linalg.lu_solve on the factors of :func:`lu_factor`."""
-    from scipy.linalg import lu_solve
-    return lu_solve(lu_and_piv, b)
+def lu_solve(inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^{-1} b from the inverse :func:`lu_factor` returns: one matvec."""
+    return inverse @ b
+
+
+def _zero_pivot_lu(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """The first exact zero pivot k of the partial-pivot LU of a, and the
+    partly eliminated matrix whose rows 0..k-1 are U's, zero below their
+    diagonal.  Each column pivots on its entry of largest |Re| + |Im|, as
+    LAPACK getrf does; LinAlgError if no pivot is exactly zero."""
+    u = np.array(a, dtype=complex)
+    for k in range(u.shape[0]):
+        col = u[k:, k]
+        p = k + int(np.argmax(np.abs(col.real) + np.abs(col.imag)))
+        if u[p, k] == 0:
+            return k, u
+        u[[k, p]] = u[[p, k]]
+        u[k + 1:, k + 1:] -= np.outer(u[k + 1:, k] / u[k, k], u[k, k + 1:])
+        u[k + 1:, k] = 0
+    raise np.linalg.LinAlgError(
+        "gesv found the Schur complement singular, but its partial-pivot "
+        "LU has no exact zero pivot")
 
 
 class _ShiftedSolve:
@@ -335,9 +350,10 @@ class _ShiftedSolve:
 
     S(sigma) = D - sigma - C~ diag(1/(Lambda - sigma)) B~.  Field modes with
     Lambda == sigma exactly are moved into the bordered block, so nothing
-    is divided by zero.  An exact zero pivot of S means sigma is an
-    eigenvalue of the truncation: ``solve`` then raises LinAlgError, and
-    ``null_vector`` gives its eigenvector."""
+    is divided by zero.  S is inverted once by :func:`lu_factor`.  An
+    exact zero pivot of S means sigma is an eigenvalue of the truncation:
+    ``solve`` then raises LinAlgError, and ``null_vector`` gives its
+    eigenvector from the zero pivot's row of ``_zero_pivot_lu``."""
 
     def __init__(self, op: _BorderedKroneckerSum, sigma: complex):
         self.op = op
@@ -352,9 +368,11 @@ class _ShiftedSolve:
         S[nz:, :nz] = op.Ct[:, self.moved]
         S[nz:, nz:] = (np.diag(op.D - sigma)
                        - op.Ct @ (self.inv[:, None] * op.Bt))
-        self.lu = lu_factor(S, overwrite_a=True)
-        zero = np.flatnonzero(np.diagonal(self.lu[0]) == 0)
-        self.zero_pivot = int(zero[0]) if zero.size else None
+        try:
+            self.S_inv = lu_factor(S)
+            self.zero_pivot = None
+        except np.linalg.LinAlgError:
+            self.zero_pivot, self.upper = _zero_pivot_lu(S)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(K~ - sigma)^{-1} b, raising on an exact zero pivot."""
@@ -366,19 +384,18 @@ class _ShiftedSolve:
         bx = b[:op.nf]
         rhs = np.concatenate([bx[self.moved],
                               b[op.nf:] - op.Ct @ (self.inv * bx)])
-        return self._field_back(bx, lu_solve(self.lu, rhs))
+        return self._field_back(bx, lu_solve(self.S_inv, rhs))
 
     def null_vector(self) -> np.ndarray:
         """A null vector of K~ - sigma from the first zero pivot k of S: the
         bordered unknowns u = (moved field modes, y) solve U u = 0 with
         u_k = 1, and the other field modes are x = -(Lambda - sigma)^{-1}
         B~ y."""
-        from scipy.linalg import solve_triangular
         k = self.zero_pivot
-        U = self.lu[0]
+        U = self.upper
         u = np.zeros(U.shape[0], dtype=complex)
         u[k] = 1.0
-        u[:k] = solve_triangular(U[:k, :k], -U[:k, k])
+        u[:k] = np.linalg.solve(U[:k, :k], -U[:k, k])
         return self._field_back(np.zeros(self.op.nf, dtype=complex), u)
 
     def _field_back(self, bx: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -403,44 +403,53 @@ _RUNS = {
 
 
 @pytest.mark.parametrize("mode", ("dc", "sweep", "ac"))
-def test_runs_leave_scipy_unloaded_but_for_the_ac_solve(tmp_path, mode):
-    # a dc or sweep run, each in a fresh interpreter, loads no scipy
-    # module; an ac run loads scipy.linalg for its Schur solve, and no
-    # scipy.special
+def test_runs_leave_scipy_unloaded(tmp_path, mode):
+    # a dc, sweep or ac run, each in a fresh interpreter, loads no scipy
+    # module
     run = _RUNS[mode].format(out=str(tmp_path / mode))
     proc = _python("-c", "from starkres.driver import main; "
                    f"assert {run} == 0; " + _LOADED)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    if mode == "ac":
-        assert "scipy.linalg" in loaded
-        assert not any(m.startswith("scipy.special") for m in loaded)
-    else:
-        assert loaded == []
+    assert json.loads(proc.stdout) == []
 
 
-def test_ac_without_scipy_exits_2_naming_scipy_linalg(tmp_path):
-    # the Schur solves need scipy.linalg.  With a meta_path finder ahead
-    # of every other that refuses scipy and its submodules, as if scipy
-    # were not installed, the ac mode ends with exit 2 and one line on
-    # stderr, not a traceback
-    run = ("main(['ac', '--f-grid', '0.1', '--n-fourier', '2', "
-           f"'--n-hermite', '8', '--out', {str(tmp_path / 'ac')!r}])")
-    proc = _python("-c", "\n".join((
-        "import sys",
-        "class NoScipy:",
-        "    def find_spec(self, name, path=None, target=None):",
-        "        if name == 'scipy' or name.startswith('scipy.'):",
-        "            raise ModuleNotFoundError(f'No module named {name!r}',",
-        "                                      name=name)",
-        "sys.meta_path.insert(0, NoScipy())",
-        "from starkres.driver import main",
-        f"sys.exit({run})")))
+# a meta_path finder ahead of every other that refuses scipy and its
+# submodules, as if scipy were not installed
+_NO_SCIPY = "\n".join((
+    "import sys",
+    "class NoScipy:",
+    "    def find_spec(self, name, path=None, target=None):",
+    "        if name == 'scipy' or name.startswith('scipy.'):",
+    "            raise ModuleNotFoundError(f'No module named {name!r}',",
+    "                                      name=name)",
+    "sys.meta_path.insert(0, NoScipy())",
+    "from starkres.driver import main"))
+
+
+def test_ac_without_scipy_writes_the_same_eigenvalues(tmp_path):
+    # the Schur solves need numpy alone: with scipy refused, the ac mode
+    # exits 0 and writes the eigenvalues of an unrestricted run
+    args = ["ac", "--f-grid", "0.1", "--n-fourier", "2", "--n-hermite", "8",
+            "--out"]
+    refused, free = tmp_path / "refused", tmp_path / "free"
+    proc = _python("-c", f"{_NO_SCIPY}\nsys.exit(main("
+                   f"{args + [str(refused)]!r}))")
+    assert proc.returncode == 0, proc.stderr
+    assert main(args + [str(free)]) == 0
+    assert ((refused / "eigenvalues.csv").read_text()
+            == (free / "eigenvalues.csv").read_text())
+
+
+def test_verify_without_scipy_exits_2_naming_scipy(tmp_path):
+    # the oracle needs scipy: with scipy refused, the verify mode ends
+    # with exit 2 and one line on stderr, not a traceback
+    proc = _python("-c", f"{_NO_SCIPY}\nsys.exit(main(['verify', '--out', "
+                   f"{str(tmp_path / 'v')!r}]))")
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("missing dependency: ")
-    assert "scipy.linalg" in lines[0]
+    assert "scipy" in lines[0]
     assert "Traceback" not in proc.stderr
 
 

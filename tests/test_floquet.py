@@ -262,13 +262,9 @@ def reference_modes(prob):
     times = [k * prob.period / M for k in range(M if prob.f else 1)]
     modes = np.zeros((2, M, prob.n_hermite + 1), dtype=complex)
     for border, conj in enumerate((False, True)):
-        phis = [boosted(prob, t, conj) for t in times]
-        owner = np.array([i for i, phi in enumerate(phis) for _ in phi.terms])
-        c, d, w, b = (np.array(v) for v in zip(
-            *(t for phi in phis for t in phi.terms)))
-        overlaps = floquet._hermite_overlaps(c, d, w, b, owner, len(phis),
-                                             prob.n_hermite,
-                                             prob.length_scale)
+        overlaps = np.array([floquet._hermite_overlaps(
+            *(np.array(v) for v in zip(*boosted(prob, t, conj).terms)),
+            prob.n_hermite, prob.length_scale).sum(axis=0) for t in times])
         if prob.f:
             modes[border] = np.fft.fft(overlaps, axis=0) / M
         else:
@@ -466,6 +462,66 @@ def test_inverse_iteration_at_a_singular_schur_complement(field_mode):
     assert abs(lam - sigma) < 1e-14
     K = eigenbasis_matrix(prob)
     assert np.linalg.norm(K @ vec - lam * vec) < 1e-12 * np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("sigma_at", ["discrete", "field", "arnoldi"])
+def test_zero_pivot_lu_matches_scipy(monkeypatch, sigma_at):
+    # the exactly singular Schur complements of the zero-coupling problems
+    # of the two tests above: the numpy LU stops at the first zero pivot
+    # of scipy's getrf, and its null vector solves K~ - sigma
+    from scipy.linalg import LinAlgWarning, lu_factor
+
+    f = 0.0 if sigma_at == "arnoldi" else 0.1
+    prob = FloquetProblem(FormFactor.gaussian(0.0, 1.0), f, n_fourier=2,
+                          n_hermite=10)
+    op = prob._operator
+    sigma = {"discrete": 2.0, "field": op.lam[13], "arnoldi": 1.0}[sigma_at]
+    seen = []
+    factor = floquet.lu_factor
+
+    def recording(a):
+        seen.append(a.copy())
+        return factor(a)
+
+    monkeypatch.setattr(floquet, "lu_factor", recording)
+    shifted = _ShiftedSolve(op, sigma)
+    (S,) = seen
+    with pytest.warns(LinAlgWarning, match="exactly zero"):
+        pivots = np.diagonal(lu_factor(S)[0])
+    assert shifted.zero_pivot == np.flatnonzero(pivots == 0)[0]
+    v = shifted.null_vector()
+    v /= np.linalg.norm(v)
+    assert np.linalg.norm(op.matvec(v) - sigma * v) < 1e-14
+
+
+def test_zero_pivot_lu_pivots_as_getrf(rng):
+    # a zero column stays exactly zero under elimination, so the first
+    # zero pivot is at its index; before it the first column pivots on
+    # 3+3i (|Re| + |Im| = 6) where the largest modulus would take 5, and
+    # the eliminated rows are scipy's U rows
+    from scipy.linalg import LinAlgWarning, lu_factor
+
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    a[:, 0] = [5.0, 3.0 + 3.0j, 1.0, 0.5j, -2.0]
+    a[:, 2] = 0.0
+    k, upper = floquet._zero_pivot_lu(a)
+    with pytest.warns(LinAlgWarning, match="exactly zero"):
+        lu = lu_factor(a)[0]
+    assert k == np.flatnonzero(np.diagonal(lu) == 0)[0] == 2
+    assert np.max(np.abs(upper[:k] - np.triu(lu)[:k])) < 1e-14 * np.max(
+        np.abs(a))
+    assert np.all(np.tril(upper[:k], -1) == 0)
+
+
+@pytest.mark.parametrize("n", [17, 25, 41])
+def test_schur_solve_matches_scipy_lu(n, rng):
+    import scipy.linalg
+
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(S), b)
+    got = floquet.lu_solve(floquet.lu_factor(S), b)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("offsets, target, radius, want", [

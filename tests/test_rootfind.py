@@ -287,7 +287,7 @@ def test_find_zeros_certifies_the_cloud_at_f_0_004(coupling):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the 64 initial contour samples alias the phase "
-                   "of the cloud: one zero is counted where 26 lie")
+                   "of the cloud: no zero is counted where 26 lie")
 def test_dc_count_at_f_0_0025(coupling):
     ev = ResolventEvaluator(coupling, 0.0025)
     out = find_zeros(ev.F_value, DC_WINDOW, tol=1e-9, pair=ev.F_pair)
