@@ -20,9 +20,11 @@ U^T K U, U the real orthogonal change to the product of their
 eigenbases, so a shifted solve is a diagonal scaling and one
 (2N+1)-square Schur complement.  U is real, so the borders reach the
 eigenbasis by real matrix products on the float view of their complex
-entries.  The dense ``FloquetProblem.matrix`` is K in the original basis,
-the oracle the tests compare against.  The Schur complement is inverted
-by numpy's LAPACK gesv, so the module needs numpy alone.
+entries.  Candidates are the eigenvalues of K~ with its far field modes
+folded into the border.  The dense ``FloquetProblem.matrix`` is K in the
+original basis, the oracle the tests compare against.  The Schur
+complement is inverted by numpy's LAPACK gesv, so the module needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -44,8 +46,12 @@ __all__ = [
     "eigen_near",
 ]
 
-# Krylov dimension of the shift-inverted Arnoldi candidate search
-_KRYLOV_DIM = 36
+# in disk radii from the target: the field modes kept unfolded, and the
+# reach of candidates and fold centres, half a radius inside the folded
+# modes.  A fold moves an eigenvalue by a few percent of its distance from
+# the fold centre, so a candidate nearer a found eigenvalue than
+# _FOLD_SLIP times that distance is taken for it
+_NEAR_RADII, _SEARCH_RADII, _FOLD_SLIP = 2.0, 1.5, 0.1
 # inverse-iteration steps allowed to bring a candidate below tol
 _INVERSE_ITERATIONS = 8
 # samples of the drive period per Fourier mode in the coupling blocks
@@ -407,39 +413,18 @@ class _ShiftedSolve:
         return np.concatenate([x, y])
 
 
-def _arnoldi_candidates(shifted: _ShiftedSolve, target: complex, m: int
-                        ) -> np.ndarray:
-    """Ritz values of the shift-inverted operator from a fixed start.
-
-    The basis is kept as rows, next to their conjugates, and each new
-    vector is orthogonalised against it by two block Gram-Schmidt passes
-    (CGS2): two matrix-vector products per pass instead of one dot
-    product and update per basis vector."""
-    dim = shifted.op.dim
-    v0 = np.ones(dim, dtype=complex) + 1e-3 * np.arange(dim) / dim
-    v0 /= np.linalg.norm(v0)
-    V = np.zeros((m + 1, dim), dtype=complex)
-    Vc = np.zeros_like(V)
-    Hm = np.zeros((m + 1, m), dtype=complex)
-    V[0] = v0
-    Vc[0] = v0.conj()
-    k_eff = m
-    for k in range(m):
-        wv = shifted.solve(V[k])
-        for _ in range(2):
-            h = Vc[:k + 1] @ wv
-            wv -= h @ V[:k + 1]
-            Hm[:k + 1, k] += h
-        nrm = np.linalg.norm(wv)
-        Hm[k + 1, k] = nrm
-        if nrm < 1e-13:
-            k_eff = k + 1
-            break
-        V[k + 1] = wv / nrm
-        Vc[k + 1] = V[k + 1].conj()
-    mus = np.linalg.eigvals(Hm[:k_eff, :k_eff])
-    mus = mus[np.abs(mus) > 1e-13]
-    return target + 1.0 / mus
+def _folded_candidates(op: _BorderedKroneckerSum, near: np.ndarray,
+                       centre: complex) -> np.ndarray:
+    """Eigenvalues of [[diag Lambda_near, B~_near], [C~_near, D - C~_far
+    diag(1/(Lambda_far - centre)) B~_far]], K~ with the field modes
+    outside ``near`` folded into the border at ``centre``.  By the Schur
+    complement over them, every eigenvalue of K~ is one of this matrix
+    folded at it: the fold is exact at its centre."""
+    inv = np.zeros_like(op.lam)
+    inv[~near] = 1.0 / (op.lam[~near] - centre)
+    folded = np.diag(op.D) - (op.Ct * inv) @ op.Bt
+    return np.linalg.eigvals(np.block([[np.diag(op.lam[near]), op.Bt[near]],
+                                       [op.Ct[:, near], folded]]))
 
 
 def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
@@ -447,35 +432,47 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
     """Eigenvalues of the truncated K(f, theta) within ``radius`` of target,
     nearest first, each with its residual and truncation sensitivity.
 
-    Shift-inverted Arnoldi locates the candidates (this doubles as
-    deflation for clustered eigenvalues); each is polished by inverse
-    iteration and certified by its residual, and a candidate that does not
-    reach ``tol`` raises LinAlgError.  A candidate that polishes outside
-    the disk, or onto an eigenvalue already found, is dropped.  Every
-    shifted solve goes through the eigenbases of the Kronecker-sum field
-    sector and a (2N+1)-square Schur complement of the coupling border;
-    the dense ``problem.matrix`` is never formed, and an exact zero pivot
-    at the Arnoldi shift raises LinAlgError.  The sensitivity of an
-    eigenvalue lambda is |lambda - mu|, mu being where inverse iteration
-    from lambda converges on the (N+4, J+16) truncation (a follow that
-    misses ``tol`` raises LinAlgError); discretized-continuum artifacts
-    carry a large sensitivity while true resonances are stable.
+    Candidates come from ``_folded_candidates``, folded first at the target
+    and then at every eigenvalue found within _SEARCH_RADII radii, so an
+    eigenvalue clustered with a found one gets an accurate candidate
+    however far the cluster lies from the target.  Candidates in that reach
+    are polished by inverse iteration and certified by their residuals; one
+    that misses ``tol`` raises LinAlgError.  Eigenvalues outside the disk,
+    or already found, are dropped.  Every shifted solve goes through the
+    eigenbases of the Kronecker-sum field sector and a (2N+1)-square Schur
+    complement of the coupling border; the dense ``problem.matrix`` is
+    never formed.  A shift that is exactly an eigenvalue of the truncation
+    takes its eigenvector from the null vector of the Schur complement.  The
+    sensitivity of an eigenvalue lambda is |lambda - mu|, mu being where
+    inverse iteration from lambda converges on the (N+4, J+16) truncation
+    (a follow that misses ``tol`` raises LinAlgError); discretized-continuum
+    artifacts carry a large sensitivity while true resonances are stable.
+    ValueError unless the target is finite and 0 < radius < inf.
     """
-    op = problem._operator
     target = complex(target)
-    cands = _arnoldi_candidates(_ShiftedSolve(op, target), target,
-                                min(_KRYLOV_DIM, op.dim - 2))
-    cands = cands[np.abs(cands - target) <= radius]
-    cands = sorted(cands, key=lambda z: (abs(z - target), z.real, z.imag))
+    if not (0.0 < radius < math.inf and cmath.isfinite(target)):
+        raise ValueError("eigen_near needs a finite target and a radius "
+                         "with 0 < radius < inf")
+    op = problem._operator
+    near = np.abs(op.lam - target) <= _NEAR_RADII * radius
+    reach = _SEARCH_RADII * radius
     found: list[tuple[complex, float]] = []
-    for lam0 in cands:
-        lam, _, res = _inverse_iterate(op, lam0, tol)
-        if abs(lam - target) > radius:
-            continue
-        # clustered Ritz values polish to the same eigenvalue
-        if any(abs(lam - l2) < 1e-8 for l2, _ in found):
-            continue
-        found.append((lam, res))
+    centres = [target]
+    for centre in centres:
+        cands = _folded_candidates(op, near, centre)
+        cands = cands[np.abs(cands - target) <= reach]
+        for lam0 in sorted(cands, key=lambda z: (abs(z - centre), z.real,
+                                                  z.imag)):
+            slip = max(_FOLD_SLIP * abs(lam0 - centre), 1e-8)
+            if any(abs(lam0 - l2) < slip for l2, _ in found):
+                continue
+            lam, _, res = _inverse_iterate(op, lam0, tol)
+            # clustered candidates polish to the same eigenvalue
+            if abs(lam - target) <= reach and all(
+                    abs(lam - l2) >= 1e-8 for l2, _ in found):
+                found.append((lam, res))
+                centres.append(lam)
+    found = [(lam, res) for lam, res in found if abs(lam - target) <= radius]
     if not found:
         return []
     found.sort(key=lambda t: (abs(t[0] - target), t[0].real, t[0].imag))

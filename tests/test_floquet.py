@@ -183,6 +183,17 @@ def test_unconverged_refinement_raises(small_problem):
         eigen_near(small_problem, R0, tol=1e-300, radius=0.05)
 
 
+@pytest.mark.parametrize("target, radius", [
+    (R0, 0.0), (R0, -0.05), (R0, math.nan), (R0, math.inf),
+    (complex(math.nan, 0.0), 0.05), (complex(1.0, math.inf), 0.05),
+], ids=["zero", "negative", "nan", "inf", "nan-target", "inf-target"])
+def test_eigen_near_rejects_its_disk(small_problem, target, radius):
+    # an empty, undefined or unbounded disk, or a target off the finite
+    # plane, is an error, not an empty result or every eigenvalue
+    with pytest.raises(ValueError, match="radius"):
+        eigen_near(small_problem, target, tol=1e-10, radius=radius)
+
+
 def test_block_shift_exact_at_f_zero(small_problem):
     base = eigen_near(small_problem, R0, tol=1e-10,
                       radius=0.05)[0].eigenvalue
@@ -385,14 +396,23 @@ def test_coupling_modes_match_grid_overlaps_at_readme_size(coupling, conj):
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
-def test_zero_pivot_raises():
+def test_eigen_near_at_a_singular_target():
     # without coupling the Schur complement is D - sigma, exactly singular
-    # at sigma = 1 (the n = 0 discrete state): the Arnoldi target must
-    # raise, not divide by the zero pivot
+    # at sigma = 1 (the n = 0 discrete state): the target is an eigenvalue
+    # of the truncation, and eigen_near returns the dense eigenvalues of
+    # its disk (the target itself and one field mode), each with residual
+    # 0: the eigenvectors are unit vectors of U^T K U
     prob = FloquetProblem(FormFactor.gaussian(0.0, 1.0), 0.0, n_fourier=2,
                           n_hermite=10)
-    with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
-        eigen_near(prob, 1.0, 1e-10, 0.1)
+    dense = np.linalg.eigvals(prob.matrix)
+    want = dense[np.abs(dense - 1.0) <= 0.1]
+    pairs = eigen_near(prob, 1.0, 1e-10, 0.1)
+    got = np.array([p.eigenvalue for p in pairs])
+    assert want.size == got.size == 2
+    assert got[0] == 1.0 and 1.0 in want
+    for lam in got:
+        assert np.min(np.abs(want - lam)) < 1e-14
+    assert all(p.residual == 0.0 for p in pairs)
 
 
 @pytest.mark.parametrize("f", [0.0, 0.1])
@@ -412,15 +432,17 @@ def test_structured_operator_matches_dense(phi, f, rng):
     assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("radius", [0.05, 0.1])
+@pytest.mark.parametrize("radius", [0.05, 0.1, 0.3])
 @pytest.mark.parametrize("f", [0.0, 0.1])
-@pytest.mark.parametrize("n_fourier, n_hermite",
-                         [(3, 20), (3, 40), (4, 40), (2, 60)])
+@pytest.mark.parametrize("n_fourier, n_hermite, theta",
+                         [(3, 20, 0.3j), (3, 40, 0.3j), (4, 40, 0.3j),
+                          (2, 60, 0.3j), (3, 40, 0.5j)],
+                         ids=["3-20", "3-40", "4-40", "2-60", "3-40-0.5j"])
 @pytest.mark.parametrize("phi", [FormFactor.gaussian(0.1, 1.0), TWO_TERMS],
                          ids=["gaussian", "two-terms"])
 def test_eigen_near_finds_every_dense_eigenvalue_in_the_disk(
-        phi, n_fourier, n_hermite, f, radius):
-    prob = FloquetProblem(phi, f, 1.0, 0.3j, n_fourier=n_fourier,
+        phi, n_fourier, n_hermite, theta, f, radius):
+    prob = FloquetProblem(phi, f, 1.0, theta, n_fourier=n_fourier,
                           n_hermite=n_hermite)
     dense = np.linalg.eigvals(prob.matrix)
     want = dense[np.abs(dense - R0) <= radius]
@@ -430,6 +452,29 @@ def test_eigen_near_finds_every_dense_eigenvalue_in_the_disk(
     for a, b in ((want, got), (got, want)):
         for lam in a:
             assert np.min(np.abs(b - lam)) < 1e-8
+
+
+@pytest.mark.parametrize("f", [0.0, 0.1])
+@pytest.mark.parametrize("phi", [FormFactor.gaussian(0.1, 1.0), TWO_TERMS],
+                         ids=["gaussian", "two-terms"])
+def test_eigen_near_finds_a_clustered_eigenvalue_at_the_disk_edge(phi, f):
+    # the resonance has a continuum eigenvalue 3e-3 to 5e-3 away; with the
+    # target a disk radius off, the fold at the target alone moves their
+    # candidates by about as much as they are apart, and a candidate of an
+    # eigenvalue just inside the disk can fall just outside it
+    prob = FloquetProblem(phi, f, 1.0, 0.3j, n_fourier=3, n_hermite=40)
+    dense = np.linalg.eigvals(prob.matrix)
+    lam = dense[np.argmin(np.abs(dense - R0))]
+    for radius in (0.1, 0.3):
+        for k in range(8):
+            target = lam + radius * (1 - 1e-6) * np.exp(2j * np.pi * k / 8)
+            want = dense[np.abs(dense - target) <= radius]
+            got = np.array([p.eigenvalue for p in eigen_near(
+                prob, target, tol=1e-10, radius=radius)])
+            assert want.size == got.size
+            for a, b in ((want, got), (got, want)):
+                for z in a:
+                    assert np.min(np.abs(b - z)) < 1e-8
 
 
 @pytest.mark.parametrize("f", [0.0, 0.1])
@@ -464,18 +509,19 @@ def test_inverse_iteration_at_a_singular_schur_complement(field_mode):
     assert np.linalg.norm(K @ vec - lam * vec) < 1e-12 * np.linalg.norm(vec)
 
 
-@pytest.mark.parametrize("sigma_at", ["discrete", "field", "arnoldi"])
+@pytest.mark.parametrize("sigma_at", ["discrete", "field", "discrete-f0"])
 def test_zero_pivot_lu_matches_scipy(monkeypatch, sigma_at):
     # the exactly singular Schur complements of the zero-coupling problems
     # of the two tests above: the numpy LU stops at the first zero pivot
     # of scipy's getrf, and its null vector solves K~ - sigma
     from scipy.linalg import LinAlgWarning, lu_factor
 
-    f = 0.0 if sigma_at == "arnoldi" else 0.1
+    f = 0.0 if sigma_at == "discrete-f0" else 0.1
     prob = FloquetProblem(FormFactor.gaussian(0.0, 1.0), f, n_fourier=2,
                           n_hermite=10)
     op = prob._operator
-    sigma = {"discrete": 2.0, "field": op.lam[13], "arnoldi": 1.0}[sigma_at]
+    sigma = {"discrete": 2.0, "field": op.lam[13],
+             "discrete-f0": 1.0}[sigma_at]
     seen = []
     factor = floquet.lu_factor
 
@@ -525,7 +571,7 @@ def test_schur_solve_matches_scipy_lu(n, rng):
 
 
 @pytest.mark.parametrize("offsets, target, radius, want", [
-    ((1e-7, -1e-7j), 0.0, 0.1, 1),      # two Ritz values, one eigenvalue
+    ((1e-7, -1e-7j), 0.0, 0.1, 1),      # two candidates, one eigenvalue
     ((1.1e-4,), 2e-4, 1e-4, 0),         # polishes to outside the disk
 ], ids=["clustered", "outside"])
 def test_eigen_near_skips(coupling, monkeypatch, offsets, target, radius,
@@ -535,7 +581,7 @@ def test_eigen_near_skips(coupling, monkeypatch, offsets, target, radius,
     # disk is dropped, though it lay inside
     prob = FloquetProblem(coupling, 0.0, 1.0, 0.3j, 3, 20)
     lam = eigen_near(prob, R0, 1e-10, 0.05)[0].eigenvalue
-    monkeypatch.setattr(floquet, "_arnoldi_candidates", lambda *a: np.array(
+    monkeypatch.setattr(floquet, "_folded_candidates", lambda *a: np.array(
         [lam + d for d in offsets]))
     pairs = eigen_near(prob, lam + target, 1e-10, radius)
     assert len(pairs) == want
@@ -553,17 +599,22 @@ def test_eigen_near_leaves_the_dense_matrix_unbuilt(coupling):
 
 def test_eigen_near_searches_its_disk_once(small_problem, monkeypatch):
     # the sensitivities follow each eigenvalue onto the enlarged
-    # truncation instead of searching a second disk there
+    # truncation instead of searching a second disk there: every fold is
+    # on the nominal operator, the first at the target and the others at
+    # eigenvalues the search found
     calls = []
-    search = floquet._arnoldi_candidates
+    search = floquet._folded_candidates
 
-    def counting(*a, **k):
-        calls.append(a[0].op.dim)
-        return search(*a, **k)
+    def counting(op, near, centre):
+        calls.append((op.dim, centre))
+        return search(op, near, centre)
 
-    monkeypatch.setattr(floquet, "_arnoldi_candidates", counting)
-    assert eigen_near(small_problem, R0, tol=1e-10, radius=0.05)
-    assert calls == [small_problem.dimension]
+    monkeypatch.setattr(floquet, "_folded_candidates", counting)
+    pairs = eigen_near(small_problem, R0, tol=1e-10, radius=0.05)
+    assert pairs
+    assert {dim for dim, _ in calls} == {small_problem.dimension}
+    assert calls[0][1] == R0
+    assert {p.eigenvalue for p in pairs} <= {c for _, c in calls[1:]}
 
 
 @pytest.mark.parametrize("f", [0.0, 0.1])
