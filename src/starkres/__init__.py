@@ -9,13 +9,7 @@ does not load (it pulls in ``scipy.integrate``).
 
 __version__ = "0.1.0"
 
-from .formfactor import (
-    FormFactor,
-    Term,
-    conj_reflect,
-    dilate,
-    translate_modulate,
-)
+from .formfactor import FormFactor, Term, conj_reflect
 from .resolvent import (
     CutProximityError,
     QuadratureError,
@@ -41,7 +35,7 @@ from .sweep import FloquetTrack, SweepResult, ac_sweep, dc_sweep
 
 __all__ = [
     "__version__",
-    "FormFactor", "Term", "conj_reflect", "dilate", "translate_modulate",
+    "FormFactor", "Term", "conj_reflect",
     "CutProximityError", "QuadratureError",
     "ResolventEvaluator", "RoucheCertificate", "SectorLimitError",
     "BoundaryZeroError", "CertificateError", "Resonance", "Window",

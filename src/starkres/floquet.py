@@ -16,15 +16,17 @@ every sample take one overlap pass and one FFT.
 Eigenvalues are found without forming the truncated operator K: its
 field sector is a Kronecker sum of two real symmetric matrices, bordered
 by the discrete sector's 2N+1 rows and columns.  The solver works on
-U^T K U, U the real orthogonal change to the product of their
-eigenbases, so a shifted solve is a diagonal scaling and one
-(2N+1)-square Schur complement.  U is real, so the borders reach the
-eigenbasis by real matrix products on the float view of their complex
-entries.  Candidates are the eigenvalues of K~ with its far field modes
-folded into the border.  The dense ``FloquetProblem.matrix`` is K in the
-original basis, the oracle the tests compare against.  The Schur
-complement is inverted by numpy's LAPACK gesv, so the module needs numpy
-alone.
+K~ = U^T K U, U the real orthogonal change to the product of their
+eigenbases, where the field sector is diagonal.  U is real, so the
+borders reach the eigenbasis by real matrix products on the float view
+of their complex entries.  One small bordered matrix serves the whole
+search: the field modes near the target kept, the far ones folded into
+the border at a centre.  Its eigenvalues are the candidates, and folded
+at a shift it is the Schur complement through which K~ minus the shift
+is solved; the far modes cost a diagonal scaling.  The dense
+``FloquetProblem.matrix`` is K in the original basis, the oracle the
+tests compare against.  The bordered matrix is inverted by numpy's
+LAPACK gesv, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -169,17 +171,17 @@ class FloquetProblem:
         the column border (phi), [1] for the row (its conj_position), row
         d holding mode d mod M, M = _T_SAMPLES_PER_MODE N.
 
-        At drive time t the column coupling is dilate(translate_modulate(
-        phi, a, q, a q), theta) and the row the same with -q and -a q for
-        phi's conj_position, a = 2 f sin(omega t)/omega^2 and q = -f
+        At drive time t the column coupling is e^{i a q} e^{i q x} phi(x +
+        a), dilated to e^{theta/2} g(e^theta x), and the row the same with
+        -q for phi's conj_position, a = 2 f sin(omega t)/omega^2 and q = -f
         cos(omega t)/omega.  Both maps act term by term in closed form:
         c x^d exp(-w x^2/2 + b x) boosts to the terms j = 0..d with
         coefficient c exp(-w a^2/2 + b a + i a q) C(d, j) a^(d-j) and
         drift b - w a + i q, and dilation takes (c, j, w, b) to
-        (c e^{theta (j+1/2)}, j, w e^{2 theta}, b e^theta).  They are applied to term x sample
-        arrays, and one ``_hermite_overlaps`` pass and one FFT cover both
-        borders.  At f = 0 the one sample t = 0 gives mode 0, and every
-        other mode is exactly zero."""
+        (c e^{theta (j+1/2)}, j, w e^{2 theta}, b e^theta).  They are
+        applied to term x sample arrays, and one ``_hermite_overlaps`` pass
+        and one FFT cover both borders.  At f = 0 the one sample t = 0 gives
+        mode 0, and every other mode is exactly zero."""
         M = _T_SAMPLES_PER_MODE * self.n_fourier
         modes = np.zeros((2, M, self.n_hermite + 1), dtype=complex)
         if not self.phi.terms:
@@ -286,8 +288,8 @@ class _BorderedKroneckerSum:
     e^{-2 theta} mu_k, bordered by B~ = (Q (x) W)^T B, C~ = C (Q (x) W)
     and the discrete diagonal D.  U is real orthogonal, so K~ has the
     eigenvalues, Rayleigh quotients and residual norms of K, and no vector
-    is mapped back.  A shift costs one (2N+1)-square Schur complement; K
-    itself is never formed."""
+    is mapped back.  A shift costs one matrix of :func:`_bordered`; K itself
+    is never formed."""
 
     def __init__(self, problem: FloquetProblem):
         T, P, self.D, modes = problem._factors()
@@ -318,11 +320,11 @@ class _BorderedKroneckerSum:
 
 
 def lu_factor(a: np.ndarray) -> np.ndarray:
-    """The inverse of the Schur complement a, by numpy's LAPACK gesv
-    (getrf, then getrs on the identity); LinAlgError if getrf meets an
-    exact zero pivot.  This and :func:`lu_solve` keep their names because
-    ``bench/spans.py`` wraps them, one span per factorization and one per
-    solve; callers reach both through the module globals."""
+    """The inverse of the shifted bordered matrix a of :class:`_ShiftedSolve`,
+    by numpy's LAPACK gesv (getrf, then getrs on the identity); LinAlgError
+    if getrf meets an exact zero pivot.  This and :func:`lu_solve` keep their
+    names because ``bench/spans.py`` wraps them, one span per factorization
+    and one per solve; callers reach both through the module globals."""
     return np.linalg.inv(a)
 
 
@@ -331,100 +333,76 @@ def lu_solve(inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inverse @ b
 
 
-def _zero_pivot_lu(a: np.ndarray) -> tuple[int, np.ndarray]:
-    """The first exact zero pivot k of the partial-pivot LU of a, and the
-    partly eliminated matrix whose rows 0..k-1 are U's, zero below their
-    diagonal.  Each column pivots on its entry of largest |Re| + |Im|, as
-    LAPACK getrf does; LinAlgError if no pivot is exactly zero."""
-    u = np.array(a, dtype=complex)
-    for k in range(u.shape[0]):
-        col = u[k:, k]
-        p = k + int(np.argmax(np.abs(col.real) + np.abs(col.imag)))
-        if u[p, k] == 0:
-            return k, u
-        u[[k, p]] = u[[p, k]]
-        u[k + 1:, k + 1:] -= np.outer(u[k + 1:, k] / u[k, k], u[k, k + 1:])
-        u[k + 1:, k] = 0
-    raise np.linalg.LinAlgError(
-        "gesv found the Schur complement singular, but its partial-pivot "
-        "LU has no exact zero pivot")
-
-
-class _ShiftedSolve:
-    """K~ - sigma factored through the Schur complement of its field sector,
-    built once per shift as ``_ShiftedSolve(op, sigma)``.
-
-    S(sigma) = D - sigma - C~ diag(1/(Lambda - sigma)) B~.  Field modes with
-    Lambda == sigma exactly are moved into the bordered block, so nothing
-    is divided by zero.  S is inverted once by :func:`lu_factor`.  An
-    exact zero pivot of S means sigma is an eigenvalue of the truncation:
-    ``solve`` then raises LinAlgError, and ``null_vector`` gives its
-    eigenvector from the zero pivot's row of ``_zero_pivot_lu``."""
-
-    def __init__(self, op: _BorderedKroneckerSum, sigma: complex):
-        self.op = op
-        gap = op.lam - sigma
-        self.moved = np.flatnonzero(gap == 0)
-        self.inv = np.zeros_like(gap)
-        kept = gap != 0
-        self.inv[kept] = 1.0 / gap[kept]
-        nz = self.moved.size
-        S = np.zeros((nz + op.D.size,) * 2, dtype=complex)
-        S[:nz, nz:] = op.Bt[self.moved]
-        S[nz:, :nz] = op.Ct[:, self.moved]
-        S[nz:, nz:] = (np.diag(op.D - sigma)
-                       - op.Ct @ (self.inv[:, None] * op.Bt))
-        try:
-            self.S_inv = lu_factor(S)
-            self.zero_pivot = None
-        except np.linalg.LinAlgError:
-            self.zero_pivot, self.upper = _zero_pivot_lu(S)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """(K~ - sigma)^{-1} b, raising on an exact zero pivot."""
-        if self.zero_pivot is not None:
-            raise np.linalg.LinAlgError(
-                "singular shifted matrix: exact zero pivot at row "
-                f"{self.zero_pivot} of the Schur complement")
-        op = self.op
-        bx = b[:op.nf]
-        rhs = np.concatenate([bx[self.moved],
-                              b[op.nf:] - op.Ct @ (self.inv * bx)])
-        return self._field_back(bx, lu_solve(self.S_inv, rhs))
-
-    def null_vector(self) -> np.ndarray:
-        """A null vector of K~ - sigma from the first zero pivot k of S: the
-        bordered unknowns u = (moved field modes, y) solve U u = 0 with
-        u_k = 1, and the other field modes are x = -(Lambda - sigma)^{-1}
-        B~ y."""
-        k = self.zero_pivot
-        U = self.upper
-        u = np.zeros(U.shape[0], dtype=complex)
-        u[k] = 1.0
-        u[:k] = np.linalg.solve(U[:k, :k], -U[:k, k])
-        return self._field_back(np.zeros(self.op.nf, dtype=complex), u)
-
-    def _field_back(self, bx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Full vector from the field right-hand side bx and the bordered
-        unknowns u = (moved field modes, discrete part)."""
-        y = u[self.moved.size:]
-        x = self.inv * (bx - self.op.Bt @ y)
-        x[self.moved] = u[:self.moved.size]
-        return np.concatenate([x, y])
+def _bordered(op: _BorderedKroneckerSum, near: np.ndarray, centre: complex):
+    """(A, idx, inv): A = [[diag Lambda_near, B~_near], [C~_near, D - C~_far
+    diag(1/(Lambda_far - centre)) B~_far]], K~ with the field modes outside
+    ``near`` folded into the border at ``centre``; idx the near modes, to
+    which a mode with Lambda == centre exactly is added; inv the fold
+    diagonal 1/(Lambda - centre), zero on the near modes.  By the Schur
+    complement over the far modes, every eigenvalue of K~ is one of A folded
+    at it: the fold is exact at its centre."""
+    near = near | (op.lam == centre)
+    inv = np.zeros_like(op.lam)
+    inv[~near] = 1.0 / (op.lam[~near] - centre)
+    idx = np.flatnonzero(near)
+    n = idx.size
+    A = np.zeros((n + op.D.size,) * 2, dtype=complex)
+    A[np.arange(n), np.arange(n)] = op.lam[idx]
+    A[:n, n:] = op.Bt[idx]
+    A[n:, :n] = op.Ct[:, idx]
+    A[n:, n:] = np.diag(op.D) - (op.Ct * inv) @ op.Bt
+    return A, idx, inv
 
 
 def _folded_candidates(op: _BorderedKroneckerSum, near: np.ndarray,
                        centre: complex) -> np.ndarray:
-    """Eigenvalues of [[diag Lambda_near, B~_near], [C~_near, D - C~_far
-    diag(1/(Lambda_far - centre)) B~_far]], K~ with the field modes
-    outside ``near`` folded into the border at ``centre``.  By the Schur
-    complement over them, every eigenvalue of K~ is one of this matrix
-    folded at it: the fold is exact at its centre."""
-    inv = np.zeros_like(op.lam)
-    inv[~near] = 1.0 / (op.lam[~near] - centre)
-    folded = np.diag(op.D) - (op.Ct * inv) @ op.Bt
-    return np.linalg.eigvals(np.block([[np.diag(op.lam[near]), op.Bt[near]],
-                                       [op.Ct[:, near], folded]]))
+    """Eigenvalues of the matrix :func:`_bordered` folds at ``centre``."""
+    return np.linalg.eigvals(_bordered(op, near, centre)[0])
+
+
+class _ShiftedSolve:
+    """K~ - sigma through A - sigma, A the matrix :func:`_bordered` folds at
+    sigma, built once per shift as ``_ShiftedSolve(op, near, sigma)``.
+
+    The far field modes leave the right-hand side b = (b_field, b_disc) as
+    b_disc - C~ diag(inv) b_field, and come back from the bordered unknowns
+    (x_near, y) as x_far = (Lambda_far - sigma)^{-1} (b_far - B~_far y).
+    A - sigma is inverted once by :func:`lu_factor`.  If it is exactly
+    singular, sigma is an eigenvalue of the truncation: ``null`` is then its
+    eigenvector, the last right singular vector of A - sigma lifted the same
+    way, and ``solve`` raises LinAlgError; otherwise ``null`` is None."""
+
+    def __init__(self, op: _BorderedKroneckerSum, near: np.ndarray,
+                 sigma: complex):
+        self.op = op
+        A, self.idx, self.inv = _bordered(op, near, sigma)
+        A.flat[::A.shape[0] + 1] -= sigma
+        try:
+            self.A_inv = lu_factor(A)
+            self.null = None
+        except np.linalg.LinAlgError:
+            self.null = self._lift(np.zeros(op.nf, dtype=complex),
+                                   np.linalg.svd(A)[2][-1].conj())
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(K~ - sigma)^{-1} b, raising if sigma is an eigenvalue."""
+        if self.null is not None:
+            raise np.linalg.LinAlgError(
+                "singular shifted matrix: the shift is an eigenvalue of the "
+                "truncation")
+        op = self.op
+        bx = b[:op.nf]
+        rhs = np.concatenate([bx[self.idx],
+                              b[op.nf:] - op.Ct @ (self.inv * bx)])
+        return self._lift(bx, lu_solve(self.A_inv, rhs))
+
+    def _lift(self, bx: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Full vector from the field right-hand side bx and the bordered
+        unknowns u = (x_near, y)."""
+        y = u[self.idx.size:]
+        x = self.inv * (bx - self.op.Bt @ y)
+        x[self.idx] = u[:self.idx.size]
+        return np.concatenate([x, y])
 
 
 def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
@@ -438,12 +416,14 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
     however far the cluster lies from the target.  Candidates in that reach
     are polished by inverse iteration and certified by their residuals; one
     that misses ``tol`` raises LinAlgError.  Eigenvalues outside the disk,
-    or already found, are dropped.  Every shifted solve goes through the
-    eigenbases of the Kronecker-sum field sector and a (2N+1)-square Schur
-    complement of the coupling border; the dense ``problem.matrix`` is
-    never formed.  A shift that is exactly an eigenvalue of the truncation
-    takes its eigenvector from the null vector of the Schur complement.  The
-    sensitivity of an eigenvalue lambda is |lambda - mu|, mu being where
+    or already found, are dropped.  Candidates and shifted solves use one
+    bordered matrix (:func:`_bordered`): the field modes within _NEAR_RADII
+    radii of the target kept in the eigenbases of the Kronecker-sum field
+    sector, the others folded into the coupling border at the fold centre
+    or the shift; the dense ``problem.matrix`` is never formed.  A shift
+    that is exactly an eigenvalue of the truncation takes its eigenvector
+    from the null vector of that matrix.  The sensitivity of an eigenvalue
+    lambda is |lambda - mu|, mu being where
     inverse iteration from lambda converges on the (N+4, J+16) truncation
     (a follow that misses ``tol`` raises LinAlgError); discretized-continuum
     artifacts carry a large sensitivity while true resonances are stable.
@@ -466,7 +446,7 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
             slip = max(_FOLD_SLIP * abs(lam0 - centre), 1e-8)
             if any(abs(lam0 - l2) < slip for l2, _ in found):
                 continue
-            lam, _, res = _inverse_iterate(op, lam0, tol)
+            lam, _, res = _inverse_iterate(op, near, lam0, tol)
             # clustered candidates polish to the same eigenvalue
             if abs(lam - target) <= reach and all(
                     abs(lam - l2) >= 1e-8 for l2, _ in found):
@@ -478,26 +458,28 @@ def eigen_near(problem: FloquetProblem, target: complex, tol: float = 1e-10,
     found.sort(key=lambda t: (abs(t[0] - target), t[0].real, t[0].imag))
     bigger = replace(problem, n_fourier=problem.n_fourier + 4,
                      n_hermite=problem.n_hermite + 16)._operator
+    near = np.abs(bigger.lam - target) <= _NEAR_RADII * radius
     return [FloquetEigenpair(
-        lam, res, abs(lam - _inverse_iterate(bigger, lam, tol)[0]))
+        lam, res, abs(lam - _inverse_iterate(bigger, near, lam, tol)[0]))
         for lam, res in found]
 
 
-def _inverse_iterate(op: _BorderedKroneckerSum, lam0: complex, tol: float):
+def _inverse_iterate(op: _BorderedKroneckerSum, near: np.ndarray,
+                     lam0: complex, tol: float):
     """(lambda, unit v, |K~ v - lambda v|) polished from a candidate to a
-    residual below tol, or LinAlgError.  An exactly singular S makes the
-    shift an eigenvalue of the truncation; its null vector is the iterate."""
+    residual below tol, or LinAlgError.  Each shift keeps the field modes
+    ``near`` unfolded.  A shift that is an eigenvalue of the truncation
+    takes its null vector as the iterate."""
     lam = complex(lam0)
     v = np.ones(op.dim, dtype=complex) / math.sqrt(op.dim)
     for _ in range(_INVERSE_ITERATIONS):
-        shifted = _ShiftedSolve(op, lam)
-        if shifted.zero_pivot is None:
+        shifted = _ShiftedSolve(op, near, lam)
+        if shifted.null is None:
             for _ in range(2):
                 v = shifted.solve(v)
                 v /= np.linalg.norm(v)
         else:
-            v = shifted.null_vector()
-            v /= np.linalg.norm(v)
+            v = shifted.null / np.linalg.norm(shifted.null)
         Kv = op.matvec(v)
         lam_new = complex(np.vdot(v, Kv))
         res = float(np.linalg.norm(Kv - lam_new * v))

@@ -2,7 +2,8 @@
 
 A :class:`FormFactor` is a finite sum of terms ``c * x^d * exp(-w x^2/2 + b x)``
 with Re(w) > 0.  The family is closed under Fourier transform, products,
-translation, modulation and dilation, so every operation here is exact
+translation, modulation and dilation (the last three act on the Floquet
+coupling's term arrays in ``floquet``), so every operation here is exact
 coefficient algebra; no quadrature is involved except in tests.
 """
 
@@ -22,8 +23,6 @@ __all__ = [
     "Term",
     "FormFactor",
     "conj_reflect",
-    "translate_modulate",
-    "dilate",
 ]
 
 
@@ -210,40 +209,3 @@ def conj_reflect(phi: FormFactor) -> FormFactor:
     identity on real even couplings.
     """
     return phi.conj_position().reflect()
-
-
-def translate_modulate(phi: FormFactor, shift: float, momentum_shift: float = 0.0,
-                       phase: float = 0.0) -> FormFactor:
-    """exp(i phase) exp(i momentum_shift x) phi(x + shift), exactly.
-
-    Unitary for real parameters, so the L2 norm is preserved.
-    """
-    a = complex(shift)
-    out: list[Term] = []
-    for c, d, w, b in phi.terms:
-        pref = c * cmath.exp(-0.5 * w * a * a + b * a + 1j * phase)
-        for j in range(d + 1):
-            out.append(Term(pref * math.comb(d, j) * a ** (d - j), j, w,
-                            b - w * a + 1j * momentum_shift))
-    return FormFactor(out)
-
-
-def dilate(phi: FormFactor, theta) -> FormFactor:
-    """Dilation group action (U(theta) phi)(x) = e^{theta/2} phi(e^theta x).
-
-    Exact on the representation; the group law U(t1)U(t2) = U(t1+t2) holds
-    at coefficient level.  Rejects rotations that make a width leave the
-    right half-plane.
-    """
-    theta = complex(theta)
-    scale = cmath.exp(theta)
-    out = []
-    for c, d, w, b in phi.terms:
-        w_new = w * scale * scale
-        if w_new.real <= 0.0:
-            raise ValueError(
-                f"dilation by theta={theta} rotates width {w} out of the "
-                "right half-plane"
-            )
-        out.append(Term(c * cmath.exp(theta * (d + 0.5)), d, w_new, b * scale))
-    return FormFactor(out)

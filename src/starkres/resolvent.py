@@ -240,8 +240,7 @@ class RoucheCertificate:
 class _AiryGrid(NamedTuple):
     """Composite Gauss-Legendre grid of the Airy route for one (phi, f)."""
 
-    x: np.ndarray            # nodes, panel by panel
-    w: np.ndarray            # weights at x
+    w: np.ndarray            # weights at the nodes x, panel by panel
     halves: np.ndarray       # panel half-widths
     M: np.ndarray            # running-integral matrix on one panel
     gauss_w: np.ndarray      # Gauss-Legendre weights on [-1, 1]
@@ -356,7 +355,7 @@ class ResolventEvaluator:
             poly = [zf ** ((m - 2 - j) // 2) if (m - j) % 2 == 0 else 0.0
                     for j in range(m - 1)]
             args = np.sqrt(u) * np.concatenate((s - k0, s + k0))
-            reach = float(np.abs(args).max())
+            reach = float(np.abs(args).max(initial=0.0))
             if not reach <= _W_REACH:
                 raise QuadratureError(
                     f"Faddeeva argument of modulus {reach:.4g} past the "
@@ -486,7 +485,7 @@ class ResolventEvaluator:
         dphi = FormFactor(_derivative(self.phi.terms))
         cbrt = self.f ** (1.0 / 3.0)
         return _AiryGrid(
-            x, w, 0.5 * (edges[1:] - edges[:-1]), cumulative_matrix(nn),
+            w, 0.5 * (edges[1:] - edges[:-1]), cumulative_matrix(nn),
             gauss_w, self.phi(x), self.phi.conj_position()(x), dphi(x),
             dphi.conj_position()(x), n_pan, nn, L,
             cbrt * 0.5 * (edges[1:] + edges[:-1]), cbrt * (L / n_pan))
@@ -658,27 +657,32 @@ class ResolventEvaluator:
                 math.inf)
         return r
 
-    def _stark(self, zc: np.ndarray, derivative: bool = False) -> np.ndarray:
-        """r(z) at each point of the flat array zc, and r'(z) too when
-        ``derivative`` (an array of shape (2, zc.size) that holds r and
-        r'), on the route :meth:`_route` gives the point: the Airy kernel
-        or the time ray, where r' is one more ray integral.  A point that
+    def _stark(self, zf: np.ndarray, derivative: bool = False) -> np.ndarray:
+        """r(z) at each point of the flat array zf, and r'(z) too when
+        ``derivative`` (an array of shape (2, zf.size) that holds r and
+        r'), in consecutive batches of _BATCH points.  Each point takes the
+        route :meth:`_route` gives it within its batch: the Airy kernel or
+        the time ray, where r' is one more ray integral.  A point that
         neither route takes raises QuadratureError, and so does a
         non-finite Airy-kernel value."""
-        res = np.empty((2, zc.size) if derivative else zc.size, dtype=complex)
-        airy, ray, span = self._route(zc)
-        if np.any(airy):
-            res[..., airy] = self._stark_airy_batch(zc[airy], span, derivative)
-        for j in np.nonzero(~airy)[0]:
-            zj = complex(zc[j])
-            if not ray[j]:
-                raise QuadratureError(
-                    f"no route keeps the tolerance at z={zj} for f={self.f}: "
-                    "the Airy panels do not resolve the kernel there, or "
-                    "it exceeds double-precision range", math.inf)
-            res[..., j] = ((self.stark_time_ray(zj),
-                            self.stark_time_ray(zj, derivative=True))
-                           if derivative else self.stark_time_ray(zj))
+        res = np.empty((2, zf.size) if derivative else zf.size, dtype=complex)
+        for i in range(0, zf.size, _BATCH):
+            zc, out = zf[i:i + _BATCH], res[..., i:i + _BATCH]
+            airy, ray, span = self._route(zc)
+            if np.any(airy):
+                out[..., airy] = self._stark_airy_batch(zc[airy], span,
+                                                        derivative)
+            for j in np.nonzero(~airy)[0]:
+                zj = complex(zc[j])
+                if not ray[j]:
+                    raise QuadratureError(
+                        f"no route keeps the tolerance at z={zj} for "
+                        f"f={self.f}: the Airy panels do not resolve the "
+                        "kernel there, or it exceeds double-precision range",
+                        math.inf)
+                out[..., j] = ((self.stark_time_ray(zj),
+                                self.stark_time_ray(zj, derivative=True))
+                               if derivative else self.stark_time_ray(zj))
         return res
 
     def stark_matrix_element(self, z):
@@ -692,10 +696,7 @@ class ResolventEvaluator:
         if self.f <= 0:
             raise ValueError("stark_matrix_element requires f > 0")
         z_in, zf = _points(z)
-        out = np.empty_like(zf)
-        for i in range(0, zf.size, _BATCH):
-            out[i:i + _BATCH] = self._stark(zf[i:i + _BATCH])
-        return _restore_shape(out, z_in)
+        return _restore_shape(self._stark(zf), z_in)
 
     # ------------------------------------------------------------------
     # F and its derivative
@@ -719,11 +720,9 @@ class ResolventEvaluator:
         """
         zf = _points(z)[1]
         if self.f == 0.0:
-            return (self.F_value(zf),
-                    np.array([self.F_derivative(zj) for zj in zf]))
-        r = np.empty((2, zf.size), dtype=complex)
-        for i in range(0, zf.size, _BATCH):
-            r[:, i:i + _BATCH] = self._stark(zf[i:i + _BATCH], True)
+            return (self.F_value(zf), np.array(
+                [self.F_derivative(zj) for zj in zf], dtype=complex))
+        r = self._stark(zf, True)
         return 1.0 - zf - r[0], -1.0 - r[1]
 
     def F_derivative(self, z: complex) -> complex:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import R0, TWO_TERMS
+from conftest import R0, TWO_TERMS, dilate, translate_modulate
 from starkres import (
     FloquetProblem,
     FormFactor,
@@ -248,8 +248,6 @@ def test_t_sampling_doubling(coupling, monkeypatch):
 def boosted(prob, t, conj):
     """The gauge-boosted, dilated coupling at drive time t, by exact
     FormFactor algebra: the row border's (conj) or the column's."""
-    from starkres.formfactor import dilate, translate_modulate
-
     om = prob.omega
     a = 2 * prob.f * math.sin(om * t) / om**2
     b = -prob.f * math.cos(om * t) / om
@@ -318,30 +316,49 @@ def test_dilation_out_of_the_right_half_plane_raises(phi, f):
             build()
 
 
-# eigen_near(FloquetProblem(coupling, f, 1, 0.3i, 8, 40), R0, 1e-10,
-# 0.05)[0] at the ac_track truncation, as (eigenvalue, sensitivity),
-# recorded with the per-sample FormFactor build of the coupling borders,
-# complex broadcast matmuls into the eigenbasis and modified Gram-Schmidt
-# Arnoldi
+# eigen_near(FloquetProblem(coupling, f, 1, 0.3i, N, J), R0, 1e-10,
+# 0.05)[0] as (eigenvalue, sensitivity), per truncation (N, J): the
+# ac_track one (8, 40), recorded with the per-sample FormFactor build of the
+# coupling borders, complex broadcast matmuls into the eigenbasis and
+# modified Gram-Schmidt Arnoldi, and the README one (16, 80), recorded with
+# folded candidates and the (2N+1)-square Schur complement per shift
 AC_TRACK_PAIRS = {
-    0.1: (1.0191539839610972 - 0.011052115450366412j, 0.0001443592334878059),
-    0.05: (1.0191443713717316 - 0.011056566395305778j,
-           0.00014317361479952075),
-    0.02: (1.0191419230872538 - 0.011057795937377157j,
-           0.0001427690813013884),
-    0.0: (1.0191414691504492 - 0.011058028884070401j,
-          0.00014268797478538328),
+    (8, 40): {
+        0.1: (1.0191539839610972 - 0.011052115450366412j,
+              0.0001443592334878059),
+        0.05: (1.0191443713717316 - 0.011056566395305778j,
+               0.00014317361479952075),
+        0.02: (1.0191419230872538 - 0.011057795937377157j,
+               0.0001427690813013884),
+        0.0: (1.0191414691504492 - 0.011058028884070401j,
+              0.00014268797478538328),
+    },
+    (16, 80): {
+        0.1: (1.0190637384064285 - 0.0110885329032831j,
+              1.7442046380247143e-05),
+        0.05: (1.0190586291834594 - 0.011097132626104511j,
+               1.7065287299655745e-05),
+        0.02: (1.0190577146201552 - 0.011099435139080127j,
+               1.6871337485269648e-05),
+        0.0: (1.0190575676745937 - 0.011099866170098893j,
+              1.6828676351741983e-05),
+    },
 }
 
 
-@pytest.mark.parametrize("f", sorted(AC_TRACK_PAIRS, reverse=True))
-def test_ac_track_eigenpairs_are_pinned(coupling, f):
+# the ac_track truncation's cases are named by f alone
+@pytest.mark.parametrize("n_fourier, n_hermite, f", [
+    pytest.param(n, J, f, id=str(f) if (n, J) == (8, 40) else f"{n}-{J}-{f}")
+    for (n, J), pairs in AC_TRACK_PAIRS.items()
+    for f in sorted(pairs, reverse=True)])
+def test_ac_track_eigenpairs_are_pinned(coupling, n_fourier, n_hermite, f):
     # a wrong border moves lambda far more than 1e-12 long before the
     # bench's |lambda(0) - r0| < 1e-3 notices.  The sensitivity is a
     # difference of two eigenvalues and carries their absolute rounding,
     # so both are held to 1e-12 relative to the eigenvalue
-    lam, sens = AC_TRACK_PAIRS[f]
-    prob = FloquetProblem(coupling, f, 1.0, 0.3j, n_fourier=8, n_hermite=40)
+    lam, sens = AC_TRACK_PAIRS[n_fourier, n_hermite][f]
+    prob = FloquetProblem(coupling, f, 1.0, 0.3j, n_fourier=n_fourier,
+                          n_hermite=n_hermite)
     best = eigen_near(prob, R0, tol=1e-10, radius=0.05)[0]
     assert abs(best.eigenvalue - lam) <= 1e-12 * abs(lam)
     assert abs(best.sensitivity - sens) <= 1e-12 * abs(lam)
@@ -427,7 +444,7 @@ def test_structured_operator_matches_dense(phi, f, rng):
     Kv = K @ v
     assert np.linalg.norm(op.matvec(v) - Kv) <= 1e-13 * np.linalg.norm(Kv)
     sigma = 1.02 - 0.01j
-    x = _ShiftedSolve(op, sigma).solve(v)
+    x = _ShiftedSolve(op, np.abs(op.lam - sigma) <= 0.1, sigma).solve(v)
     want = np.linalg.solve(K - sigma * np.eye(prob.dimension), v)
     assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -479,84 +496,60 @@ def test_eigen_near_finds_a_clustered_eigenvalue_at_the_disk_edge(phi, f):
 
 @pytest.mark.parametrize("f", [0.0, 0.1])
 def test_shift_on_a_field_eigenvalue_solves(coupling, f, rng):
-    # sigma exactly on a Lambda entry: that field mode joins the bordered
-    # block instead of being divided by zero; the solve is backward stable
+    # sigma exactly on a Lambda entry, with that field mode among the near
+    # ones and outside them: outside, it joins the bordered block instead
+    # of being divided by zero; either way the solve is backward stable
     prob = FloquetProblem(coupling, f, 1.0, 0.3j, n_fourier=3, n_hermite=20)
     op = prob._operator
-    A = eigenbasis_matrix(prob) - op.lam[37] * np.eye(prob.dimension)
+    sigma = op.lam[37]
+    A = eigenbasis_matrix(prob) - sigma * np.eye(prob.dimension)
     v = rng.standard_normal(prob.dimension) + 1j * rng.standard_normal(
         prob.dimension)
-    x = _ShiftedSolve(op, op.lam[37]).solve(v)
-    assert np.all(np.isfinite(x))
-    backward = np.linalg.norm(A @ x - v) / (
-        np.linalg.norm(A, 2) * np.linalg.norm(x))
-    assert backward < 1e-14
+    near = np.abs(op.lam - sigma) <= 0.1
+    outside = near.copy()
+    outside[37] = False
+    for mask in (near, outside):
+        x = _ShiftedSolve(op, mask, sigma).solve(v)
+        assert np.all(np.isfinite(x))
+        backward = np.linalg.norm(A @ x - v) / (
+            np.linalg.norm(A, 2) * np.linalg.norm(x))
+        assert backward < 1e-14
 
 
 @pytest.mark.parametrize("field_mode", [False, True])
 def test_inverse_iteration_at_a_singular_schur_complement(field_mode):
     # without coupling, sigma = 2 is the n = 1 discrete eigenvalue and a
-    # Lambda entry a field one; S is then exactly singular and its null
-    # vector is the eigenvector
+    # Lambda entry a field one, here outside the near modes until it joins
+    # them; the bordered matrix minus sigma is then exactly singular and
+    # its null vector, lifted, is the eigenvector
     prob = FloquetProblem(FormFactor.gaussian(0.0, 1.0), 0.1, n_fourier=2,
                           n_hermite=10)
     op = prob._operator
     sigma = op.lam[13] if field_mode else 2.0
-    assert _ShiftedSolve(op, sigma).zero_pivot is not None
-    lam, vec, _ = _inverse_iterate(op, sigma, 1e-12)
+    near = np.zeros(op.lam.size, dtype=bool)
+    assert _ShiftedSolve(op, near, sigma).null is not None
+    lam, vec, _ = _inverse_iterate(op, near, sigma, 1e-12)
     assert abs(lam - sigma) < 1e-14
     K = eigenbasis_matrix(prob)
     assert np.linalg.norm(K @ vec - lam * vec) < 1e-12 * np.linalg.norm(vec)
 
 
 @pytest.mark.parametrize("sigma_at", ["discrete", "field", "discrete-f0"])
-def test_zero_pivot_lu_matches_scipy(monkeypatch, sigma_at):
-    # the exactly singular Schur complements of the zero-coupling problems
-    # of the two tests above: the numpy LU stops at the first zero pivot
-    # of scipy's getrf, and its null vector solves K~ - sigma
-    from scipy.linalg import LinAlgWarning, lu_factor
-
+def test_singular_shift_takes_the_null_vector(sigma_at):
+    # the exactly singular shifts of the zero-coupling problems of the two
+    # tests above: lu_factor raises, solve refuses, and the lifted null
+    # vector solves K~ - sigma
     f = 0.0 if sigma_at == "discrete-f0" else 0.1
     prob = FloquetProblem(FormFactor.gaussian(0.0, 1.0), f, n_fourier=2,
                           n_hermite=10)
     op = prob._operator
     sigma = {"discrete": 2.0, "field": op.lam[13],
              "discrete-f0": 1.0}[sigma_at]
-    seen = []
-    factor = floquet.lu_factor
-
-    def recording(a):
-        seen.append(a.copy())
-        return factor(a)
-
-    monkeypatch.setattr(floquet, "lu_factor", recording)
-    shifted = _ShiftedSolve(op, sigma)
-    (S,) = seen
-    with pytest.warns(LinAlgWarning, match="exactly zero"):
-        pivots = np.diagonal(lu_factor(S)[0])
-    assert shifted.zero_pivot == np.flatnonzero(pivots == 0)[0]
-    v = shifted.null_vector()
-    v /= np.linalg.norm(v)
+    shifted = _ShiftedSolve(op, np.abs(op.lam - sigma) <= 0.1, sigma)
+    with pytest.raises(np.linalg.LinAlgError, match="eigenvalue"):
+        shifted.solve(np.ones(op.dim, dtype=complex))
+    v = shifted.null / np.linalg.norm(shifted.null)
     assert np.linalg.norm(op.matvec(v) - sigma * v) < 1e-14
-
-
-def test_zero_pivot_lu_pivots_as_getrf(rng):
-    # a zero column stays exactly zero under elimination, so the first
-    # zero pivot is at its index; before it the first column pivots on
-    # 3+3i (|Re| + |Im| = 6) where the largest modulus would take 5, and
-    # the eliminated rows are scipy's U rows
-    from scipy.linalg import LinAlgWarning, lu_factor
-
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    a[:, 0] = [5.0, 3.0 + 3.0j, 1.0, 0.5j, -2.0]
-    a[:, 2] = 0.0
-    k, upper = floquet._zero_pivot_lu(a)
-    with pytest.warns(LinAlgWarning, match="exactly zero"):
-        lu = lu_factor(a)[0]
-    assert k == np.flatnonzero(np.diagonal(lu) == 0)[0] == 2
-    assert np.max(np.abs(upper[:k] - np.triu(lu)[:k])) < 1e-14 * np.max(
-        np.abs(a))
-    assert np.all(np.tril(upper[:k], -1) == 0)
 
 
 @pytest.mark.parametrize("n", [17, 25, 41])

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from starkres import (
-    FormFactor,
-    Term,
-    conj_reflect,
-    dilate,
-    translate_modulate,
-)
+from conftest import dilate, translate_modulate
+from starkres import FormFactor, Term, conj_reflect
 from starkres._gauss import gaussian_poly_integral
 
 SQRT_PI = math.sqrt(math.pi)
@@ -104,6 +99,10 @@ def test_conj_reflect_involution_and_momentum_identity(rng):
         lhs = conj_reflect(phi).transform()(k)
         rhs = np.conj(phi.transform()(np.conj(k)))
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
+
+
+# the term-by-term boost and dilation of conftest: the references that the
+# Floquet coupling-border tests compare ``_coupling_modes`` against
 
 
 def test_translate_modulate_identity(coupling):

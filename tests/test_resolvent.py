@@ -385,6 +385,16 @@ def test_stark_F_derivative_matches_cauchy_ring(coupling, f, mixed):
         assert abs(ev.F_derivative(z) - ring) <= 1e-10 * abs(ring)
 
 
+@pytest.mark.parametrize("f", [0.0, 0.01])
+def test_F_on_no_points_is_empty(coupling, f):
+    # an empty batch is a batch: F and F' come back as empty complex
+    # arrays on the free closed form as on the Airy route
+    ev = ResolventEvaluator(coupling, f)
+    z = np.array([], dtype=complex)
+    for out in (ev.F_value(z), *ev.F_pair(z)):
+        assert out.shape == (0,) and out.dtype == complex
+
+
 @pytest.mark.parametrize("f, z", [
     (0.0, [1.0 - 0.01j, 0.93 - 0.04j]),
     (0.01, [1.0 - 0.01j, 0.93 - 0.04j, 1.08 - 0.002j]),
