@@ -54,13 +54,17 @@ def gaussian_poly_integral(coeffs, a, b):
     return np.sqrt(np.pi / a) * np.exp(b * b / (4.0 * a)) * total
 
 
-def cauchy_derivative(F, z: complex, rho: float, n: int = 32) -> complex:
+def cauchy_derivative(F, z, rho, n: int = 32):
     """F'(z) as the mean of F over n equispaced points of the circle
-    |w - z| = rho, weighted by exp(-i angle)/rho (spectrally accurate)."""
+    |w - z| = rho, weighted by exp(-i angle)/rho (spectrally accurate).
+    For arrays z and rho, one F call takes every ring, the n points along
+    its last axis, and F' comes back in their shape."""
     angles = 2.0 * np.pi * np.arange(n) / n
-    ring = z + rho * np.exp(1j * angles)
-    vals = np.asarray(F(ring), dtype=complex).ravel()
-    return complex(np.mean(vals * np.exp(-1j * angles)) / rho)
+    z, rho = np.asarray(z), np.asarray(rho)
+    ring = z[..., None] + rho[..., None] * np.exp(1j * angles)
+    vals = np.asarray(F(ring), dtype=complex)
+    dF = np.mean(vals * np.exp(-1j * angles), axis=-1) / rho
+    return complex(dF) if dF.ndim == 0 else dF
 
 
 @lru_cache(maxsize=16)

@@ -294,6 +294,18 @@ def _base_manifest(config: RunConfig) -> dict:
     }
 
 
+def _write_zeros(path: Path, f_grid, groups, labels) -> list[list]:
+    """Write resonances.csv or sweep.csv, one row per zero, and return
+    the rows."""
+    rows = [[f, r.z.real, r.z.imag, r.residual, r.winding, k]
+            for f, group, ks in zip(f_grid, groups, labels)
+            for r, k in zip(group, ks)]
+    write_csv(path,
+              ["f", "re_z", "im_z", "residual", "winding", "trajectory_id"],
+              rows)
+    return rows
+
+
 def _run_dc(config: RunConfig, out: Path) -> tuple[str, ...]:
     phi = config.coupling()
     window = config.window
@@ -302,11 +314,7 @@ def _run_dc(config: RunConfig, out: Path) -> tuple[str, ...]:
                        pair=ev.F_pair)
     labels = (period_labels(ResolventEvaluator(phi, 0.0).F_value, config.f,
                             zeros) if config.f > 0 else (None,) * len(zeros))
-    rows = [[config.f, r.z.real, r.z.imag, r.residual, r.winding, k]
-            for r, k in zip(zeros, labels)]
-    write_csv(out / "resonances.csv",
-              ["f", "re_z", "im_z", "residual", "winding", "trajectory_id"],
-              rows)
+    _write_zeros(out / "resonances.csv", [config.f], [zeros], [labels])
     manifest = _base_manifest(config)
     manifest["results"] = {
         "n_resonances": len(zeros),
@@ -321,13 +329,8 @@ def _run_dc(config: RunConfig, out: Path) -> tuple[str, ...]:
 def _run_sweep(config: RunConfig, out: Path) -> tuple[str, ...]:
     phi = config.coupling()
     result = dc_sweep(phi, config.f_grid, config.window, tol=config.tol)
-    rows = [[f, r.z.real, r.z.imag, r.residual, r.winding, k]
-            for f, group, ks in zip(result.f_grid, result.resonances,
-                                    result.labels)
-            for r, k in zip(group, ks)]
-    write_csv(out / "sweep.csv",
-              ["f", "re_z", "im_z", "residual", "winding", "trajectory_id"],
-              rows)
+    rows = _write_zeros(out / "sweep.csv", result.f_grid, result.resonances,
+                        result.labels)
     _cloud_figures(out, [(row[0], row[1], row[2]) for row in rows])
     manifest = _base_manifest(config)
     manifest["results"] = {

@@ -289,6 +289,18 @@ def test_numeric_failure_exit_code(tmp_path):
     assert (out / "failure.log").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--f", "1e300"], ["--f", "1e30"], ["--f", "0.01", "--width", "1e-6"],
+], ids=["f-1e300", "f-1e30", "width-1e-6"])
+def test_oversized_airy_grid_is_a_numeric_failure(tmp_path, args):
+    # a field or a coupling width whose Airy grid needs more panels than
+    # the evaluator allows: exit 3 with a failure log that names them
+    out = tmp_path / "grid"
+    assert main(["dc"] + args + ["--out", str(out)]) == 3
+    assert (out / "failure.log").read_text().startswith(
+        "QuadratureError: the Airy grid for f=")
+
+
 def test_program_error_is_not_a_numeric_failure(tmp_path, monkeypatch):
     # a bug in a runner propagates with its traceback instead of exit 3
     def broken(config, out):
@@ -459,14 +471,14 @@ def test_evaluator_leaves_scipy_unloaded():
     # Airy pair starts further out and is carried in
     proc = _python("-c", "\n".join((
         "import numpy as np",
-        "from starkres import FormFactor, ResolventEvaluator, resolvent",
+        "from starkres import FormFactor, ResolventEvaluator, _special",
         "z = np.array([1.0 - 0.01j, 0.95 - 0.02j])",
         "for f in (0.0, 0.05):",
         "    ev = ResolventEvaluator(FormFactor.gaussian(0.1, 1.0), f)",
         "    ev.F_value(z)",
         "    ev.F_pair(z)",
         "zeta = ev._airy_grid.L * f ** (1 / 3) - z * f ** (-2 / 3)",
-        "assert np.abs(zeta).min() < resolvent._AIRY_R",
+        "assert np.abs(zeta).min() < _special._AIRY_R",
         _LOADED)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

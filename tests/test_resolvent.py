@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,13 +13,14 @@ from starkres import (
     FormFactor,
     QuadratureError,
     ResolventEvaluator,
+    _special,
 )
 from starkres._gauss import cauchy_derivative, gauss_legendre
+from starkres._special import _node_reach, _taylor_table
 from starkres.formfactor import Term
 from starkres.oracle import (erfc_closed_form, erfc_free_element,
                              ode_resolvent_oracle)
-from starkres.resolvent import (_airy_coefficients, _node_reach,
-                                _taylor_table, _taylor_terms)
+from starkres.resolvent import _airy_coefficients, _taylor_terms
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -90,7 +92,7 @@ def test_faddeeva_matches_wofz(radius):
     ref = special.wofz(z)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = resolvent._faddeeva(z)
+        w = _special._faddeeva(z)
     finite = np.isfinite(ref)
     assert np.array_equal(np.isfinite(w), finite)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -135,11 +137,11 @@ def test_series_reach_matches_the_gammaln_table():
     ref = np.full(32, math.inf)
     ref[1:] = ((chi[2::2] + 1.0) * np.abs(v[2::2])
                / np.finfo(float).eps) ** (1.0 / n[2::2])
-    reach = resolvent._SERIES_REACH
+    reach = _special._SERIES_REACH
     assert np.all(np.abs(reach[1:] - ref[1:]) <= 4 * np.spacing(ref[1:]))
     assert reach[0] == ref[0] == math.inf
-    assert reach.min() == ref.min() == resolvent._AIRY_XI
-    xi = np.linspace(resolvent._AIRY_XI, 400.0, 20001)
+    assert reach.min() == ref.min() == _special._AIRY_XI
+    xi = np.linspace(_special._AIRY_XI, 400.0, 20001)
     assert np.array_equal(np.argmax(reach[:, None] <= xi, axis=0),
                           np.argmax(ref[:, None] <= xi, axis=0))
 
@@ -395,6 +397,29 @@ def test_F_on_no_points_is_empty(coupling, f):
         assert out.shape == (0,) and out.dtype == complex
 
 
+def test_free_F_pair_takes_every_ring_in_one_call(ev0, monkeypatch):
+    # at f = 0, F' of a batch comes from one F_value call on the Cauchy
+    # rings about all its points, the same bits as F_derivative point by
+    # point; the last two points take rings narrower than 1e-3, 0.45
+    # times their distance to the cut
+    rng = np.random.RandomState(9)
+    z = np.concatenate((0.9 + 0.2 * rng.rand(50) - 0.05j * rng.rand(50),
+                        [1e-3 - 1e-3j, -0.5 - 1e-3j]))
+    per_point = np.array([ev0.F_derivative(zj) for zj in z])
+    sizes = []
+    F_value = ResolventEvaluator.F_value
+
+    def counting(self, zz):
+        sizes.append(np.size(zz))
+        return F_value(self, zz)
+
+    monkeypatch.setattr(ResolventEvaluator, "F_value", counting)
+    F, dF = ev0.F_pair(z)
+    assert sizes == [z.size,
+                     resolvent.QUADRATURE["derivative_nodes"] * z.size]
+    assert dF.tobytes() == per_point.tobytes()
+
+
 @pytest.mark.parametrize("f, z", [
     (0.0, [1.0 - 0.01j, 0.93 - 0.04j]),
     (0.01, [1.0 - 0.01j, 0.93 - 0.04j, 1.08 - 0.002j]),
@@ -588,16 +613,18 @@ def test_airy_forms_are_built_once_and_reused(coupling, monkeypatch):
     assert forms
     calls = []
 
-    def counting(name):
-        fn = getattr(resolvent, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def count(*args):
             calls.append(name)
             return fn(*args)
         return count
 
-    for name in ("_taylor_table", "_taylor_uv"):
-        monkeypatch.setattr(resolvent, name, counting(name))
+    # each where its caller looks it up
+    for module, name in ((resolvent, "_taylor_table"),
+                         (_special, "_taylor_uv")):
+        monkeypatch.setattr(module, name, counting(module, name))
     again = (ev.F_value(z), *ev.F_pair(z))
     assert calls == []
     assert ev._forms.keys() == forms.keys()
@@ -693,7 +720,7 @@ def _watch_airy(monkeypatch, carried, wrap=lambda ai, aip: (ai, aip)):
     airy, count = resolvent._airy, resolvent._approach_counts
 
     def watched(x):
-        assert np.abs(x).min() >= resolvent._AIRY_R * (1.0 - 1e-15)
+        assert np.abs(x).min() >= _special._AIRY_R * (1.0 - 1e-15)
         sizes.append(x.size)
         return wrap(*airy(x))
 
@@ -787,6 +814,27 @@ def test_airy_route_grouped_panels_match_single_panels(coupling, z):
         assert np.all(np.abs(value - single) <= 1e-12 * np.abs(single))
 
 
+@pytest.mark.parametrize("f, width", ((1e300, 1.0), (1e30, 1.0),
+                                      (0.01, 1e-6)),
+                         ids=("f-1e300", "f-1e30", "width-1e-6"))
+def test_airy_grid_refuses_too_many_panels(f, width):
+    # at f = 1e300 the grid's half-length overflows and its panel width is
+    # 0; at 1e30, and for a coupling of width 1e-6 at f = 0.01, it would
+    # need some 8e59 and 8e13 panels.  Each is refused by name, before any
+    # array of the grid is built
+    ev = ResolventEvaluator(FormFactor.gaussian(0.1, width), f)
+    with pytest.raises(QuadratureError, match=re.escape(
+            f"f={f:.4g} and coupling width {width:.4g} needs ")
+            + rf".* panels, more than {resolvent._MAX_PANELS}"):
+        ev.F_value(1.0 - 0.01j)
+
+
+def test_airy_grid_admits_a_narrow_coupling():
+    # a coupling of width 0.01 at f = 0.01 takes 257 panels
+    ev = ResolventEvaluator(FormFactor.gaussian(0.1, 0.01), 0.01)
+    assert ev._airy_grid.n_pan == 257 <= resolvent._MAX_PANELS
+
+
 @pytest.mark.parametrize("z", (1e4, 1e10))
 def test_airy_route_refuses_unresolved_far_points(coupling, z):
     # far along the axis the panels no longer resolve the oscillation of
@@ -847,7 +895,7 @@ def _airy_ring(radius):
     # 3601 arguments on |zeta| = radius, phases -pi to pi in steps of
     # pi/1800 and so through +-2 pi/3 and +-pi, none below _AIRY_R
     z = radius * np.exp(1j * np.pi * np.arange(-1800, 1801) / 1800)
-    return z * max(1.0, resolvent._AIRY_R / np.abs(z).min())
+    return z * max(1.0, _special._AIRY_R / np.abs(z).min())
 
 
 def _airy_bound(z, ref):
@@ -859,13 +907,13 @@ def _airy_bound(z, ref):
     return 16.0 * eps * (1.0 + xi) * ref
 
 
-@pytest.mark.parametrize("radius", (resolvent._AIRY_R, 12.0, 30.0, 100.0),
+@pytest.mark.parametrize("radius", (_special._AIRY_R, 12.0, 30.0, 100.0),
                          ids=("R", "12", "30", "100"))
 def test_airy_series_matches_special_airy(radius):
     # the asymptotic series, with the connection formula past
     # |ph zeta| = 2 pi/3, against special.airy on rings from _AIRY_R out
     z = _airy_ring(radius)
-    ai, aip = resolvent._airy(z)
+    ai, aip = _special._airy(z)
     ref_ai, ref_aip, ref_bi, ref_bip = special.airy(z)
     assert np.all(np.abs(ai - ref_ai)
                   <= _airy_bound(z, np.abs(ref_ai) + np.abs(ref_bi)))
@@ -880,8 +928,8 @@ def test_airy_series_matches_mpmath():
     picks = 1800 + np.array([-1800, -1200, -900, -600, 0, 360, 600, 1080,
                              1200, 1620, 1800])
     z = np.concatenate([_airy_ring(radius)[picks]
-                        for radius in (resolvent._AIRY_R, 12.0, 100.0)])
-    ai, aip = resolvent._airy(z)
+                        for radius in (_special._AIRY_R, 12.0, 100.0)])
+    ai, aip = _special._airy(z)
     for j, zj in enumerate(z):
         w = mpmath.mpc(zj.real, zj.imag)
         with mpmath.workdps(40):
@@ -914,8 +962,8 @@ def test_airy_starts_outside_R_when_an_outer_node_lies_inside(
     zeta_c = g.groups(span)[0][:, None] - zf * 0.01 ** (-2.0 / 3.0)
     h = _node_reach(g.step, span, g.nn)
     outer = np.stack((zeta_c[-1] + h, zeta_c[0] - h))
-    assert resolvent._approach_counts(
-        outer, resolvent._approach_step(g.step, span)).tolist() == steps
+    assert _special._approach_counts(
+        outer, _special._approach_step(g.step, span)).tolist() == steps
     coef, K = _airy_coefficients(zeta_c, g.step, span, g.n_pan, g.nn)
     assert sizes == [2 * zf.size]
     ref = _per_centre(zeta_c, g.step, span, g.n_pan, g.nn)[0]
@@ -927,14 +975,14 @@ def test_airy_starts_outside_R_when_an_outer_node_lies_inside(
 
 
 def test_approach_counts_take_each_node_past_the_disc():
-    R = resolvent._AIRY_R
+    R = _special._AIRY_R
     # the first node at 0 moves R right, rounded up to whole steps; the
     # second and both left nodes lie outside and stay
     outer = np.array([[0.0 + 0j, -10.0 + 0j], [-20.0 + 0j, 30.0 + 0j]])
-    assert resolvent._approach_counts(outer, 1.0).tolist() == [
+    assert _special._approach_counts(outer, 1.0).tolist() == [
         [math.ceil(R), 0], [0, 0]]
     # a left node moves left past sqrt(R^2 - Im^2), here in half steps
-    k = resolvent._approach_counts(np.array([[20.0 + 0j], [3.0 - 1j]]), 0.5)
+    k = _special._approach_counts(np.array([[20.0 + 0j], [3.0 - 1j]]), 0.5)
     assert k.tolist() == [[0], [math.ceil(2.0 * (math.sqrt(R * R - 1.0)
                                                  + 3.0))]]
     assert abs(3.0 - 1j - 0.5 * k[1, 0]) >= R
@@ -1013,6 +1061,16 @@ def test_certify_unique_reference(ev0):
 def test_certify_unique_zero_coupling():
     ev = ResolventEvaluator(FormFactor.zero(), 0.0)
     assert ev.certify_unique(1.0, 0.1).certified
+
+
+def test_certify_within_the_band_is_indeterminate():
+    # amplitude 0.202 puts max |r| on the circle at about 0.1001, within
+    # the 2% band of the distance 0.1 of 1 - z from 0: neither certified
+    # nor refuted
+    ev = ResolventEvaluator(FormFactor.gaussian(0.202, 1.0), 0.0)
+    cert = ev.certify_unique(1.0, 0.1)
+    assert cert.indeterminate and not cert.certified and not cert
+    assert abs(cert.max_coupling - cert.min_linear) <= 0.02 * 0.1
 
 
 def test_certify_large_amplitude_not_certified():

@@ -407,3 +407,61 @@ def test_no_point_is_evaluated_twice():
         assert abs(r.z - expect) < 1e-10
     z = np.concatenate(points)
     assert np.unique(z).size == z.size
+
+
+@pytest.mark.parametrize("pair", [
+    lambda z: (z - 1.0 + 0.5j, np.zeros_like(z)),
+    lambda z: (z - 1.0 + 0.5j, np.full_like(z, np.inf)),
+    lambda z: (z - 1.0 + 0.5j, np.full_like(z, np.nan)),
+    lambda z: (np.full_like(z, np.nan), np.ones_like(z)),
+], ids=("dF-zero", "dF-inf", "dF-nan", "F-nan"))
+def test_newton_fails_a_box_where_F_or_dF_is_unusable(pair):
+    # the box's centre is the zero of z - 1 + 0.5i, but F' there is 0 or
+    # not finite, or F is not finite: the polish fails after one step,
+    # and no residual is taken
+    residuals = {}
+    assert rootfind._newton(lambda z: z - 1.0 + 0.5j, pair,
+                            [Window(0.5, 1.5, -1.0, 0.0)], 1e-10,
+                            residuals) == [None]
+    assert residuals == {}
+
+
+@pytest.mark.parametrize("value", (0.0, np.nan, np.inf))
+def test_refine_fails_an_edge_with_a_bad_midpoint(value):
+    # the phase turns by pi along [0, 1], so refinement samples its
+    # midpoint, where F is 0 or not finite
+    edge = rootfind._Edge(True, 0.0, np.array([0.0, 1.0]),
+                          np.array([1.0 + 0j, -1.0 + 0j]))
+    F = lambda z: np.where(z.real == 0.5, value, 1.0 + 0j)
+    assert rootfind._refine(F, [[edge]]) == [
+        "F is zero or not finite on the contour"]
+
+
+def test_split_level_without_a_zero_free_line_raises():
+    # F is not finite strictly inside the window, so every split line
+    # fails, at each of the fractions
+    window = Window(0.5, 2.5, -1.5, -0.1)
+    F = poly_from_roots([1 - 0.5j, 2 - 0.25j])
+    box, wind = rootfind._counted(F, window)
+
+    def inside_nan(z):
+        inside = ((window.re_min < z.real) & (z.real < window.re_max)
+                  & (window.im_min < z.imag) & (z.imag < window.im_max))
+        return np.where(inside, np.nan, F(z))
+
+    with pytest.raises(BoundaryZeroError, match="zero-free split line"):
+        rootfind._split_level(inside_nan, [(box, wind)])
+
+
+def test_find_zeros_raises_when_the_certificates_miss_the_count(
+        monkeypatch):
+    # a merge that loses one of the two certified zeros leaves their sum
+    # below the window's winding number
+    merge = rootfind._merge_duplicates
+    monkeypatch.setattr(rootfind, "_merge_duplicates",
+                        lambda items, radius: merge(items, radius)[1:])
+    roots = [1 - 0.5j, 2 - 0.25j]
+    with pytest.raises(CertificateError, match="certificate mismatch: "
+                       "window winding 2, sum of zero certificates 1"):
+        find_zeros(poly_from_roots(roots), Window(0.5, 2.5, -1.5, -0.1),
+                   pair=poly_pair(roots))
