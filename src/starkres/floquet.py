@@ -141,12 +141,18 @@ class FloquetProblem:
     length_scale: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.omega < math.inf:
-            raise ValueError("omega must be positive and finite")
+        # the operator holds f^2/omega^2 and 1/length_scale^2: a square
+        # that is 0 or not finite, taken by a product that cannot raise,
+        # makes no operator
+        w, ell = self.omega, self.length_scale
+        if not (0.0 < w and 0.0 < w * w < math.inf):
+            raise ValueError("omega must be positive, with a positive "
+                             f"finite square, got {w!r}")
         if not 0.0 <= self.f < math.inf:
             raise ValueError("f must be finite and nonnegative")
-        if not 0.0 < self.length_scale < math.inf:
-            raise ValueError("length scale must be positive and finite")
+        if not (0.0 < ell and 0.0 < ell * ell < math.inf):
+            raise ValueError("length scale must be positive, with a positive "
+                             f"finite square, got {ell!r}")
         th = complex(self.theta)
         object.__setattr__(self, "theta", th)
         if not (th.imag > 0 and cmath.isfinite(th)):

@@ -2,23 +2,24 @@
 
 The argument principle is evaluated by tracking the continuous phase of F
 along adaptively refined boundary samples, which yields exact integer
-winding numbers without numerically integrating F'/F.  A box's boundary
-is four edges; each holds its sorted samples, ends included, and the
-values of F there, and the box's count is the signed sum of the phase
-increments along its edges over 2 pi.  Windows are bisected level by
-level until each box holds at most one zero.  The halves of a box keep
-its edges, cut where the split line meets them, and share the line, so
-only the line is new.  A level's split lines are sampled in one F call
-and its new and cut edges refined in one F call per round.  Newton
-polishing with the caller's (F, F') pair then produces residual-certified
-zeros.
+winding numbers without numerically integrating F'/F.  One search takes F
+once per distinct point and files each contour sample under the
+axis-parallel line it lies on.  A box is just its window: a side's
+samples are every sample filed on that side's line between its two ends,
+whichever box or split line asked for them, and the box's count is the
+signed sum of the phase increments along its sides over 2 pi.  Windows
+are bisected level by level until each box holds at most one zero.  A
+split files its line, and each end of the line on the parent's side
+across it, so the halves read their parent's samples and share the line.
+A level's split lines are sampled in one F call and its halves refined in
+one F call per round.  Newton polishing with the caller's (F, F') pair
+then produces residual-certified zeros.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -113,88 +114,69 @@ class Resonance:
 
 
 # ----------------------------------------------------------------------
-# phase-tracked winding numbers on shared edges
+# phase-tracked winding numbers on filed lines
 
 
-class _Edge:
-    """F sampled along an axis-parallel segment: ``t`` the coordinate that
-    varies along it (Re z on a horizontal edge, Im z on a vertical one),
-    sorted, both ends included, ``fixed`` the other coordinate, and ``v``
-    the values of F at those points."""
+class _Samples:
+    """F over one search, taken once per distinct point, and its contour
+    samples filed by line.  A line is keyed ``(horizontal, fixed)``, the
+    coordinate that stays fixed along it (Im z on a horizontal line, Re z
+    on a vertical one), and holds ``t``, the other coordinate of its
+    samples, sorted, and the values of F there."""
 
-    __slots__ = ("horizontal", "fixed", "t", "v", "_turn")
+    def __init__(self, F):
+        self._F = F
+        self._memo: dict[complex, complex] = {}
+        self._lines: dict[tuple[bool, float], tuple] = {}
 
-    def __init__(self, horizontal: bool, fixed: float, t: np.ndarray,
-                 v: np.ndarray | None):
-        self.horizontal, self.fixed, self.t, self.v = horizontal, fixed, t, v
-        self._turn: float | None = None
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """F at the points z, in one F call at those not taken before."""
+        keys = z.tolist()
+        new = [p for p in dict.fromkeys(keys) if p not in self._memo]
+        if new:
+            v = np.asarray(self._F(np.array(new)), dtype=complex).ravel()
+            self._memo.update(zip(new, v.tolist()))
+        return np.array([self._memo[p] for p in keys], dtype=complex)
 
-    def at(self, t: np.ndarray) -> np.ndarray:
-        return _points(self.horizontal, self.fixed, t)
+    def file(self, lines: list[tuple[bool, float, np.ndarray]]) -> None:
+        """Sample every ``(horizontal, fixed, t)`` of ``lines``, ``t``
+        sorted, in one F call, and file the samples on their lines."""
+        v = self(np.concatenate([t + 1j * c if h else c + 1j * t
+                                 for h, c, t in lines]))
+        start = 0
+        for horizontal, fixed, t in lines:
+            vt = v[start:start + t.size]
+            start += t.size
+            filed = self._lines.get((horizontal, fixed))
+            if filed is not None:
+                t = np.concatenate((filed[0], t))
+                order = np.argsort(t, kind="stable")
+                t, vt = t[order], np.concatenate((filed[1], vt))[order]
+                once = np.append(True, t[1:] != t[:-1])
+                t, vt = t[once], vt[once]
+            self._lines[horizontal, fixed] = (t, vt)
 
-    def steps(self) -> np.ndarray:
-        return np.angle(self.v[1:] / self.v[:-1])
-
-    def turn(self) -> float:
-        """The phase increment of F along the edge, in increasing ``t``."""
-        if self._turn is None:
-            self._turn = float(np.sum(self.steps()))
-        return self._turn
-
-    def has(self, c: float) -> bool:
-        """Whether ``t = c`` is a sample."""
-        return bool(self.t[np.searchsorted(self.t, c)] == c)
-
-    def cut(self, c: float, vc: complex | None) -> tuple["_Edge", "_Edge"]:
-        """The two edges either side of the point at ``t = c``, strictly
-        inside, where F is ``vc`` unless that point is a sample already;
-        both hold the point."""
-        i = int(np.searchsorted(self.t, c))
-        t, v = self.t, self.v
-        if t[i] != c:
-            t = np.insert(t, i, c)
-            v = np.insert(v, i, vc)
-        return (_Edge(self.horizontal, self.fixed, t[:i + 1], v[:i + 1]),
-                _Edge(self.horizontal, self.fixed, t[i:], v[i:]))
+    def side(self, horizontal: bool, fixed: float, lo: float, hi: float
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """The samples filed on a line from ``lo`` to ``hi``, both ends
+        filed."""
+        t, v = self._lines[horizontal, fixed]
+        i, j = t.searchsorted(lo), t.searchsorted(hi)
+        return t[i:j + 1], v[i:j + 1]
 
 
-class _Box(NamedTuple):
-    """A window and the edges of its boundary, each stored in increasing
+def _sides(w: Window) -> list[tuple[bool, float, float, float]]:
+    """The sides of a window as (line, its ends), each in increasing
     coordinate: bottom and right run counterclockwise, top and left
     clockwise."""
-
-    window: Window
-    bottom: _Edge
-    right: _Edge
-    top: _Edge
-    left: _Edge
-
-    def edges(self) -> list[_Edge]:
-        return [self.bottom, self.right, self.top, self.left]
-
-    def winding(self) -> int:
-        turns = (self.bottom.turn() + self.right.turn() - self.top.turn()
-                 - self.left.turn())
-        return round(turns / (2.0 * math.pi))
-
-
-def _points(horizontal: bool, fixed: float, t: np.ndarray) -> np.ndarray:
-    z = np.empty(t.shape, dtype=complex)
-    if horizontal:
-        z.real, z.imag = t, fixed
-    else:
-        z.real, z.imag = fixed, t
-    return z
-
-
-def _values(F, z: np.ndarray) -> np.ndarray:
-    if not z.size:
-        return np.empty(0, dtype=complex)
-    return np.asarray(F(z), dtype=complex).ravel()
+    return [(True, w.im_min, w.re_min, w.re_max),
+            (False, w.re_max, w.im_min, w.im_max),
+            (True, w.im_max, w.re_min, w.re_max),
+            (False, w.re_min, w.im_min, w.im_max)]
 
 
 def _intervals(length: float, perimeter: float) -> int:
-    """Sample intervals on an edge of ``length`` at the density of _N_INIT
+    """Sample intervals on a side of ``length`` at the density of _N_INIT
     samples around ``perimeter``."""
     return max(1, round(_N_INIT * length / perimeter))
 
@@ -206,109 +188,85 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     return t
 
 
-def _fresh_box(F, window: Window) -> _Box:
-    """The box of ``window``, its edges sampled at the density of _N_INIT
-    samples around its perimeter, in one F call."""
-    w = window
+def _contour(w: Window) -> list[tuple[bool, float, np.ndarray]]:
+    """The sides of a window sampled at the density of _N_INIT samples
+    around its perimeter, as lines to file: bottom, top, right, left."""
     perimeter = 2.0 * (w.width + w.height)
     x = _grid(w.re_min, w.re_max, _intervals(w.width, perimeter))
     y = _grid(w.im_min, w.im_max, _intervals(w.height, perimeter))
-    inner = y[1:-1]
-    v = _values(F, np.concatenate((_points(True, w.im_min, x),
-                                   _points(True, w.im_max, x),
-                                   _points(False, w.re_max, inner),
-                                   _points(False, w.re_min, inner))))
-    bottom, top, right, left = np.split(
-        v, np.cumsum([x.size, x.size, inner.size]))
-    return _Box(window, _Edge(True, w.im_min, x, bottom),
-                _Edge(False, w.re_max, y,
-                      np.concatenate(([bottom[-1]], right, [top[-1]]))),
-                _Edge(True, w.im_max, x, top),
-                _Edge(False, w.re_min, y,
-                      np.concatenate(([bottom[0]], left, [top[0]]))))
+    return [(True, w.im_min, x), (True, w.im_max, x),
+            (False, w.re_max, y), (False, w.re_min, y)]
 
 
-def _refine(F, groups: list[list[_Edge]]) -> list[str | None]:
-    """Refine the edges of every group until no phase step between
-    neighbouring samples exceeds _PHASE_STEP_MAX, in one F call per round
-    for all of them: a round samples the midpoint of every such step.  Per
-    group, None once its edges are resolved, or why they are not: a sample
-    where F is 0 or not finite, or steps that _PHASE_ROUNDS rounds leave
-    too large.  An edge that groups share is refined once; it stops being
-    refined when every group it belongs to has failed."""
-    failure: list[str | None] = [None] * len(groups)
-    owners: dict[int, tuple[_Edge, list[int]]] = {}
-    for k, group in enumerate(groups):
-        for e in group:
-            owners.setdefault(id(e), (e, []))[1].append(k)
+def _count(samples: _Samples, windows: list[Window]) -> list[int | str]:
+    """The zero count of F in each window from the samples filed on its
+    sides, or why there is none: a sample where F is 0 or not finite, or
+    steps that _PHASE_ROUNDS rounds leave too large.
 
-    def fail(ks, why):
-        for k in ks:
-            failure[k] = failure[k] or why
-
-    for e, ks in owners.values():
-        if not np.all(np.isfinite(e.v) & (e.v != 0)):
-            fail(ks, "F is zero or not finite on the contour")
-    pending = list(owners.values())
+    Sides are refined until no phase step between neighbouring samples
+    exceeds _PHASE_STEP_MAX, in one F call per round for all windows: a
+    round files the midpoint of every such step, and the next rereads only
+    the windows still refining.  A side that windows share is refined
+    once, and every window on it reads the same samples."""
+    out: list = [None] * len(windows)
+    todo = range(len(windows))
     for rounds in range(_PHASE_ROUNDS + 1):
-        work = []
-        for e, ks in pending:
-            if any(failure[k] is None for k in ks):
-                bad = np.flatnonzero(np.abs(e.steps()) > _PHASE_STEP_MAX)
-                if bad.size:
-                    work.append((e, ks, bad))
-        if not work:
+        mids, refining = [], []
+        for k in todo:
+            sides = [(h, c, *samples.side(h, c, lo, hi))
+                     for h, c, lo, hi in _sides(windows[k])]
+            values = np.concatenate([v for *_, v in sides])
+            if not (np.isfinite(values).all() and values.all()):
+                out[k] = "F is zero or not finite on the contour"
+                continue
+            steps = [np.angle(v[1:] / v[:-1]) for *_, v in sides]
+            bad = [np.flatnonzero(np.abs(s) > _PHASE_STEP_MAX) for s in steps]
+            if not any(b.size for b in bad):
+                turns = [float(np.sum(s)) for s in steps]
+                out[k] = round((turns[0] + turns[1] - turns[2] - turns[3])
+                               / (2.0 * math.pi))
+            elif rounds == _PHASE_ROUNDS:
+                out[k] = "phase refinement exceeded its depth limit"
+            else:
+                refining.append(k)
+                mids += [(h, c, 0.5 * (t[b] + t[b + 1]))
+                         for (h, c, t, _), b in zip(sides, bad) if b.size]
+        if not refining:
             break
-        if rounds == _PHASE_ROUNDS:
-            for _, ks, _ in work:
-                fail(ks, "phase refinement exceeded its depth limit")
-            break
-        mids = [0.5 * (e.t[bad] + e.t[bad + 1]) for e, _, bad in work]
-        v = _values(F, np.concatenate([e.at(t) for (e, _, _), t
-                                       in zip(work, mids)]))
-        start = 0
-        for (e, ks, bad), t in zip(work, mids):
-            vm = v[start:start + t.size]
-            start += t.size
-            e.t = np.insert(e.t, bad + 1, t)
-            e.v = np.insert(e.v, bad + 1, vm)
-            if not np.all(np.isfinite(vm) & (vm != 0)):
-                fail(ks, "F is zero or not finite on the contour")
-        pending = [(e, ks) for e, ks, _ in work]
-    return failure
+        samples.file(mids)
+        todo = refining
+    return out
 
 
-def _counted(F, window: Window) -> tuple[_Box, int]:
-    """The box the zero count of F was taken on, and that count: the
+def _counted(samples: _Samples, window: Window) -> tuple[Window, int]:
+    """The window the zero count of F was taken on, and that count: the
     window itself or, when its contour meets a zero, the first of up to
     three deterministic outward jitters of it whose contour gives a count.
     A negative count raises ``CertificateError``."""
     last = None
     for factor in (0.0,) + _JITTER:
-        box = _fresh_box(F, window if factor == 0.0
-                         else window.expanded(factor))
-        last = _refine(F, [box.edges()])[0]
-        if last is None:
-            wind = box.winding()
-            if wind < 0:
+        box = window if factor == 0.0 else window.expanded(factor)
+        samples.file(_contour(box))
+        last = _count(samples, [box])[0]
+        if not isinstance(last, str):
+            if last < 0:
                 raise CertificateError(
-                    f"negative winding {wind}: the contour is undersampled")
-            return box, wind
+                    f"negative winding {last}: the contour is undersampled")
+            return box, last
     raise BoundaryZeroError(f"winding failed after jitter retries: {last}")
 
 
 def winding_number(F, window: Window) -> int:
     """Exact zero count (with multiplicity) of F inside the window, or in
     a slightly jittered one when a zero seems to sit on the contour."""
-    return _counted(F, window)[1]
+    return _counted(_Samples(F), window)[1]
 
 
 # ----------------------------------------------------------------------
 # Newton polishing and certified subdivision
 
 
-def _newton(F, pair, boxes: list[Window], tol: float,
-            residuals: dict | None = None) -> list:
+def _newton(F, pair, boxes: list[Window], tol: float) -> list:
     """Polish one zero per box, every box together: (z, residual,
     iterations) per box, or None where its polish fails.
 
@@ -318,10 +276,9 @@ def _newton(F, pair, boxes: list[Window], tol: float,
     F' is not finite or F' is 0, and when a step leaves the box padded by
     a quarter of its diameter.  One F call then gives the residuals: a
     polished zero with a residual above tol, or outside its box, fails
-    too.  ``residuals`` maps the points whose residual is known to it;
-    the call takes F only at the others, and adds them.
+    too.  :func:`find_zeros` passes its :class:`_Samples` as F, so a
+    residual known from an earlier level is not taken again.
     """
-    residuals = {} if residuals is None else residuals
     z: list[complex | None] = [box.center for box in boxes]
     iterations = [0] * len(boxes)
     active = list(range(len(boxes)))
@@ -346,11 +303,9 @@ def _newton(F, pair, boxes: list[Window], tol: float,
                 still.append(i)
         active = still
     done = [i for i in range(len(boxes)) if z[i] is not None]
-    new = list(dict.fromkeys(z[i] for i in done if z[i] not in residuals))
-    residuals.update(zip(new, np.abs(_values(F, np.array(new)))))
+    residuals = np.abs(F(np.array([z[i] for i in done], dtype=complex)))
     out: list = [None] * len(boxes)
-    for i in done:
-        r = residuals[z[i]]
+    for i, r in zip(done, residuals):
         if r <= tol and boxes[i].contains(z[i]):
             out[i] = (z[i], float(r), iterations[i])
     return out
@@ -366,102 +321,58 @@ def _split(window: Window, fraction: float = 0.5):
             Window(window.re_min, window.re_max, cut, window.im_max))
 
 
-class _Cut(NamedTuple):
-    """A box split at a fraction: its two halves, in :func:`_split`'s
-    order, the two edges the split line cuts, where it starts and ends,
-    and the line, its samples ``t`` placed and F not yet taken."""
-
-    lo: Window
-    hi: Window
-    a: _Edge
-    b: _Edge
-    line: _Edge
-
-
-def _cut(box: _Box, fraction: float) -> _Cut:
-    """The split of a box at ``fraction``, its line sampled at the density
-    of a fresh _N_INIT contour of the smaller half."""
-    w = box.window
-    lo, hi = _split(w, fraction)
-    perimeter = 2.0 * min(lo.width + lo.height, hi.width + hi.height)
-    if lo.re_max < w.re_max:        # a vertical line, bottom to top
-        c, a, b = lo.re_max, box.bottom, box.top
-        t = _grid(w.im_min, w.im_max, _intervals(w.height, perimeter))
-    else:                           # a horizontal line, left to right
-        c, a, b = lo.im_max, box.left, box.right
-        t = _grid(w.re_min, w.re_max, _intervals(w.width, perimeter))
-    return _Cut(lo, hi, a, b, _Edge(not a.horizontal, c, t, None))
+def _split_line(w: Window, lo: Window, hi: Window) -> list:
+    """The line that splits ``w`` into ``lo`` and ``hi`` as lines to file:
+    its ends, on the parent's sides across it, then the line, sampled at
+    the density of a fresh _N_INIT contour of the smaller half."""
+    # the line is lo's right side, or its top when the split is horizontal
+    h, c, a, b = _sides(lo)[1 if lo.re_max < w.re_max else 2]
+    n = _intervals(b - a, 2.0 * min(lo.width + lo.height,
+                                    hi.width + hi.height))
+    return [(not h, a, np.array([c])), (not h, b, np.array([c])),
+            (h, c, _grid(a, b, n))]
 
 
-def _halves(box: _Box, cut: _Cut, pieces: dict) -> tuple[_Box, _Box]:
-    """The two boxes of a sampled cut, from the ``pieces`` of the cut
-    edges, keyed by edge and cut point."""
-    line = cut.line
-    a0, a1 = pieces[id(cut.a), line.fixed]
-    b0, b1 = pieces[id(cut.b), line.fixed]
-    if line.horizontal:
-        return (_Box(cut.lo, box.bottom, b0, line, a0),
-                _Box(cut.hi, line, b1, box.top, a1))
-    return (_Box(cut.lo, a0, line, b0, box.left),
-            _Box(cut.hi, a1, box.right, b1, line))
-
-
-def _split_level(F, level: list[tuple[_Box, int]]) -> list[tuple[_Box, int]]:
+def _split_level(samples: _Samples, level: list[tuple[Window, int]]
+                 ) -> list[tuple[Window, int]]:
     """The two halves of every box of a level, with their counts, in the
     level's order.
 
-    Every box is cut at the first of _FRACTIONS (:func:`_cut`).  One F
-    call samples all the split lines; a line's end that falls on a sample
-    of the parent's edge reuses it, and boxes stacked across an edge they
-    share cut it once.  :func:`_refine` then resolves every new or cut
-    edge of the level together.  A box whose new edges meet a zero of F,
-    a non-finite value or the round limit is cut again at the next
-    fraction, all such boxes together.  Both halves are counted from
-    their own edges; a negative half, or halves that do not add up to
+    Every box is split at the first of _FRACTIONS.  One F call samples
+    all the split lines, ends first: an end that is a sample already, of
+    the parent's side or of a neighbour's line, is not taken again.
+    :func:`_count` then refines and counts every half of the level
+    together.  A box with a half that meets a zero of F, a non-finite
+    value or the round limit is split again at the next fraction, all such
+    boxes together.  A negative half, or halves that do not add up to
     their parent, raise ``CertificateError``."""
     out: list = [None] * len(level)
     todo = list(range(len(level)))
     for fraction in _FRACTIONS:
         if not todo:
             break
-        cuts = [_cut(level[i][0], fraction) for i in todo]
-        # the cut points, each edge cut once at each
-        ends = {(id(e), cut.line.fixed): e
-                for cut in cuts for e in (cut.a, cut.b)}
-        new = [key for key, e in ends.items() if not e.has(key[1])]
-        v = _values(F, np.concatenate(
-            [ends[key].at(np.array([key[1]])) for key in new]
-            + [cut.line.at(cut.line.t[1:-1]) for cut in cuts]))
-        at_new = dict(zip(new, v))
-        pieces = {key: e.cut(key[1], at_new.get(key))
-                  for key, e in ends.items()}
-        start = len(new)
-        for cut in cuts:
-            stop = start + cut.line.t.size - 2
-            cut.line.v = np.concatenate(
-                (pieces[id(cut.a), cut.line.fixed][0].v[-1:], v[start:stop],
-                 pieces[id(cut.b), cut.line.fixed][0].v[-1:]))
-            start = stop
-        halves = [_halves(level[i][0], cut, pieces)
-                  for i, cut in zip(todo, cuts)]
-        # the parent's edges among them are resolved already
-        failures = _refine(F, [lo.edges() + hi.edges() for lo, hi in halves])
+        halves = [_split(level[i][0], fraction) for i in todo]
+        lines = [_split_line(level[i][0], lo, hi)
+                 for i, (lo, hi) in zip(todo, halves)]
+        samples.file([end for line in lines for end in line[:2]]
+                     + [line[2] for line in lines])
+        counts = iter(_count(samples, [w for pair in halves for w in pair]))
         retry = []
-        for i, (lo, hi), failure in zip(todo, halves, failures):
-            if failure is not None:
+        for i, (lo, hi) in zip(todo, halves):
+            w_lo, w_hi = next(counts), next(counts)
+            if isinstance(w_lo, str) or isinstance(w_hi, str):
                 retry.append(i)
                 continue
             wind = level[i][1]
-            w_lo, w_hi = lo.winding(), hi.winding()
             if min(w_lo, w_hi) < 0 or w_lo + w_hi != wind:
                 raise CertificateError(
-                    f"halves {lo.window} and {hi.window} count {w_lo} and "
-                    f"{w_hi}, parent {wind}: the contour is undersampled")
+                    f"halves {lo} and {hi} count {w_lo} and {w_hi}, parent "
+                    f"{wind}: the contour is undersampled")
             out[i] = ((lo, w_lo), (hi, w_hi))
         todo = retry
     if todo:
         raise BoundaryZeroError("could not place a zero-free split line in "
-                                f"{level[todo[0]][0].window}")
+                                f"{level[todo[0]][0]}")
     return [half for pair in out for half in pair]
 
 
@@ -469,13 +380,14 @@ def find_zeros(F, window: Window, tol: float = 1e-10, *,
                pair) -> list[Resonance]:
     """All zeros of F in the window, each carried by a winding certificate.
 
-    ``pair(z)`` returns F and F' on a 1-d array of points.  The boxes are
-    bisected level by level until they isolate single zeros.  Every
+    ``pair(z)`` returns F and F' on a 1-d array of points.  F is taken
+    once per distinct point of the search (:class:`_Samples`).  The boxes
+    are bisected level by level until they isolate single zeros.  Every
     winding-1 box of a level is polished by :func:`_newton` from its
     centre, all of them in one ``pair`` call per Newton step; the boxes
     whose polish escapes or fails its residual are bisected together
     (:func:`_split_level`), and both halves of each are counted from their
-    own edges.  The certificates of the returned zeros add up to the
+    own sides.  The certificates of the returned zeros add up to the
     winding number of the full window; when a zero seems to sit on its
     contour, that is a window jittered slightly outward, and it is the one
     subdivided.  A negative count, or halves that do not add up to their
@@ -487,33 +399,29 @@ def find_zeros(F, window: Window, tol: float = 1e-10, *,
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     min_box = max(50.0 * tol, 1e-12 * window.diameter)
-    box, total = _counted(F, window)
+    samples = _Samples(F)
+    box, total = _counted(samples, window)
     found: list[Resonance] = []
-    residuals: dict[complex, float] = {}
-    level: list[tuple[_Box, int]] = [(box, total)]
+    level: list[tuple[Window, int]] = [(box, total)]
     while level:
         # unresolved clusters: report their centres with the cluster radius
-        clusters = [(b.window, w) for b, w in level
-                    if w and b.window.diameter <= min_box]
+        clusters = [(b, w) for b, w in level if w and b.diameter <= min_box]
         if clusters:
-            centres = np.array([b.center for b, _ in clusters])
-            res = np.abs(np.asarray(F(centres), dtype=complex))
+            res = np.abs(samples(np.array([b.center for b, _ in clusters])))
             found += [Resonance(b.center, float(r), w, 0,
                                 cluster_radius=0.5 * b.diameter)
                       for (b, w), r in zip(clusters, res)]
-        level = [(b, w) for b, w in level
-                 if w and b.window.diameter > min_box]
-        polished = iter(_newton(F, pair,
-                                [b.window for b, w in level if w == 1], tol,
-                                residuals))
-        deeper: list[tuple[_Box, int]] = []
+        level = [(b, w) for b, w in level if w and b.diameter > min_box]
+        polished = iter(_newton(samples, pair,
+                                [b for b, w in level if w == 1], tol))
+        deeper: list[tuple[Window, int]] = []
         for box, wind in level:
             zero = next(polished) if wind == 1 else None
             if zero is None:
                 deeper.append((box, wind))
             else:
                 found.append(Resonance(zero[0], zero[1], 1, zero[2]))
-        level = _split_level(F, deeper)
+        level = _split_level(samples, deeper)
 
     found = _merge_duplicates(found, radius=1e-9)
     if sum(r.winding for r in found) != total:

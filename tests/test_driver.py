@@ -259,6 +259,26 @@ def _python(*args):
                           text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
+@pytest.mark.parametrize("args", [
+    ["--omega", "1e-300"], ["--omega", "1e-200"], ["--omega", "1e300"],
+    ["--omega", "1e200"], ["--length-scale", "1e300"],
+    ["--length-scale", "1e-300"],
+], ids=lambda a: a[0][2:] + "-" + a[1])
+def test_ac_square_out_of_range_is_config_error(tmp_path, args):
+    # omega^2 or length_scale^2 underflows to 0 or overflows: exit 2 with
+    # one line on stderr, not a traceback or a numeric failure
+    out = tmp_path / "ac"
+    proc = _python("-m", "starkres.driver", "ac", "--f-grid", "0.1",
+                   "--n-fourier", "2", "--n-hermite", "8", *args, "--out",
+                   str(out))
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("configuration error: ")
+    assert "Traceback" not in proc.stderr
+    assert not (out / "failure.log").exists()
+
+
 def test_cli_entry_point_runs():
     proc = _python("-m", "starkres.driver", "dc", "--help")
     assert proc.returncode == 0

@@ -84,6 +84,15 @@ def test_validation(coupling):
     assert "matrix" not in big.__dict__
 
 
+@pytest.mark.parametrize("name", ["omega", "length_scale"])
+@pytest.mark.parametrize("value", [1e-300, 1e-200, 1e200, 1e300])
+def test_square_that_underflows_or_overflows_is_rejected(coupling, name,
+                                                         value):
+    # positive and finite, but squared to 0 or past the largest float
+    with pytest.raises(ValueError, match=name.replace("_", " ")):
+        FloquetProblem(coupling, 0.0, **{name: value})
+
+
 def test_dimension(small_problem):
     N, J = 3, 40
     assert small_problem.dimension == (2 * N + 1) * (J + 1) + (2 * N + 1)

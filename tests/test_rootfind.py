@@ -325,12 +325,13 @@ def test_half_counted_above_its_parent_raises():
     # the window holds two zeros, one in each half; handed to the split as
     # a box that counts none, its halves count more than their parent
     roots = [1 - 0.5j, 2 - 0.25j]
-    F = poly_from_roots(roots)
-    box, wind = rootfind._counted(F, Window(0.5, 2.5, -1.5, -0.1))
+    samples = rootfind._Samples(poly_from_roots(roots))
+    box, wind = rootfind._counted(samples, Window(0.5, 2.5, -1.5, -0.1))
     assert wind == 2
-    assert [w for _, w in rootfind._split_level(F, [(box, wind)])] == [1, 1]
+    assert [w for _, w in rootfind._split_level(samples, [(box, wind)])] \
+        == [1, 1]
     with pytest.raises(CertificateError, match="count 1 and 1, parent 0"):
-        rootfind._split_level(F, [(box, 0)])
+        rootfind._split_level(samples, [(box, 0)])
 
 
 def test_halves_that_disagree_with_their_parent_raise(coupling):
@@ -347,9 +348,9 @@ def test_zero_or_nonfinite_sample_is_a_contour_zero():
         # at a corner: that sample fails the contour, and a jittered
         # window, which misses the point, takes the count
         F = lambda z, v=value: np.where(np.asarray(z) == -1 - 1j, v, 1.0 + 0j)
-        box = rootfind._fresh_box(F, w)
-        assert rootfind._refine(F, [[box.bottom, box.right, box.top,
-                                     box.left]]) \
+        samples = rootfind._Samples(F)
+        samples.file(rootfind._contour(w))
+        assert rootfind._count(samples, [w]) \
             == ["F is zero or not finite on the contour"]
         assert winding_number(F, w) == 0
         # on the left edge of the window and of every jitter of it
@@ -366,40 +367,50 @@ SPREAD = [complex(0.1 + 2.8 * a, -0.1 - 1.3 * b) for a, b in zip(
 SPREAD_WINDOW = Window(0.0, 3.0, -1.5, 0.0)
 
 
+def _taking(samples, F):
+    """A copy of ``samples`` that takes the points it has not filed from
+    F."""
+    copy = rootfind._Samples(F)
+    copy._memo, copy._lines = dict(samples._memo), dict(samples._lines)
+    return copy
+
+
 def test_a_level_is_split_in_one_call_per_round():
     # a level makes one F call for all its split lines, then one per
-    # refinement round for all its new edges: as many calls as the box
-    # that needs the most rounds makes when it is split alone
+    # refinement round for all its halves: as many calls as the box that
+    # needs the most rounds makes when it is split alone
     F = poly_from_roots(SPREAD)
-    box, wind = rootfind._counted(F, SPREAD_WINDOW)
+    calls = []
+    samples = rootfind._Samples(lambda z: calls.append(z.size) or F(z))
+    box, wind = rootfind._counted(samples, SPREAD_WINDOW)
     assert wind == 9
     level = [(box, wind)]
     sizes, refined = [], 0
     while level:
-        calls = []
-        deeper = rootfind._split_level(
-            lambda z: calls.append(z.size) or F(z), level)
         alone = []
         for item in level:
             one = []
-            rootfind._split_level(lambda z: one.append(z.size) or F(z),
-                                  [item])
+            rootfind._split_level(
+                _taking(samples, lambda z: one.append(z.size) or F(z)),
+                [item])
             alone.append(len(one))
+        calls.clear()
+        deeper = rootfind._split_level(samples, level)
         assert len(calls) == max(alone)
         refined += len(calls) > 1
         sizes.append(len(level))
-        level = [(b, w) for b, w in deeper if w and b.window.diameter > 0.1]
+        level = [(b, w) for b, w in deeper if w and b.diameter > 0.1]
     assert max(sizes) >= 8 and refined >= 2
 
 
-def test_no_point_is_evaluated_twice():
-    F = poly_from_roots(SPREAD)
+def _taken(F):
+    """F, and the list of the arrays of points it is called on."""
     points = []
+    return (lambda z: points.append(z) or F(z)), points
 
-    def counting(z):
-        points.append(z)
-        return F(z)
 
+def test_no_point_is_evaluated_twice(coupling):
+    counting, points = _taken(poly_from_roots(SPREAD))
     out = find_zeros(counting, SPREAD_WINDOW, tol=1e-10,
                      pair=poly_pair(SPREAD))
     assert len(out) == 9
@@ -407,6 +418,36 @@ def test_no_point_is_evaluated_twice():
         assert abs(r.z - expect) < 1e-10
     z = np.concatenate(points)
     assert np.unique(z).size == z.size
+    # the README field: the 13 zeros of the cloud on the default dc window
+    ev = ResolventEvaluator(coupling, 0.005)
+    counting, points = _taken(ev.F_value)
+    assert len(find_zeros(counting, DC_WINDOW, tol=1e-9,
+                          pair=ev.F_pair)) == 13
+    z = np.concatenate(points)
+    assert np.unique(z).size == z.size == 478
+
+
+def test_windows_counted_together_read_one_fast_side():
+    # the phase of F turns by 40 along the side x = 1 that the two windows
+    # share, so that side is refined; counted in one call, every point is
+    # taken once and both windows read the same samples there
+    counting, points = _taken(lambda z: (z - (0.5 + 0.5j))
+                              * np.exp(40.0 * z))
+    left, right = Window(0.0, 1.0, 0.0, 1.0), Window(1.0, 2.0, 0.0, 1.0)
+    samples = rootfind._Samples(counting)
+    samples.file(rootfind._contour(left) + rootfind._contour(right))
+    assert len(points) == 1
+    assert rootfind._count(samples, [left, right]) == [1, 0]
+    z = np.concatenate(points)
+    assert np.unique(z).size == z.size
+    assert np.any(np.concatenate(points[1:]).real == 1.0)
+    # the right side of one is the left side of the other
+    assert rootfind._sides(left)[1] == rootfind._sides(right)[3] \
+        == (False, 1.0, 0.0, 1.0)
+    t, v = samples.side(False, 1.0, 0.0, 1.0)
+    assert np.array_equal(t, np.sort(z[z.real == 1.0].imag))
+    steps = np.angle(v[1:] / v[:-1])
+    assert np.all(np.abs(steps) <= rootfind._PHASE_STEP_MAX)
 
 
 @pytest.mark.parametrize("pair", [
@@ -419,21 +460,25 @@ def test_newton_fails_a_box_where_F_or_dF_is_unusable(pair):
     # the box's centre is the zero of z - 1 + 0.5i, but F' there is 0 or
     # not finite, or F is not finite: the polish fails after one step,
     # and no residual is taken
-    residuals = {}
-    assert rootfind._newton(lambda z: z - 1.0 + 0.5j, pair,
-                            [Window(0.5, 1.5, -1.0, 0.0)], 1e-10,
-                            residuals) == [None]
-    assert residuals == {}
+    residuals = []
+    samples = rootfind._Samples(lambda z: residuals.append(z) or z - 1 + 0.5j)
+    assert rootfind._newton(samples, pair, [Window(0.5, 1.5, -1.0, 0.0)],
+                            1e-10) == [None]
+    assert residuals == []
 
 
 @pytest.mark.parametrize("value", (0.0, np.nan, np.inf))
 def test_refine_fails_an_edge_with_a_bad_midpoint(value):
-    # the phase turns by pi along [0, 1], so refinement samples its
-    # midpoint, where F is 0 or not finite
-    edge = rootfind._Edge(True, 0.0, np.array([0.0, 1.0]),
-                          np.array([1.0 + 0j, -1.0 + 0j]))
-    F = lambda z: np.where(z.real == 0.5, value, 1.0 + 0j)
-    assert rootfind._refine(F, [[edge]]) == [
+    # the unit square is sampled at its corners alone, and the phase turns
+    # by pi along its bottom [0, 1], so refinement samples the midpoint,
+    # where F is 0 or not finite
+    F = lambda z: np.where(z.real == 0.5, value,
+                           np.where(z.real < 0.5, 1.0 + 0j, -1.0 + 0j))
+    samples = rootfind._Samples(F)
+    ends = np.array([0.0, 1.0])
+    samples.file([(True, 0.0, ends), (True, 1.0, ends), (False, 0.0, ends),
+                  (False, 1.0, ends)])
+    assert rootfind._count(samples, [Window(0.0, 1.0, 0.0, 1.0)]) == [
         "F is zero or not finite on the contour"]
 
 
@@ -442,15 +487,17 @@ def test_split_level_without_a_zero_free_line_raises():
     # fails, at each of the fractions
     window = Window(0.5, 2.5, -1.5, -0.1)
     F = poly_from_roots([1 - 0.5j, 2 - 0.25j])
-    box, wind = rootfind._counted(F, window)
 
     def inside_nan(z):
         inside = ((window.re_min < z.real) & (z.real < window.re_max)
                   & (window.im_min < z.imag) & (z.imag < window.im_max))
         return np.where(inside, np.nan, F(z))
 
+    samples = rootfind._Samples(inside_nan)
+    box, wind = rootfind._counted(samples, window)
+    assert wind == 2
     with pytest.raises(BoundaryZeroError, match="zero-free split line"):
-        rootfind._split_level(inside_nan, [(box, wind)])
+        rootfind._split_level(samples, [(box, wind)])
 
 
 def test_find_zeros_raises_when_the_certificates_miss_the_count(
